@@ -173,7 +173,8 @@ def cf_positive(link: TwoBridgeLink) -> ContFrac:
         a, r = divmod(q, p)
         terms.append(a)
         p, q = r, p
-    assert terms[-1] >= 2
+    if terms[-1] < 2:
+        raise ValueError(f"{link} is not a fraction in (0, 1) in lowest terms")
     return ContFrac(tuple(terms))
 
 
@@ -182,12 +183,36 @@ def crossing_number(link: TwoBridgeLink) -> int:
     return sum(cf_positive(link).terms)
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b)/m) over i = 0..n-1, for n >= 0, m >= 1 and
+    a, b >= 0, in O(log m) steps (Euclid on the pair (a, m))."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
 def linking_number(link: TwoBridgeLink) -> int:
     """Linking number of either component with the blackboard longitude
     used by the slope computation; converting to the preferred framing
-    shifts both intersection numbers by this amount."""
+    shifts both intersection numbers by this amount.
+
+    It is -sum((-1)^floor(2jp/q)) over j = 1..N with N = (q - 2)/2.  As
+    (-1)^floor(x) = 1 - 2*(floor(x) - 2*floor(x/2)), the sum is
+    N - 2*sum(floor(2jp/q)) + 4*sum(floor(jp/q)), two floor sums.
+    """
     p, q = link
-    return -sum((-1) ** ((2 * j * p) // q) for j in range(1, (q - 2) // 2 + 1))
+    n = (q - 2) // 2
+    return -(n - 2 * _floor_sum(n + 1, q, 2 * p, 0) + 4 * _floor_sum(n + 1, q, p, 0))
 
 
 def _expansions_with_sum(total: int) -> Iterator[tuple[int, ...]]:

@@ -35,12 +35,22 @@ the chain complex enumerates them all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Iterable, NamedTuple
 
 from .arith import Frac, GMat, INFINITY, TwoBridgeLink
 
 ROT = GMat.make(1, -1, 2, -1)    # half-turn of the base quadrilateral
 SHIFT = GMat.make(1, 1, 0, 1)    # next frame around the vertex 1/0
+
+
+def _frac_cmp(u: Frac, v: Frac) -> int:
+    """-1, 0 or 1 as u is below, equal to or above v; 1/0 is above
+    every finite rational."""
+    if u.den == 0 or v.den == 0:
+        return (u.den == 0) - (v.den == 0)
+    d = u.num * v.den - v.num * u.den
+    return (d > 0) - (d < 0)
 
 
 class Corner(NamedTuple):
@@ -52,19 +62,13 @@ class Corner(NamedTuple):
 
     @staticmethod
     def on_side(u: Frac, v: Frac) -> "Corner":
-        return Corner(*sorted((u, v), key=Frac.key))
+        return Corner(u, v) if _frac_cmp(u, v) < 0 else Corner(v, u)
 
     def __str__(self) -> str:
         return f"mid({self.lo},{self.hi})"
 
 
 Vertex = Frac | Corner
-
-
-def vertex_key(v: Vertex):
-    if isinstance(v, Frac):
-        return (0, v.key(), v.key())
-    return (1, v.lo.key(), v.hi.key())
 
 
 class Quad(NamedTuple):
@@ -106,7 +110,8 @@ def _even_frame(g: GMat) -> GMat:
 def _far_quad(even: Frac, odd: Frac, current: frozenset[Frac]) -> Quad:
     """The quadrilateral across the side {even, odd} from the current one."""
     det = even.num * odd.den - odd.num * even.den
-    assert det in (1, -1), (even, odd)
+    if det not in (1, -1):
+        raise RuntimeError(f"{even} and {odd} do not span a Farey edge")
     near = GMat.make(even.num, det * odd.num, even.den, det * odd.den)
     far = GMat.make(det * even.num - 2 * odd.num, odd.num,
                     det * even.den - 2 * odd.den, odd.den)
@@ -124,27 +129,34 @@ def quad_chain(link: TwoBridgeLink) -> list[Quad]:
     whose boundary arc contains p/q, stopping once p/q is a vertex.
     """
     target = link.fraction()
-    tval = target.key()
-    chain = [Quad(GMat.make(1, 0, 0, 1))]
-    while target not in chain[-1].vertices():
-        quad = chain[-1]
+    # Sort key of each vertex, made once: consecutive quadrilaterals
+    # share a side, so each step meets only two new vertices.
+    keys: dict[Frac, tuple] = {}
+
+    def key(v: Frac) -> tuple:
+        if v not in keys:
+            keys[v] = v.key()
+        return keys[v]
+
+    tval = key(target)
+    quad = Quad(GMat.make(1, 0, 0, 1))
+    chain = [quad]
+    verts = quad.vertices()
+    while target not in verts:
         # Vertices in circular order; consecutive ones span the sides,
         # and the target lies in exactly one side's boundary arc.  Only
         # the base quadrilateral contains 1/0, which sorts last, and the
         # target never sits beyond it.
-        verts = sorted(quad.vertices(), key=Frac.key)
-        crossed = None
-        for u, v in zip(verts, verts[1:]):
-            if v.is_infinite:
-                continue
-            if u.key() < tval < v.key():
-                crossed = (u, v)
+        ordered = sorted(verts, key=key)
+        for u, v in zip(ordered, ordered[1:]):
+            if not v.is_infinite and key(u) < tval < key(v):
                 break
-        assert crossed is not None, (link, quad)
-        u, v = crossed
+        else:
+            raise RuntimeError(f"{target} lies in no side arc of {quad.g} ({link})")
         even, odd = (u, v) if u.den % 2 == 0 else (v, u)
-        nxt = _far_quad(even, odd, frozenset(quad.vertices()))
-        chain.append(nxt)
+        quad = _far_quad(even, odd, frozenset(verts))
+        chain.append(quad)
+        verts = quad.vertices()
     return chain
 
 
@@ -227,7 +239,17 @@ _TYPE_RANK = {"A": 0, "B": 1, "C": 2, "D": 3}
 
 
 class DiagramComplex:
-    """Vertices, typed edges and 2-cells of one diagram over a chain."""
+    """Vertices, typed edges and 2-cells of one diagram over a chain.
+
+    Traversals are numbered 2*e (edge e tail to head) and 2*e + 1 (head
+    to tail); ``_steps[t]`` and ``_heads[t]`` are the Step and the end
+    vertex of traversal t.  ``_out`` lists the traversals leaving each
+    vertex in the order the path search tries them.  ``_next`` is the
+    search's successor table: ``minimal_paths`` sets entry t, the first
+    time it expands t, to the traversals that may follow t (those sharing
+    no cell with it).  Filling it up front would cost the square of the
+    degree at a fan vertex such as 0/1 in the chain of 1/n.
+    """
 
     def __init__(self, kind: str, chain: list[Quad]):
         self.kind = kind
@@ -235,16 +257,18 @@ class DiagramComplex:
         self.edges: list[Edge] = []
         self.cells: list[Cell] = []
         self._edge_cells: list[set[int]] = []
-        self._by_pair: dict[tuple, int] = {}
-        self._adj: dict[Vertex, list[tuple[int, int]]] = {}
+        self._index: dict[frozenset, int] = {}
+        self._out: dict[Vertex, list[int]] = {}
+        self._collapsed: dict[Step, Step | None] = {}   # see collapse()
 
     # -- construction ------------------------------------------------
 
     def _add_edge(self, edge: Edge) -> int:
-        pair = tuple(sorted((edge.tail, edge.head), key=vertex_key))
-        key = (pair, edge.etype)
-        if key in self._by_pair:
-            idx = self._by_pair[key]
+        # No two distinct edges of one diagram join the same vertex pair,
+        # so the pair alone identifies an edge.
+        pair = frozenset((edge.tail, edge.head))
+        idx = self._index.get(pair)
+        if idx is not None:
             if self.edges[idx] != edge:
                 raise RuntimeError(
                     f"inconsistent edge rebuild: {self.edges[idx]} vs {edge}")
@@ -252,9 +276,9 @@ class DiagramComplex:
         idx = len(self.edges)
         self.edges.append(edge)
         self._edge_cells.append(set())
-        self._by_pair[key] = idx
-        self._adj.setdefault(edge.tail, []).append((idx, 1))
-        self._adj.setdefault(edge.head, []).append((idx, -1))
+        self._index[pair] = idx
+        self._out.setdefault(edge.tail, []).append(2 * idx)
+        self._out.setdefault(edge.head, []).append(2 * idx + 1)
         return idx
 
     def _add_cell(self, quad: int, label: str, edge_ids: Iterable[int]) -> None:
@@ -265,26 +289,33 @@ class DiagramComplex:
 
     def _freeze(self) -> None:
         self.edge_cells = [frozenset(s) for s in self._edge_cells]
-        self.adj = {}
-        for v, items in self._adj.items():
-            def far(item):
-                idx, sign = item
-                e = self.edges[idx]
-                other = e.head if sign > 0 else e.tail
-                return (_TYPE_RANK[e.etype], vertex_key(other), sign)
-            self.adj[v] = tuple(sorted(items, key=far))
-        # No two distinct edges of one diagram join the same vertex pair,
-        # so the pair alone identifies an edge.
-        self._pair_index = {}
-        for (pair, _etype), idx in self._by_pair.items():
-            if pair in self._pair_index:
-                raise RuntimeError(f"two edges share the endpoints {pair}")
-            self._pair_index[pair] = idx
+        self._steps: list[Step] = []
+        self._heads: list[Vertex] = []
+        for edge in self.edges:
+            self._steps += (Step(edge, 1), Step(edge, -1))
+            self._heads += (edge.head, edge.tail)
+        self._next: list[tuple[int, ...] | None] = [None] * len(self._steps)
+        # Vertex order: rationals by value, then midpoints by their two
+        # endpoints.  Ranking the rationals once lets every later sort
+        # compare plain integers.
+        rationals = sorted((v for v in self._out if isinstance(v, Frac)),
+                           key=cmp_to_key(_frac_cmp))
+        place: dict[Vertex, tuple[int, ...]] = {
+            v: (0, i) for i, v in enumerate(rationals)}
+        for v in self._out:
+            if isinstance(v, Corner):
+                place[v] = (1, place[v.lo][1], place[v.hi][1])
+        self._place = place
+
+        def order(t: int):
+            return (_TYPE_RANK[self.edges[t >> 1].etype], place[self._heads[t]], t & 1)
+        for out in self._out.values():
+            out.sort(key=order)
 
     # -- queries -----------------------------------------------------
 
     def vertices(self) -> list[Vertex]:
-        return sorted(self._adj, key=vertex_key)
+        return sorted(self._out, key=self._place.__getitem__)
 
     def rational_vertices(self) -> list[Frac]:
         return [v for v in self.vertices() if isinstance(v, Frac)]
@@ -292,10 +323,10 @@ class DiagramComplex:
     def edge_between(self, u: Vertex, v: Vertex) -> tuple[Edge, int]:
         """The unique edge joining u and v, with the sign of the u -> v
         traversal."""
-        pair = tuple(sorted((u, v), key=vertex_key))
-        if pair not in self._pair_index:
+        idx = self._index.get(frozenset((u, v)))
+        if idx is None:
             raise KeyError(f"no edge between {u} and {v}")
-        edge = self.edges[self._pair_index[pair]]
+        edge = self.edges[idx]
         return edge, 1 if edge.tail == u else -1
 
 
@@ -315,18 +346,20 @@ def _build_dt(cx: DiagramComplex) -> None:
         m43 = Corner.on_side(p4, p3)
         m31 = Corner.on_side(p3, p1)
         g = quad.g
+        gs, gr = g * SHIFT, g * ROT
+        grs = gr * SHIFT
         a1 = cx._add_edge(Edge("A", p1, m12, g))
-        a2 = cx._add_edge(Edge("A", p1, m31, g * SHIFT))
-        a3 = cx._add_edge(Edge("A", p4, m43, g * ROT))
-        a4 = cx._add_edge(Edge("A", p4, m24, g * ROT * SHIFT))
+        a2 = cx._add_edge(Edge("A", p1, m31, gs))
+        a3 = cx._add_edge(Edge("A", p4, m43, gr))
+        a4 = cx._add_edge(Edge("A", p4, m24, grs))
         b1 = cx._add_edge(Edge("B", p2, m12, g))
-        b2 = cx._add_edge(Edge("B", p3, m31, g * SHIFT))
-        b3 = cx._add_edge(Edge("B", p3, m43, g * ROT))
-        b4 = cx._add_edge(Edge("B", p2, m24, g * ROT * SHIFT))
+        b2 = cx._add_edge(Edge("B", p3, m31, gs))
+        b3 = cx._add_edge(Edge("B", p3, m43, gr))
+        b4 = cx._add_edge(Edge("B", p2, m24, grs))
         cu = cx._add_edge(Edge("C", m31, m12, g, detour=p1))
-        cl = cx._add_edge(Edge("C", m24, m43, g * ROT, detour=p4))
+        cl = cx._add_edge(Edge("C", m24, m43, gr, detour=p4))
         dl = cx._add_edge(Edge("D", m24, m12, g, detour=p2))
-        dr = cx._add_edge(Edge("D", m31, m43, g * ROT, detour=p3))
+        dr = cx._add_edge(Edge("D", m31, m43, gr, detour=p3))
         cx._add_cell(qi, f"corner {p1}", (a1, cu, a2))
         cx._add_cell(qi, f"corner {p4}", (a3, cl, a4))
         cx._add_cell(qi, f"corner {p2}", (b1, dl, b4))
@@ -377,39 +410,48 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     """All minimal edge paths from start to end.
 
     Depth-first search; a step is allowed when the new edge shares no
-    cell with the previous one.  Paths never revisit a vertex.
+    cell with the previous one.  Paths never revisit a vertex.  The
+    search keeps its own stack, so path length is not bounded by the
+    interpreter's recursion limit.
     """
-    if start not in cx.adj or end not in cx.adj:
+    if start not in cx._out or end not in cx._out:
         raise ValueError(f"{start} or {end} is not a vertex of the complex")
+    if start == end:
+        return [TypedPath(cx.kind, ())]
     found: list[TypedPath] = []
-    steps: list[Step] = []
-
-    def walk(vertex: Vertex, visited: frozenset[Vertex], last_cells: frozenset[int]):
-        if vertex == end:
-            found.append(TypedPath(cx.kind, tuple(steps)))
-            return
-        for idx, sign in cx.adj[vertex]:
-            edge = cx.edges[idx]
-            nxt = edge.head if sign > 0 else edge.tail
+    kind, out, edge_cells = cx.kind, cx._out, cx.edge_cells
+    heads, steps, table = cx._heads, cx._steps, cx._next
+    path: list[Step] = []
+    visited = {start}
+    pending = [iter(out[start])]          # untried traversals per depth
+    while pending:
+        for t in pending[-1]:
+            nxt = heads[t]
             if nxt in visited:
                 continue
-            cells = cx.edge_cells[idx]
-            if last_cells & cells:
+            if nxt == end:
+                found.append(TypedPath(kind, (*path, steps[t])))
                 continue
-            steps.append(Step(edge, sign))
-            walk(nxt, visited | {nxt}, cells)
-            steps.pop()
-
-    walk(start, frozenset({start}), frozenset())
+            successors = table[t]
+            if successors is None:
+                cells = edge_cells[t >> 1]
+                successors = table[t] = tuple(
+                    u for u in out[nxt] if not cells & edge_cells[u >> 1])
+            path.append(steps[t])
+            visited.add(nxt)
+            pending.append(iter(successors))
+            break
+        else:
+            pending.pop()
+            if path:
+                visited.remove(path.pop().target)
     return found
 
 
 def is_minimal(cx: DiagramComplex, path: TypedPath) -> bool:
     prev: frozenset[int] | None = None
     for step in path.steps:
-        idx = cx._by_pair[(tuple(sorted((step.edge.tail, step.edge.head),
-                                        key=vertex_key)), step.edge.etype)]
-        cells = cx.edge_cells[idx]
+        cells = cx.edge_cells[cx._index[frozenset((step.edge.tail, step.edge.head))]]
         if prev is not None and prev & cells:
             return False
         prev = cells
@@ -420,7 +462,9 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
     """Limit of a Dt path in D1 or D0.
 
     Midpoints slide to the odd endpoint of their side in D1 and to the
-    even endpoint in D0; edges whose endpoints merge disappear.
+    even endpoint in D0; edges whose endpoints merge disappear.  Each
+    step's image is remembered on the target, so a step shared by many
+    paths is projected once.
     """
     if path.kind != "Dt":
         raise ValueError("only Dt paths collapse")
@@ -433,13 +477,16 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
             return v
         return v.lo if v.lo.den % 2 == parity else v.hi
 
+    images = target._collapsed
     steps: list[Step] = []
     for step in path.steps:
-        src, dst = project(step.source), project(step.target)
-        if src == dst:
-            continue
-        edge, sign = target.edge_between(src, dst)
-        steps.append(Step(edge, sign))
+        image = images.get(step, step)      # a step is never its own image
+        if image is step:
+            src, dst = project(step.source), project(step.target)
+            image = None if src == dst else Step(*target.edge_between(src, dst))
+            images[step] = image
+        if image is not None:
+            steps.append(image)
     return TypedPath(target.kind, tuple(steps))
 
 

@@ -59,10 +59,6 @@ class PushLedger:
     n4p: int = 0
     n4m: int = 0
 
-    def add(self, bucket: str, sense: int) -> None:
-        name = bucket + ("p" if sense > 0 else "m")
-        setattr(self, name, getattr(self, name) + 1)
-
     def counts(self) -> tuple[int, int, int]:
         return (self.n0p - self.n0m, self.n1p - self.n1m, self.n4p - self.n4m)
 
@@ -126,8 +122,15 @@ def straighten(path: TypedPath) -> tuple[list[Frac], PushLedger]:
             continue
         # Boundary of the corner triangle runs against a C edge and with
         # a D edge, so the crossing sense differs by edge type.
-        sense = step.sign * (-1 if etype == "C" else 1)
-        ledger.add("n0" if etype == "C" else "n1", sense)
+        if etype == "C":
+            if step.sign < 0:
+                ledger.n0p += 1
+            else:
+                ledger.n0m += 1
+        elif step.sign > 0:
+            ledger.n1p += 1
+        else:
+            ledger.n1m += 1
         seq.append(step.edge.detour)
         seq.append(step.target)
     rationals = [v for v in seq if isinstance(v, Frac)]
@@ -141,13 +144,33 @@ def m_form(path: TypedPath) -> MForm:
     beta); each corner-triangle crossing adds the boundary value of that
     cell: (0, -2*beta) at even vertices, (-alpha + beta, alpha - beta) at
     odd ones, (-2*beta, -2*alpha + 4*beta) for the rectangle.
+
+    Computes what ``straighten`` and ``delta_sum`` would in one pass over
+    the steps.  Straightening never crosses the rectangle, so n4 = 0.
     """
-    rationals, ledger = straighten(path)
-    k = delta_sum(rationals)
-    n0, n1, n4 = ledger.counts()
+    if path.kind != "Dt":
+        raise ValueError("only Dt paths are straightened")
+    k = n0 = n1 = 0
+    prev = path.start if isinstance(path.start, Frac) else None
+    for edge, sign in path.steps:
+        etype = edge.etype
+        if etype == "C" or etype == "D":
+            if etype == "C":
+                n0 -= sign
+            else:
+                n1 += sign
+            v = edge.detour
+            if prev is not None and prev.den and v.den:
+                k += prev.num * v.den - v.num * prev.den
+            prev = v
+        v = edge.head if sign > 0 else edge.tail
+        if isinstance(v, Frac):
+            if prev is not None and prev.den and v.den:
+                k += prev.num * v.den - v.num * prev.den
+            prev = v
     x = k - n1
-    y = n1 - 2 * n4
-    z = k - n1 - 2 * n0 + 4 * n4
+    y = n1
+    z = k - n1 - 2 * n0
     _check_parities(x, y, z, path)
     return MForm(x, y, z)
 

@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twobridge.arith import (ContFrac, Frac, GMat, TwoBridgeLink,
                              canonical_rep, cf_positive, crossing_number,
@@ -65,10 +68,22 @@ class TestContinuedFractions:
             assert cf.terms[-1] >= 2
 
 
+    def test_rejects_a_fraction_outside_the_unit_interval(self):
+        # An explicit error, so the check survives ``python -O``.
+        with pytest.raises(ValueError):
+            cf_positive(TwoBridgeLink(1, 1))
+
+
 class TestCrossingNumber:
     @pytest.mark.parametrize("p,q,n", [(1, 2, 2), (3, 8, 5), (11, 24, 9)])
     def test_values(self, p, q, n):
         assert crossing_number(make_link(p, q)) == n
+
+
+def linking_number_by_sum(link):
+    """The defining O(q) sum, kept as the oracle for the floor-sum form."""
+    p, q = link
+    return -sum((-1) ** ((2 * j * p) // q) for j in range(1, (q - 2) // 2 + 1))
 
 
 class TestLinkingNumber:
@@ -85,6 +100,22 @@ class TestLinkingNumber:
         for link in enumerate_links(12):
             if link.q % 4 == 0:
                 assert linking_number(link) % 2 == 1
+
+    def test_matches_the_sum_through_fourteen_crossings(self):
+        for link in enumerate_links(14, identify_mirrors=False):
+            p, q = link
+            for rep in {p, q - p, pow(p, -1, q), q - pow(p, -1, q)}:
+                other = TwoBridgeLink(rep, q)
+                assert linking_number(other) == linking_number_by_sum(other), other
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 100_000), st.integers(0, 99_999))
+    def test_matches_the_sum_on_large_q(self, half_q, r):
+        q = 2 * half_q
+        p = 2 * (r % half_q) + 1
+        assume(math.gcd(p, q) == 1)
+        link = TwoBridgeLink(p, q)
+        assert linking_number(link) == linking_number_by_sum(link)
 
 
 class TestEnumeration:

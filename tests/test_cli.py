@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -39,6 +40,13 @@ class TestSlopesCommand:
         assert rc == 0
         assert "unbounded" in err
         assert "unbounded" not in out
+
+
+    def test_deep_chain_answers(self, capsys):
+        # 1200 crossings: paths of about 1800 steps.
+        rc, out, _ = run(capsys, "slopes", "--pq", "1/1200")
+        assert rc == 0
+        assert out.startswith("(-600, -600); ")
 
 
 class TestEnumerateCommand:
@@ -100,6 +108,21 @@ class TestDeterminism:
         rc2, out2, _ = run(capsys, *argv)
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+
+class TestGoldenOutput:
+    # SHA-256 of the output as first released; any change to the engine
+    # must reproduce these bytes.
+    @pytest.mark.parametrize("argv,digest", [
+        (("table", "--max-crossings", "12", "--format", "json"),
+         "83557b5bb4e0da36d428faca64255a0dfe2a25a165c5fa2ab569839e3ec5266f"),
+        (("paths", "--pq", "89/144", "--diagram", "dt", "--format", "json"),
+         "c5ec0fdefe37e2853618331576c6c536f3ca7d52aabbe83ea16a954e3f4dd9fb"),
+    ], ids=["table-12", "paths-89-144"])
+    def test_output_digest(self, capsys, argv, digest):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestUsage:

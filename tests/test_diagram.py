@@ -1,6 +1,14 @@
-from twobridge.arith import Frac, INFINITY, make_link
-from twobridge.diagram import (Corner, Diagrams, build_diagram, collapse,
-                               is_minimal, minimal_paths, quad_chain)
+import os
+import subprocess
+import sys
+
+import pytest
+
+from twobridge.arith import ContFrac, Frac, INFINITY, TwoBridgeLink, make_link
+from twobridge.diagram import (Corner, DiagramComplex, Diagrams, Edge,
+                               build_diagram, collapse, is_minimal,
+                               minimal_paths, quad_chain)
+from twobridge.slopes import m_form, m_form_edgewise
 
 
 def frac(p, q):
@@ -35,6 +43,25 @@ class TestQuadChain:
             # and the shared pair really is a side of both
             assert tuple(sorted(shared, key=Frac.key)) in {
                 tuple(sorted(s, key=Frac.key)) for s in a.sides()}
+
+    def test_target_outside_the_unit_interval_is_an_error(self):
+        with pytest.raises(RuntimeError, match="no side arc"):
+            quad_chain(TwoBridgeLink(3, 2))
+
+    def test_errors_survive_optimised_mode(self):
+        # The chain and expansion invariants raise explicitly, so they
+        # still fire when Python strips asserts.
+        code = ("from twobridge.arith import Frac, TwoBridgeLink, cf_positive\n"
+                "from twobridge.diagram import _far_quad\n"
+                "for call in (lambda: cf_positive(TwoBridgeLink(1, 1)),\n"
+                "             lambda: _far_quad(Frac(1, 2), Frac(1, 5), frozenset())):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except (ValueError, RuntimeError):\n"
+                "        continue\n"
+                "    raise SystemExit('no error raised')\n")
+        subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
     def test_every_quad_has_determinant_structure(self):
         for quad in quad_chain(make_link(11, 40)):
@@ -102,6 +129,27 @@ class TestBuildDiagram:
                         assert v.lo in quad_verts and v.hi in quad_verts
 
 
+class TestEdgeIndex:
+    def test_edge_between_both_directions(self):
+        cx = build_diagram(quad_chain(make_link(3, 8)), "D1")
+        for e in cx.edges:
+            assert cx.edge_between(e.tail, e.head) == (e, 1)
+            assert cx.edge_between(e.head, e.tail) == (e, -1)
+        with pytest.raises(KeyError):
+            cx.edge_between(INFINITY, frac(3, 8))
+
+    def test_rebuilding_an_edge_must_agree(self):
+        cx = DiagramComplex("D1", [])
+        g = quad_chain(make_link(1, 2))[0].g
+        first = cx._add_edge(Edge("A", INFINITY, frac(0, 1), g))
+        assert cx._add_edge(Edge("A", INFINITY, frac(0, 1), g)) == first
+        # a second edge on the same pair, of another type or reversed
+        for clash in (Edge("C", INFINITY, frac(0, 1), g),
+                      Edge("A", frac(0, 1), INFINITY, g)):
+            with pytest.raises(RuntimeError, match="inconsistent edge rebuild"):
+                cx._add_edge(clash)
+
+
 class TestMinimalPaths:
     def test_census_whitehead(self):
         d = Diagrams(make_link(3, 8))
@@ -118,6 +166,22 @@ class TestMinimalPaths:
         routes = {tuple(p.vertices()) for p in paths}
         assert routes == {(INFINITY, frac(0, 1), frac(1, 2)),
                           (INFINITY, frac(1, 1), frac(1, 2))}
+
+    def test_unknown_endpoint_is_an_error(self):
+        d = Diagrams(make_link(3, 8))
+        with pytest.raises(ValueError):
+            minimal_paths(d.dt, INFINITY, frac(5, 8))
+
+    def test_paths_longer_than_the_recursion_limit(self):
+        # [2, m, 2] with m = 340: 344 crossings, paths of over 1000 steps.
+        value = ContFrac((0, 2, 340, 2)).value()
+        link = make_link(value.num, value.den)
+        d = Diagrams(link)
+        paths = minimal_paths(d.dt, INFINITY, link.fraction())
+        assert max(len(p.steps) for p in paths) > sys.getrecursionlimit()
+        for path in paths:
+            assert is_minimal(d.dt, path)
+            assert m_form(path) == m_form_edgewise(path)
 
     def test_deterministic_order(self):
         d = Diagrams(make_link(13, 34))

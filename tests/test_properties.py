@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from twobridge.arith import (ContFrac, TwoBridgeLink, canonical_rep,
-                             cf_positive, crossing_number, linking_number,
-                             make_link)
+from twobridge.arith import (INFINITY, ContFrac, Frac, TwoBridgeLink,
+                             canonical_rep, cf_positive, crossing_number,
+                             linking_number, make_link)
+from twobridge.diagram import Diagrams, Step, TypedPath, minimal_paths
 from twobridge.slopes import slope_families
 
 
@@ -114,3 +115,50 @@ def test_slope_set_invariant_under_inversion(link):
     p, q = link
     partner = TwoBridgeLink(pow(p, -1, q), q)
     assert set(slope_families(partner).families) == set(slope_families(link).families)
+
+
+def reference_paths(cx, start, end):
+    """Minimal paths by plain recursion over the edge list: from each
+    vertex, edges are tried by type, then far endpoint (rationals by
+    value, then midpoints by their endpoints), then sign."""
+    def vertex_key(v):
+        if isinstance(v, Frac):
+            return (0, v.key(), v.key())
+        return (1, v.lo.key(), v.hi.key())
+
+    leaving = {}
+    for idx, edge in enumerate(cx.edges):
+        leaving.setdefault(edge.tail, []).append((idx, 1))
+        leaving.setdefault(edge.head, []).append((idx, -1))
+    for items in leaving.values():
+        items.sort(key=lambda item: (
+            "ABCD".index(cx.edges[item[0]].etype),
+            vertex_key(Step(cx.edges[item[0]], item[1]).target), item[1]))
+
+    found, steps = [], []
+
+    def walk(vertex, visited, last_cells):
+        if vertex == end:
+            found.append(TypedPath(cx.kind, tuple(steps)))
+            return
+        for idx, sign in leaving[vertex]:
+            step = Step(cx.edges[idx], sign)
+            cells = cx.edge_cells[idx]
+            if step.target in visited or last_cells & cells:
+                continue
+            steps.append(step)
+            walk(step.target, visited | {step.target}, cells)
+            steps.pop()
+
+    walk(start, frozenset({start}), frozenset())
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(links(max_crossings=20))
+@example(TwoBridgeLink(6765, 10946))     # all terms 1: 828 Dt paths
+def test_path_search_matches_recursive_reference(link):
+    d = Diagrams(link)
+    for cx in (d.dt, d.d1):
+        got = minimal_paths(cx, INFINITY, link.fraction())
+        assert got == reference_paths(cx, INFINITY, link.fraction())

@@ -67,6 +67,17 @@ class TestMForm:
             assert min(ledger.n0p, ledger.n0m, ledger.n1p, ledger.n1m,
                        ledger.n4p, ledger.n4m) >= 0
 
+    def test_one_pass_matches_straighten_then_sum(self):
+        # m_form fuses these two passes; the cell values are those of
+        # its docstring.
+        for p, q in [(3, 8), (13, 34), (89, 144), (1, 40)]:
+            for path in dt_paths(make_link(p, q)):
+                rationals, ledger = straighten(path)
+                k = delta_sum(rationals)
+                n0, n1, n4 = ledger.counts()
+                assert m_form(path) == MForm(k - n1, n1 - 2 * n4,
+                                             k - n1 - 2 * n0 + 4 * n4)
+
     def test_agrees_with_edgewise_sum(self):
         for p, q in [(3, 8), (7, 16), (5, 12), (13, 34), (11, 40)]:
             for path in dt_paths(make_link(p, q)):
