@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
-1 when a verification or equivalence check fails, 2 on usage errors.
+1 when a verification or equivalence check fails, 2 on usage errors, 3
+on an internal error (a bug), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from .arith import (INFINITY, crossing_number, enumerate_links, make_link,
                     rolfsen_name)
 from .diagram import Diagrams, minimal_paths
-from .slopes import (m_form, m_form_edgewise, s_form_symbolic, slope_families)
+from .slopes import oracle_check, slope_families
 from .tables import emit, verify_corpus
 
 
@@ -102,22 +103,11 @@ def _cmd_oracle_check(args) -> int:
     links = enumerate_links(args.max_crossings, True)
     n_paths = 0
     for link in links:
-        diagrams = Diagrams(link)
-        target = link.fraction()
-        for path in minimal_paths(diagrams.dt, INFINITY, target):
-            n_paths += 1
-            push, track = m_form(path), m_form_edgewise(path)
-            if push != track:
-                bad += 1
-                print(f"{link}: {path}: {push} != {track}", file=sys.stderr)
-        for path in minimal_paths(diagrams.d1, INFINITY, target):
-            if "C" not in path.edge_types():
-                continue
-            n_paths += 1
-            push, track = s_form_symbolic(path), m_form_edgewise(path)
-            if push != track:
-                bad += 1
-                print(f"{link}: {path}: {push} != {track}", file=sys.stderr)
+        report = oracle_check(link)
+        n_paths += report.dt_paths + report.d1_paths
+        for path, push, track in report.disagreements:
+            bad += 1
+            print(f"{link}: {path}: {push} != {track}", file=sys.stderr)
     print(f"checked {len(links)} links, {n_paths} paths: "
           f"{'all agree' if bad == 0 else f'{bad} disagreements'}")
     return 0 if bad == 0 else 1
@@ -177,6 +167,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:        # anything else is a bug, not a failed check
+        detail = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
+        print(f"internal error: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 The hyperbolic plane is tiled by the images of the ideal quadrilateral
 with vertices 1/0, 0/1, 1/2, 1/1 under the determinant-one matrices with
-even lower-left entry.  A quadrilateral is stored as one such matrix g:
-its columns give two opposite ideal vertices a/c and b/d, and the other
-two vertices are (a+b)/(c+d) and (a+2b)/(c+2d).  The two vertices with
+even lower-left entry.  A quadrilateral is stored as one such matrix g
+and its vertices: the columns give two opposite ideal vertices a/c and
+b/d, and the other two vertices are (a+b)/(c+d) and (a+2b)/(c+2d).  The two vertices with
 even denominator (1/0 counts as even) span one diagonal, the two odd
 ones the other.  Between 1/0 and any p/q there is a unique minimal chain
 of quadrilaterals, found here by walking across the side whose boundary
@@ -71,35 +71,38 @@ class Corner(NamedTuple):
 Vertex = Frac | Corner
 
 
+def _point(num: int, den: int) -> Frac:
+    """The Frac of a coprime pair, as the columns of a determinant-one
+    matrix and their mediants are: only the sign needs normalising."""
+    if den > 0:
+        return Frac(num, den)
+    if den < 0:
+        return Frac(-num, -den)
+    return INFINITY
+
+
 class Quad(NamedTuple):
     """One quadrilateral of the tiling, framed by a matrix with even b
-    (each quadrilateral has exactly one such frame up to sign)."""
+    (each quadrilateral has exactly one such frame up to sign), with its
+    four vertices computed once by ``Quad.of``."""
 
     g: GMat
+    p1: Frac                       # even denominator
+    p2: Frac                       # odd denominator
+    p3: Frac                       # odd denominator
+    p4: Frac                       # even denominator
 
-    @property
-    def p1(self) -> Frac:          # even denominator
-        return self.g.col1()
-
-    @property
-    def p2(self) -> Frac:          # odd denominator
-        return self.g.col2()
-
-    @property
-    def p3(self) -> Frac:          # odd denominator
-        a, b, c, d = self.g
-        return Frac.make(a + b, c + d)
-
-    @property
-    def p4(self) -> Frac:          # even denominator
-        a, b, c, d = self.g
-        return Frac.make(a + 2 * b, c + 2 * d)
+    @staticmethod
+    def of(g: GMat) -> "Quad":
+        a, b, c, d = g
+        return Quad(g, _point(a, c), _point(b, d),
+                    _point(a + b, c + d), _point(a + 2 * b, c + 2 * d))
 
     def vertices(self) -> tuple[Frac, Frac, Frac, Frac]:
         return (self.p1, self.p2, self.p3, self.p4)
 
     def sides(self) -> tuple[tuple[Frac, Frac], ...]:
-        p1, p2, p3, p4 = self.vertices()
+        _, p1, p2, p3, p4 = self
         return ((p1, p2), (p2, p4), (p4, p3), (p3, p1))
 
 
@@ -116,7 +119,7 @@ def _far_quad(even: Frac, odd: Frac, current: frozenset[Frac]) -> Quad:
     far = GMat.make(det * even.num - 2 * odd.num, odd.num,
                     det * even.den - 2 * odd.den, odd.den)
     for cand in (near, far):
-        quad = Quad(_even_frame(cand))
+        quad = Quad.of(_even_frame(cand))
         if frozenset(quad.vertices()) != current:
             return quad
     raise RuntimeError(f"no quadrilateral across {even},{odd} away from {current}")
@@ -139,7 +142,7 @@ def quad_chain(link: TwoBridgeLink) -> list[Quad]:
         return keys[v]
 
     tval = key(target)
-    quad = Quad(GMat.make(1, 0, 0, 1))
+    quad = Quad.of(GMat.make(1, 0, 0, 1))
     chain = [quad]
     verts = quad.vertices()
     while target not in verts:
@@ -182,8 +185,16 @@ class Edge(NamedTuple):
 
 
 class Cell(NamedTuple):
+    """A 2-cell in quadrilateral ``quad``: a corner triangle of Dt, the
+    rectangle, or a triangle of D1 or D0, named by the vertex it sits at."""
+
     quad: int
-    label: str
+    shape: str                     # 'corner', 'rectangle' or 'triangle'
+    vertex: Frac | None = None
+
+    @property
+    def label(self) -> str:
+        return self.shape if self.vertex is None else f"{self.shape} {self.vertex}"
 
 
 class Step(NamedTuple):
@@ -241,14 +252,17 @@ _TYPE_RANK = {"A": 0, "B": 1, "C": 2, "D": 3}
 class DiagramComplex:
     """Vertices, typed edges and 2-cells of one diagram over a chain.
 
+    Vertices are numbered in the order they are first seen; ``_ids`` and
+    ``_verts`` map between a vertex and its id, and ``_index`` maps the
+    (lower, higher) id pair of an edge's endpoints to the edge.
     Traversals are numbered 2*e (edge e tail to head) and 2*e + 1 (head
-    to tail); ``_steps[t]`` and ``_heads[t]`` are the Step and the end
-    vertex of traversal t.  ``_out`` lists the traversals leaving each
-    vertex in the order the path search tries them.  ``_next`` is the
-    search's successor table: ``minimal_paths`` sets entry t, the first
-    time it expands t, to the traversals that may follow t (those sharing
-    no cell with it).  Filling it up front would cost the square of the
-    degree at a fan vertex such as 0/1 in the chain of 1/n.
+    to tail); ``_steps[t]`` and ``_heads[t]`` are the Step and the id of
+    the end vertex of traversal t.  ``_out[v]`` lists the traversals
+    leaving vertex v in the order the path search tries them.  ``_next``
+    is the search's successor table: ``minimal_paths`` sets entry t, the
+    first time it expands t, to the traversals that may follow t (those
+    sharing no cell with it).  Filling it up front would cost the square
+    of the degree at a fan vertex such as 0/1 in the chain of 1/n.
     """
 
     def __init__(self, kind: str, chain: list[Quad]):
@@ -257,16 +271,33 @@ class DiagramComplex:
         self.edges: list[Edge] = []
         self.cells: list[Cell] = []
         self._edge_cells: list[set[int]] = []
-        self._index: dict[frozenset, int] = {}
-        self._out: dict[Vertex, list[int]] = {}
+        self._ids: dict[Vertex, int] = {}
+        self._verts: list[Vertex] = []
+        self._index: dict[tuple[int, int], int] = {}
+        self._out: list[list[int]] = []
+        self._steps: list[Step] = []
+        self._heads: list[int] = []
         self._collapsed: dict[Step, Step | None] = {}   # see collapse()
 
     # -- construction ------------------------------------------------
 
+    def _new_vertex(self, v: Vertex) -> int:
+        vid = self._ids[v] = len(self._verts)
+        self._verts.append(v)
+        self._out.append([])
+        return vid
+
     def _add_edge(self, edge: Edge) -> int:
         # No two distinct edges of one diagram join the same vertex pair,
         # so the pair alone identifies an edge.
-        pair = frozenset((edge.tail, edge.head))
+        ids = self._ids
+        tail = ids.get(edge.tail)
+        if tail is None:
+            tail = self._new_vertex(edge.tail)
+        head = ids.get(edge.head)
+        if head is None:
+            head = self._new_vertex(edge.head)
+        pair = (tail, head) if tail < head else (head, tail)
         idx = self._index.get(pair)
         if idx is not None:
             if self.edges[idx] != edge:
@@ -277,56 +308,63 @@ class DiagramComplex:
         self.edges.append(edge)
         self._edge_cells.append(set())
         self._index[pair] = idx
-        self._out.setdefault(edge.tail, []).append(2 * idx)
-        self._out.setdefault(edge.head, []).append(2 * idx + 1)
+        self._out[tail].append(2 * idx)
+        self._out[head].append(2 * idx + 1)
+        self._steps += (Step(edge, 1), Step(edge, -1))
+        self._heads += (head, tail)
         return idx
 
-    def _add_cell(self, quad: int, label: str, edge_ids: Iterable[int]) -> None:
+    def _add_cell(self, cell: Cell, edge_ids: Iterable[int]) -> None:
         cid = len(self.cells)
-        self.cells.append(Cell(quad, label))
+        self.cells.append(cell)
         for eid in edge_ids:
             self._edge_cells[eid].add(cid)
 
     def _freeze(self) -> None:
         self.edge_cells = [frozenset(s) for s in self._edge_cells]
-        self._steps: list[Step] = []
-        self._heads: list[Vertex] = []
-        for edge in self.edges:
-            self._steps += (Step(edge, 1), Step(edge, -1))
-            self._heads += (edge.head, edge.tail)
         self._next: list[tuple[int, ...] | None] = [None] * len(self._steps)
         # Vertex order: rationals by value, then midpoints by their two
-        # endpoints.  Ranking the rationals once lets every later sort
-        # compare plain integers.
-        rationals = sorted((v for v in self._out if isinstance(v, Frac)),
+        # endpoints.
+        verts = self._verts
+        rationals = sorted((v for v in verts if isinstance(v, Frac)),
                            key=cmp_to_key(_frac_cmp))
-        place: dict[Vertex, tuple[int, ...]] = {
-            v: (0, i) for i, v in enumerate(rationals)}
-        for v in self._out:
-            if isinstance(v, Corner):
-                place[v] = (1, place[v.lo][1], place[v.hi][1])
-        self._place = place
+        value_rank = {v: i for i, v in enumerate(rationals)}
+        corners = sorted((v for v in verts if isinstance(v, Corner)),
+                         key=lambda c: (value_rank[c.lo], value_rank[c.hi]))
+        self._order = rationals + corners
+        rank = [0] * len(verts)
+        for r, v in enumerate(self._order):
+            rank[self._ids[v]] = r
+        # Traversals leave a vertex by edge type, then by the rank of
+        # their end vertex, then forward before backward: one integer
+        # key per traversal.
+        n = len(verts)
+        heads, types = self._heads, [_TYPE_RANK[e.etype] for e in self.edges]
 
-        def order(t: int):
-            return (_TYPE_RANK[self.edges[t >> 1].etype], place[self._heads[t]], t & 1)
-        for out in self._out.values():
+        def order(t: int) -> int:
+            return ((types[t >> 1] * n + rank[heads[t]]) << 1) | (t & 1)
+        for out in self._out:
             out.sort(key=order)
 
     # -- queries -----------------------------------------------------
 
     def vertices(self) -> list[Vertex]:
-        return sorted(self._out, key=self._place.__getitem__)
+        return list(self._order)
 
     def rational_vertices(self) -> list[Frac]:
-        return [v for v in self.vertices() if isinstance(v, Frac)]
+        return [v for v in self._order if isinstance(v, Frac)]
+
+    def _edge_index(self, u: Vertex, v: Vertex) -> int:
+        try:
+            iu, iv = self._ids[u], self._ids[v]
+            return self._index[(iu, iv) if iu < iv else (iv, iu)]
+        except KeyError:
+            raise KeyError(f"no edge between {u} and {v}") from None
 
     def edge_between(self, u: Vertex, v: Vertex) -> tuple[Edge, int]:
         """The unique edge joining u and v, with the sign of the u -> v
         traversal."""
-        idx = self._index.get(frozenset((u, v)))
-        if idx is None:
-            raise KeyError(f"no edge between {u} and {v}")
-        edge = self.edges[idx]
+        edge = self.edges[self._edge_index(u, v)]
         return edge, 1 if edge.tail == u else -1
 
 
@@ -360,11 +398,11 @@ def _build_dt(cx: DiagramComplex) -> None:
         cl = cx._add_edge(Edge("C", m24, m43, gr, detour=p4))
         dl = cx._add_edge(Edge("D", m24, m12, g, detour=p2))
         dr = cx._add_edge(Edge("D", m31, m43, gr, detour=p3))
-        cx._add_cell(qi, f"corner {p1}", (a1, cu, a2))
-        cx._add_cell(qi, f"corner {p4}", (a3, cl, a4))
-        cx._add_cell(qi, f"corner {p2}", (b1, dl, b4))
-        cx._add_cell(qi, f"corner {p3}", (b2, dr, b3))
-        cx._add_cell(qi, "rectangle", (cu, cl, dl, dr))
+        cx._add_cell(Cell(qi, "corner", p1), (a1, cu, a2))
+        cx._add_cell(Cell(qi, "corner", p4), (a3, cl, a4))
+        cx._add_cell(Cell(qi, "corner", p2), (b1, dl, b4))
+        cx._add_cell(Cell(qi, "corner", p3), (b2, dr, b3))
+        cx._add_cell(Cell(qi, "rectangle"), (cu, cl, dl, dr))
 
 
 def _build_d1(cx: DiagramComplex) -> None:
@@ -377,8 +415,8 @@ def _build_d1(cx: DiagramComplex) -> None:
         a, b, c, d = quad.g
         diag = cx._add_edge(Edge("C", p3, p2, GMat.make(a + b, b, c + d, d),
                                  detour=p1, cpair=(p2, p3)))
-        cx._add_cell(qi, f"triangle {p1}", (side[(p1, p2)], diag, side[(p3, p1)]))
-        cx._add_cell(qi, f"triangle {p4}", (side[(p2, p4)], side[(p4, p3)], diag))
+        cx._add_cell(Cell(qi, "triangle", p1), (side[(p1, p2)], diag, side[(p3, p1)]))
+        cx._add_cell(Cell(qi, "triangle", p4), (side[(p2, p4)], side[(p4, p3)], diag))
 
 
 def _build_d0(cx: DiagramComplex) -> None:
@@ -389,8 +427,8 @@ def _build_d0(cx: DiagramComplex) -> None:
             even, odd = (u, v) if u.den % 2 == 0 else (v, u)
             side[(u, v)] = cx._add_edge(Edge("B", odd, even, _side_matrix(u, v)))
         diag = cx._add_edge(Edge("D", p1, p4, quad.g))
-        cx._add_cell(qi, f"triangle {p2}", (side[(p1, p2)], side[(p2, p4)], diag))
-        cx._add_cell(qi, f"triangle {p3}", (side[(p4, p3)], side[(p3, p1)], diag))
+        cx._add_cell(Cell(qi, "triangle", p2), (side[(p1, p2)], side[(p2, p4)], diag))
+        cx._add_cell(Cell(qi, "triangle", p3), (side[(p4, p3)], side[(p3, p1)], diag))
 
 
 _BUILDERS = {"Dt": _build_dt, "D1": _build_d1, "D0": _build_d0}
@@ -414,22 +452,25 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     search keeps its own stack, so path length is not bounded by the
     interpreter's recursion limit.
     """
-    if start not in cx._out or end not in cx._out:
+    first, last = cx._ids.get(start), cx._ids.get(end)
+    if first is None or last is None:
         raise ValueError(f"{start} or {end} is not a vertex of the complex")
-    if start == end:
+    if first == last:
         return [TypedPath(cx.kind, ())]
     found: list[TypedPath] = []
     kind, out, edge_cells = cx.kind, cx._out, cx.edge_cells
     heads, steps, table = cx._heads, cx._steps, cx._next
     path: list[Step] = []
-    visited = {start}
-    pending = [iter(out[start])]          # untried traversals per depth
+    ends: list[int] = []                  # vertex id reached by each step
+    visited = bytearray(len(out))
+    visited[first] = 1
+    pending = [iter(out[first])]          # untried traversals per depth
     while pending:
         for t in pending[-1]:
             nxt = heads[t]
-            if nxt in visited:
+            if visited[nxt]:
                 continue
-            if nxt == end:
+            if nxt == last:
                 found.append(TypedPath(kind, (*path, steps[t])))
                 continue
             successors = table[t]
@@ -438,20 +479,22 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
                 successors = table[t] = tuple(
                     u for u in out[nxt] if not cells & edge_cells[u >> 1])
             path.append(steps[t])
-            visited.add(nxt)
+            ends.append(nxt)
+            visited[nxt] = 1
             pending.append(iter(successors))
             break
         else:
             pending.pop()
             if path:
-                visited.remove(path.pop().target)
+                path.pop()
+                visited[ends.pop()] = 0
     return found
 
 
 def is_minimal(cx: DiagramComplex, path: TypedPath) -> bool:
     prev: frozenset[int] | None = None
     for step in path.steps:
-        cells = cx.edge_cells[cx._index[frozenset((step.edge.tail, step.edge.head))]]
+        cells = cx.edge_cells[cx._edge_index(step.edge.tail, step.edge.head)]
         if prev is not None and prev & cells:
             return False
         prev = cells

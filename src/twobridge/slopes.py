@@ -11,8 +11,8 @@ and beta (t = alpha/beta).  Two independent computations are provided:
 * ``m_form_edgewise`` sums, edge by edge, the intersection of the
   pulled-back longitudes with the train track carried by that edge.
 
-The two must agree exactly; the verification command checks this for
-every minimal path of every link in the reference tables.
+The two must agree exactly; ``oracle_check`` compares them on every
+minimal path of a link.
 
 Paths in the t = 1 diagram that use odd diagonals carry more general
 surfaces with one free branching weight n_i in [0, beta] per diagonal;
@@ -312,6 +312,36 @@ def s_form_symbolic(path: TypedPath) -> SymbolicM:
         n1=tuple(2 * s for s in senses),
         n2=tuple(-2 * s for s in senses),
     )
+
+
+class OracleReport(NamedTuple):
+    """Both slope algorithms compared on every minimal path of one link:
+    the number of Dt paths and of t = 1 paths through an odd diagonal
+    checked, and each (path, push value, edgewise value) that differs."""
+
+    dt_paths: int
+    d1_paths: int
+    disagreements: tuple[tuple[TypedPath, object, object], ...]
+
+
+def oracle_check(link: TwoBridgeLink) -> OracleReport:
+    """Compare the push and the edgewise computation on every minimal Dt
+    path and every minimal t = 1 path through an odd diagonal."""
+    diagrams = Diagrams(link)
+    target = link.fraction()
+    bad = []
+    dt_paths = minimal_paths(diagrams.dt, INFINITY, target)
+    for path in dt_paths:
+        push, track = m_form(path), m_form_edgewise(path)
+        if push != track:
+            bad.append((path, push, track))
+    c_paths = [p for p in minimal_paths(diagrams.d1, INFINITY, target)
+               if "C" in p.edge_types()]
+    for path in c_paths:
+        push, track = s_form_symbolic(path), m_form_edgewise(path)
+        if push != track:
+            bad.append((path, push, track))
+    return OracleReport(len(dt_paths), len(c_paths), tuple(bad))
 
 
 def to_preferred(form, l: int):

@@ -184,26 +184,41 @@ def family_table_for_surgery_family(k: int) -> LinkSlopes:
 
 # -- serialization --------------------------------------------------------
 
-def _family_json(fam: SlopeFamily) -> dict:
-    return {
-        "branch": fam.branch,
-        "coeffs": list(fam.coeffs),
-        "domain": list(fam.domain),
-        "phi": fam.phi,
-    }
+# The JSON output is the layout of ``json.dumps(payload, indent=2)``,
+# written directly: the stdlib encoder falls back to pure Python when it
+# indents, and its per-value dispatch was the largest cost of a census.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_array(items: Sequence[str], indent: str) -> str:
+    """Rendered items as an indented JSON array closing at ``indent``."""
+    if not items:
+        return "[]"
+    sep = "\n" + indent + "  "
+    return f"[{sep}{(',' + sep).join(items)}\n{indent}]"
+
+
+def _family_json(fam: SlopeFamily) -> str:
+    coeffs = _json_array([str(c) for c in fam.coeffs], " " * 8)
+    domain = _json_array([_json_str(d) for d in fam.domain], " " * 8)
+    return (f'{{\n        "branch": {_json_str(fam.branch)},'
+            f'\n        "coeffs": {coeffs},'
+            f'\n        "domain": {domain},'
+            f'\n        "phi": {_json_str(fam.phi)}\n      }}')
+
+
+def _link_json(r: LinkSlopes) -> str:
+    name = rolfsen_name(r.link)
+    families = _json_array([_family_json(f) for f in r.families], " " * 4)
+    return (f'{{\n    "p": {r.link.p},'
+            f'\n    "q": {r.link.q},'
+            f'\n    "rolfsen": {"null" if name is None else _json_str(name)},'
+            f'\n    "linking_number": {r.linking_number},'
+            f'\n    "families": {families}\n  }}')
 
 
 def _emit_json(results: Sequence[LinkSlopes]) -> str:
-    payload = []
-    for r in results:
-        payload.append({
-            "p": r.link.p,
-            "q": r.link.q,
-            "rolfsen": rolfsen_name(r.link),
-            "linking_number": r.linking_number,
-            "families": [_family_json(f) for f in r.families],
-        })
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_array([_link_json(r) for r in results], "") + "\n"
 
 
 def _emit_csv(results: Sequence[LinkSlopes]) -> str:

@@ -12,8 +12,8 @@ from collections import Counter
 from twobridge.arith import (INFINITY, crossing_number, enumerate_links,
                              linking_number, make_link, TwoBridgeLink)
 from twobridge.diagram import Diagrams, minimal_paths
-from twobridge.slopes import (MForm, SForm, m_form, m_form_edgewise, s_form,
-                              s_form_symbolic, slope_families, to_preferred)
+from twobridge.slopes import (MForm, SForm, m_form, oracle_check,
+                              slope_families)
 from twobridge.tables import family_table_for_surgery_family, verify_corpus
 
 
@@ -96,19 +96,16 @@ def test_criterion_5_dual_algorithm_equivalence():
     def check():
         n_dt = n_d1 = 0
         for link in enumerate_links(10):
-            d = Diagrams(link)
-            target = link.fraction()
-            for path in minimal_paths(d.dt, INFINITY, target):
-                assert m_form(path) == m_form_edgewise(path), (link, str(path))
-                n_dt += 1
-            for path in minimal_paths(d.d1, INFINITY, target):
-                if "C" not in path.edge_types():
-                    continue
-                assert s_form_symbolic(path) == m_form_edgewise(path), (link, str(path))
-                n_d1 += 1
+            report = oracle_check(link)
+            assert report.disagreements == (), (
+                link, [str(path) for path, _, _ in report.disagreements])
+            n_dt += report.dt_paths
+            n_d1 += report.d1_paths
         return n_dt, n_d1
 
     (n_dt, n_d1), dt = _timed(check)
+    # every minimal path was compared
+    assert (n_dt, n_d1) == (692, 148)
     assert dt < 30.0, f"took {dt:.2f}s"
     _report(5, f"both algorithms agree on {n_dt} deformed paths and "
                f"{n_d1} t=1 paths through 10 crossings ({dt:.2f}s)")

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from twobridge.cli import main
+from twobridge.tables import verify_corpus
 
 
 def run(capsys, *argv):
@@ -123,6 +124,23 @@ class TestGoldenOutput:
         rc, out, _ = run(capsys, *argv)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestInternalError:
+    def test_bug_is_exit_code_3_with_one_line(self, capsys, monkeypatch):
+        def broken(link):
+            raise RuntimeError("invariant broken\non two lines")
+        monkeypatch.setattr("twobridge.cli.slope_families", broken)
+        rc, out, err = run(capsys, "slopes", "--pq", "3/8")
+        assert rc == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: invariant broken on two lines\n"
+
+    def test_check_failure_and_usage_keep_their_codes(self, capsys, monkeypatch):
+        assert run(capsys, "slopes", "--pq", "3/9")[0] == 2
+        monkeypatch.setattr("twobridge.cli.verify_corpus",
+                            lambda n: verify_corpus(n)._replace(matched=0))
+        assert run(capsys, "verify", "--max-crossings", "2")[0] == 1
 
 
 class TestUsage:

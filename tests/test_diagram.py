@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from twobridge.arith import ContFrac, Frac, INFINITY, TwoBridgeLink, make_link
-from twobridge.diagram import (Corner, DiagramComplex, Diagrams, Edge,
-                               build_diagram, collapse, is_minimal,
+from twobridge.arith import (ContFrac, Frac, INFINITY, TwoBridgeLink,
+                             enumerate_links, make_link)
+from twobridge.diagram import (Corner, DiagramComplex, Diagrams, Edge, Step,
+                               TypedPath, build_diagram, collapse, is_minimal,
                                minimal_paths, quad_chain)
 from twobridge.slopes import m_form, m_form_edgewise
 
@@ -63,6 +64,19 @@ class TestQuadChain:
         subprocess.run([sys.executable, "-O", "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
+    def test_stored_vertices_match_the_frame(self):
+        # Quad.of skips the gcd; the frame's columns and mediants are
+        # primitive, so Frac.make must give the same vertices.
+        deep = [ContFrac((0, 2, m, 2)).value() for m in (1, 50, 340)]
+        links = enumerate_links(14) + [make_link(1, n) for n in (2, 30, 400)] + [
+            make_link(v.num, v.den) for v in deep]
+        for link in links:
+            for quad in quad_chain(link):
+                a, b, c, d = quad.g
+                assert quad.vertices() == (
+                    Frac.make(a, c), Frac.make(b, d),
+                    Frac.make(a + b, c + d), Frac.make(a + 2 * b, c + 2 * d)), link
+
     def test_every_quad_has_determinant_structure(self):
         for quad in quad_chain(make_link(11, 40)):
             assert quad.g.b % 2 == 0
@@ -111,6 +125,17 @@ class TestBuildDiagram:
             else:
                 assert kinds == ["B", "B", "D"]
 
+    def test_cell_labels(self):
+        chain = quad_chain(make_link(1, 2))
+        labels = {kind: [c.label for c in build_diagram(chain, kind).cells]
+                  for kind in ("Dt", "D1", "D0")}
+        assert labels == {
+            "Dt": ["corner 1/0", "corner 1/2", "corner 0/1", "corner 1/1",
+                   "rectangle"],
+            "D1": ["triangle 1/0", "triangle 1/2"],
+            "D0": ["triangle 0/1", "triangle 1/1"],
+        }
+
     def test_edge_matrices_reproduce_endpoints(self):
         # The stored matrix must carry the reference edge of its class
         # onto the edge: its columns and their mediants pin the
@@ -137,6 +162,19 @@ class TestEdgeIndex:
             assert cx.edge_between(e.head, e.tail) == (e, -1)
         with pytest.raises(KeyError):
             cx.edge_between(INFINITY, frac(3, 8))
+
+    def test_vertex_outside_the_complex(self):
+        cx = build_diagram(quad_chain(make_link(3, 8)), "Dt")
+        strangers = (frac(5, 8), Corner(frac(2, 3), frac(3, 4)))
+        for v in strangers:
+            assert v not in cx.vertices()
+            for u, w in ((INFINITY, v), (v, INFINITY)):
+                with pytest.raises(KeyError):
+                    cx.edge_between(u, w)
+            g = cx.edges[0].g
+            path = TypedPath("Dt", (Step(Edge("A", INFINITY, v, g), 1),))
+            with pytest.raises(KeyError):
+                is_minimal(cx, path)
 
     def test_rebuilding_an_edge_must_agree(self):
         cx = DiagramComplex("D1", [])

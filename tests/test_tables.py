@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
-from twobridge.arith import make_link
+from test_properties import links
+from twobridge.arith import enumerate_links, make_link, rolfsen_name
 from twobridge.slopes import slope_families
 from twobridge.tables import (corpus_text, emit,
                               family_table_for_surgery_family, load_corpus,
@@ -143,3 +145,49 @@ class TestEmit:
     def test_deterministic(self, hopf):
         for fmt in ("text", "json", "csv", "tex"):
             assert emit(hopf, fmt) == emit(hopf, fmt)
+
+
+def json_oracle(results):
+    """The JSON emitter as first written: ``json.dumps`` of the payload."""
+    payload = [{
+        "p": r.link.p,
+        "q": r.link.q,
+        "rolfsen": rolfsen_name(r.link),
+        "linking_number": r.linking_number,
+        "families": [{"branch": f.branch, "coeffs": list(f.coeffs),
+                      "domain": list(f.domain), "phi": f.phi}
+                     for f in r.families],
+    } for r in results]
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+class TestJsonMatchesOracle:
+    def test_every_link_through_twelve(self):
+        results = [slope_families(link) for link in enumerate_links(12)]
+        assert emit(results, "json") == json_oracle(results)
+        for r in results:
+            assert emit([r], "json") == json_oracle([r])
+
+    def test_empty(self):
+        assert emit([], "json") == json_oracle([]) == b"[]\n"
+
+    def test_names_and_nulls(self):
+        named, unnamed = (slope_families(make_link(3, 8)),
+                          slope_families(make_link(1, 20)))
+        assert rolfsen_name(named.link) and rolfsen_name(unnamed.link) is None
+        data = emit([named, unnamed], "json")
+        assert data == json_oracle([named, unnamed])
+        assert b'"rolfsen": "5^2_1"' in data and b'"rolfsen": null' in data
+
+    def test_one_element_coeffs(self):
+        result = slope_families(make_link(3, 8))
+        assert any(f.branch == "endpoint" and len(f.coeffs) == 1
+                   for f in result.families)
+        assert emit([result], "json") == json_oracle([result])
+
+
+@settings(max_examples=25, deadline=None)
+@given(links(max_crossings=20))
+def test_json_matches_oracle_on_drawn_links(link):
+    result = slope_families(link)
+    assert emit([result], "json") == json_oracle([result])
