@@ -9,7 +9,7 @@ Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterator, NamedTuple
 
 from .corpus_data import ROLFSEN_NAMES
@@ -38,15 +38,25 @@ class Frac(NamedTuple):
 
     def key(self):
         """Sort key; finite rationals in order, 1/0 after everything."""
-        if self.den == 0:
-            return (1, Fraction(0))
-        return (0, Fraction(self.num, self.den))
+        return _FRAC_ORDER(self)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
 
 INFINITY = Frac(1, 0)
+
+
+def frac_cmp(u: Frac, v: Frac) -> int:
+    """-1, 0 or 1 as u is below, equal to or above v; 1/0 is above
+    every finite rational."""
+    if u.den == 0 or v.den == 0:
+        return (u.den == 0) - (v.den == 0)
+    d = u.num * v.den - v.num * u.den
+    return (d > 0) - (d < 0)
+
+
+_FRAC_ORDER = cmp_to_key(frac_cmp)
 
 
 class GMat(NamedTuple):

@@ -6,9 +6,16 @@ even lower-left entry.  A quadrilateral is stored as one such matrix g
 and its vertices: the columns give two opposite ideal vertices a/c and
 b/d, and the other two vertices are (a+b)/(c+d) and (a+2b)/(c+2d).  The two vertices with
 even denominator (1/0 counts as even) span one diagonal, the two odd
-ones the other.  Between 1/0 and any p/q there is a unique minimal chain
-of quadrilaterals, found here by walking across the side whose boundary
-arc contains p/q.
+ones the other.
+
+Between 1/0 and any p/q there is a unique minimal chain of
+quadrilaterals (the edge-path setting of Hatcher and Thurston).  Since
+the tiling is the orbit of the base quadrilateral, the chain is walked
+by frame products: the target is kept in the current frame, w = g^-1(p/q),
+three sign tests on w pick the side whose boundary arc holds it, and the
+quadrilateral across side s has frame g*M_s for one of four fixed
+matrices M_s, after which w becomes M_s^-1(w).  The walk stops when w is
+a vertex of the base quadrilateral.
 
 Three diagrams are built over a chain:
 
@@ -26,6 +33,10 @@ Three diagrams are built over a chain:
     C  rectangle side cutting off an even vertex
     D  rectangle side cutting off an odd vertex
 
+Each quadrilateral after the first shares exactly one side with the
+chain before it, so the builders number vertices, edges and cells by
+position: only the shared side's vertices and edges already exist.
+
 An edge path is minimal if no two consecutive edges lie in a common
 cell.  Minimal paths from 1/0 to p/q index the spanning surfaces, and
 every one of them stays inside the chain, so a depth-first search over
@@ -35,22 +46,13 @@ the chain complex enumerates them all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
-from typing import Iterable, NamedTuple
+from itertools import repeat
+from typing import NamedTuple
 
-from .arith import Frac, GMat, INFINITY, TwoBridgeLink
+from .arith import Frac, GMat, INFINITY, TwoBridgeLink, frac_cmp
 
 ROT = GMat.make(1, -1, 2, -1)    # half-turn of the base quadrilateral
 SHIFT = GMat.make(1, 1, 0, 1)    # next frame around the vertex 1/0
-
-
-def _frac_cmp(u: Frac, v: Frac) -> int:
-    """-1, 0 or 1 as u is below, equal to or above v; 1/0 is above
-    every finite rational."""
-    if u.den == 0 or v.den == 0:
-        return (u.den == 0) - (v.den == 0)
-    d = u.num * v.den - v.num * u.den
-    return (d > 0) - (d < 0)
 
 
 class Corner(NamedTuple):
@@ -62,7 +64,7 @@ class Corner(NamedTuple):
 
     @staticmethod
     def on_side(u: Frac, v: Frac) -> "Corner":
-        return Corner(u, v) if _frac_cmp(u, v) < 0 else Corner(v, u)
+        return Corner(u, v) if frac_cmp(u, v) < 0 else Corner(v, u)
 
     def __str__(self) -> str:
         return f"mid({self.lo},{self.hi})"
@@ -81,86 +83,87 @@ def _point(num: int, den: int) -> Frac:
     return INFINITY
 
 
+def _frame(a: int, b: int, c: int, d: int) -> GMat:
+    """The GMat of a product of determinant-one matrices: the product
+    needs only the sign normalised, not the determinant checked."""
+    if c < 0 or (c == 0 and a < 0):
+        return GMat(-a, -b, -c, -d)
+    return GMat(a, b, c, d)
+
+
 class Quad(NamedTuple):
     """One quadrilateral of the tiling, framed by a matrix with even b
     (each quadrilateral has exactly one such frame up to sign), with its
-    four vertices computed once by ``Quad.of``."""
+    four vertices and the frames of its sides computed once by
+    ``Quad.of`` (from g as ``GMat.make`` normalises it): the side
+    {p1, p2} is carried from the reference side by g, {p3, p1} by
+    gs = g*SHIFT, {p4, p3} by gr = g*ROT and {p2, p4} by
+    grs = g*ROT*SHIFT."""
 
     g: GMat
     p1: Frac                       # even denominator
     p2: Frac                       # odd denominator
     p3: Frac                       # odd denominator
     p4: Frac                       # even denominator
+    gs: GMat
+    gr: GMat
+    grs: GMat
 
     @staticmethod
     def of(g: GMat) -> "Quad":
         a, b, c, d = g
+        gr = _frame(a + 2 * b, -a - b, c + 2 * d, -c - d)
         return Quad(g, _point(a, c), _point(b, d),
-                    _point(a + b, c + d), _point(a + 2 * b, c + 2 * d))
+                    _point(a + b, c + d), _point(a + 2 * b, c + 2 * d),
+                    GMat(a, a + b, c, c + d), gr,
+                    GMat(gr.a, gr.a + gr.b, gr.c, gr.c + gr.d))
 
     def vertices(self) -> tuple[Frac, Frac, Frac, Frac]:
         return (self.p1, self.p2, self.p3, self.p4)
 
     def sides(self) -> tuple[tuple[Frac, Frac], ...]:
-        _, p1, p2, p3, p4 = self
+        p1, p2, p3, p4 = self.vertices()
         return ((p1, p2), (p2, p4), (p4, p3), (p3, p1))
 
 
-def _even_frame(g: GMat) -> GMat:
-    return g if g.b % 2 == 0 else g * ROT
-
-
-def _far_quad(even: Frac, odd: Frac, current: frozenset[Frac]) -> Quad:
-    """The quadrilateral across the side {even, odd} from the current one."""
-    det = even.num * odd.den - odd.num * even.den
-    if det not in (1, -1):
-        raise RuntimeError(f"{even} and {odd} do not span a Farey edge")
-    near = GMat.make(even.num, det * odd.num, even.den, det * odd.den)
-    far = GMat.make(det * even.num - 2 * odd.num, odd.num,
-                    det * even.den - 2 * odd.den, odd.den)
-    for cand in (near, far):
-        quad = Quad.of(_even_frame(cand))
-        if frozenset(quad.vertices()) != current:
-            return quad
-    raise RuntimeError(f"no quadrilateral across {even},{odd} away from {current}")
+# Crossing side s of the base quadrilateral (sides numbered as in
+# Quad.sides) leads to the quadrilateral framed by M_s; the target then
+# moves by M_s^-1.  Each entry is (M_s, M_s^-1), taken up to sign.
+_CROSSINGS = (
+    ((-1, 0, 2, -1), (1, 0, 2, 1)),        # {1/0, 0/1}
+    ((1, 0, 2, 1), (1, 0, -2, 1)),         # {0/1, 1/2}
+    ((1, -2, 2, -3), (3, -2, 2, -1)),      # {1/2, 1/1}
+    ((3, -2, 2, -1), (1, -2, 2, -3)),      # {1/1, 1/0}
+)
 
 
 def quad_chain(link: TwoBridgeLink) -> list[Quad]:
     """The minimal chain of quadrilaterals from 1/0 to p/q.
 
     Starts at the base quadrilateral and repeatedly crosses the side
-    whose boundary arc contains p/q, stopping once p/q is a vertex.
+    whose boundary arc contains p/q, stopping once p/q is a vertex.  The
+    target is kept in the current frame as an integer pair (n, m), so
+    each step is one matrix product and three sign tests.
     """
-    target = link.fraction()
-    # Sort key of each vertex, made once: consecutive quadrilaterals
-    # share a side, so each step meets only two new vertices.
-    keys: dict[Frac, tuple] = {}
-
-    def key(v: Frac) -> tuple:
-        if v not in keys:
-            keys[v] = v.key()
-        return keys[v]
-
-    tval = key(target)
-    quad = Quad.of(GMat.make(1, 0, 0, 1))
-    chain = [quad]
-    verts = quad.vertices()
-    while target not in verts:
-        # Vertices in circular order; consecutive ones span the sides,
-        # and the target lies in exactly one side's boundary arc.  Only
-        # the base quadrilateral contains 1/0, which sorts last, and the
-        # target never sits beyond it.
-        ordered = sorted(verts, key=key)
-        for u, v in zip(ordered, ordered[1:]):
-            if not v.is_infinite and key(u) < tval < key(v):
-                break
-        else:
-            raise RuntimeError(f"{target} lies in no side arc of {quad.g} ({link})")
-        even, odd = (u, v) if u.den % 2 == 0 else (v, u)
-        quad = _far_quad(even, odd, frozenset(verts))
-        chain.append(quad)
-        verts = quad.vertices()
-    return chain
+    n, m = link.p, link.q
+    g = GMat(1, 0, 0, 1)
+    chain = [Quad.of(g)]
+    while True:
+        if m < 0:
+            n, m = -n, -m
+        # Stop at a vertex of the base quadrilateral: 1/0, 0/1, 1/1, 1/2.
+        if m == 0 or n == 0 or n == m or 2 * n == m:
+            return chain
+        s = 0 if n < 0 else 1 if 2 * n < m else 2 if n < m else 3
+        if len(chain) == 1 and s in (0, 3):
+            # Only targets outside (0, 1) lie beyond a side at 1/0.
+            raise RuntimeError(f"{link.fraction()} lies in no side arc of "
+                               f"{chain[0].g} ({link})")
+        (e, f, h, k), (u, v, x, y) = _CROSSINGS[s]
+        a, b, c, d = g
+        g = _frame(a * e + b * h, a * f + b * k, c * e + d * h, c * f + d * k)
+        n, m = u * n + v * m, x * n + y * m
+        chain.append(Quad.of(g))
 
 
 class Edge(NamedTuple):
@@ -249,18 +252,31 @@ class TypedPath:
 _TYPE_RANK = {"A": 0, "B": 1, "C": 2, "D": 3}
 
 
+# The cells of one quadrilateral in the order the builders number them:
+# (shape, position of the vertex in Quad.vertices(), or None).
+_CELL_SHAPES = {
+    "Dt": (("corner", 0), ("corner", 3), ("corner", 1), ("corner", 2),
+           ("rectangle", None)),
+    "D1": (("triangle", 0), ("triangle", 3)),
+    "D0": (("triangle", 1), ("triangle", 2)),
+}
+
+
 class DiagramComplex:
     """Vertices, typed edges and 2-cells of one diagram over a chain.
 
     Vertices are numbered in the order they are first seen; ``_ids`` and
     ``_verts`` map between a vertex and its id, and ``_index`` maps the
-    (lower, higher) id pair of an edge's endpoints to the edge.
-    Traversals are numbered 2*e (edge e tail to head) and 2*e + 1 (head
-    to tail); ``_steps[t]`` and ``_heads[t]`` are the Step and the id of
-    the end vertex of traversal t.  ``_out[v]`` lists the traversals
-    leaving vertex v in the order the path search tries them.  ``_next``
-    is the search's successor table: ``minimal_paths`` sets entry t, the
-    first time it expands t, to the traversals that may follow t (those
+    (lower, higher) id pair of an edge's endpoints to the edge.  Cell j
+    of quadrilateral i is cell i * (cells per quadrilateral) + j, in the
+    order of ``_CELL_SHAPES``; ``edge_cells[e]`` holds the cells of edge
+    e.  Traversals are numbered 2*e (edge e tail to head) and 2*e + 1
+    (head to tail); traversal t leaves vertex ``_ends[t]``, and
+    ``_steps[t]`` and ``_heads[t]`` are its Step and the id of the
+    vertex it reaches.  ``_out[v]`` lists the traversals leaving vertex
+    v in the order the path search tries them.  ``_next`` is the
+    search's successor table: ``minimal_paths`` sets entry t, the first
+    time it expands t, to the traversals that may follow t (those
     sharing no cell with it).  Filling it up front would cost the square
     of the degree at a fan vertex such as 0/1 in the chain of 1/n.
     """
@@ -269,65 +285,86 @@ class DiagramComplex:
         self.kind = kind
         self.chain = chain
         self.edges: list[Edge] = []
-        self.cells: list[Cell] = []
-        self._edge_cells: list[set[int]] = []
+        self._edge_cells: list[list[int]] = []
         self._ids: dict[Vertex, int] = {}
         self._verts: list[Vertex] = []
         self._index: dict[tuple[int, int], int] = {}
-        self._out: list[list[int]] = []
-        self._steps: list[Step] = []
-        self._heads: list[int] = []
+        self._ends: list[int] = []
         self._collapsed: dict[Step, Step | None] = {}   # see collapse()
 
     # -- construction ------------------------------------------------
 
     def _new_vertex(self, v: Vertex) -> int:
+        if v in self._ids:
+            raise RuntimeError(f"vertex {v} of {self.kind} numbered twice")
         vid = self._ids[v] = len(self._verts)
         self._verts.append(v)
-        self._out.append([])
         return vid
 
-    def _add_edge(self, edge: Edge) -> int:
-        # No two distinct edges of one diagram join the same vertex pair,
-        # so the pair alone identifies an edge.
-        ids = self._ids
-        tail = ids.get(edge.tail)
-        if tail is None:
-            tail = self._new_vertex(edge.tail)
-        head = ids.get(edge.head)
-        if head is None:
-            head = self._new_vertex(edge.head)
-        pair = (tail, head) if tail < head else (head, tail)
-        idx = self._index.get(pair)
-        if idx is not None:
-            if self.edges[idx] != edge:
-                raise RuntimeError(
-                    f"inconsistent edge rebuild: {self.edges[idx]} vs {edge}")
-            return idx
-        idx = len(self.edges)
-        self.edges.append(edge)
-        self._edge_cells.append(set())
-        self._index[pair] = idx
-        self._out[tail].append(2 * idx)
-        self._out[head].append(2 * idx + 1)
-        self._steps += (Step(edge, 1), Step(edge, -1))
-        self._heads += (head, tail)
+    def _quad_ids(self, quad: Quad) -> tuple[int, int, int, int, int | None]:
+        """Ids of p1..p4 and the position in ``Quad.sides`` of the side
+        the quadrilateral shares with the chain built so far (None for
+        the first one).  The two vertices off that side get new ids."""
+        ids, new = self._ids, self._new_vertex
+        p1, p2, p3, p4 = quad.vertices()
+        if not ids:
+            return new(p1), new(p2), new(p3), new(p4), None
+        try:
+            if p1 in ids:
+                i1, i4 = ids[p1], new(p4)
+                if p2 in ids:
+                    return i1, ids[p2], new(p3), i4, 0
+                return i1, new(p2), ids[p3], i4, 3
+            i1, i4 = new(p1), ids[p4]
+            if p2 in ids:
+                return i1, ids[p2], new(p3), i4, 1
+            return i1, new(p2), ids[p3], i4, 2
+        except KeyError:
+            raise RuntimeError(f"quadrilateral {quad.g} of {self.kind} shares "
+                               f"no side with the chain before it") from None
+
+    def _old_edge(self, edge: Edge) -> int:
+        """The index of the edge already built between edge's endpoints,
+        which must be the same edge."""
+        idx = self._edge_index(edge.tail, edge.head)
+        if self.edges[idx] != edge:
+            raise RuntimeError(
+                f"inconsistent edge rebuild: {self.edges[idx]} vs {edge}")
         return idx
 
-    def _add_cell(self, cell: Cell, edge_ids: Iterable[int]) -> None:
-        cid = len(self.cells)
-        self.cells.append(cell)
-        for eid in edge_ids:
-            self._edge_cells[eid].add(cid)
+    def _add_edges(self, shared: int | None, quad_edges) -> None:
+        """File one quadrilateral's edges, each given as (edge, tail id,
+        head id, side, cells): side is the position of the edge's side
+        in ``Quad.sides``, or -1 for an edge inside the quadrilateral.
+        The edges on the side ``shared`` exist already and gain the
+        cells; the others are new."""
+        # No two distinct edges of one diagram join the same vertex pair,
+        # so the pair alone identifies an edge.
+        edges, ends, edge_cells, index = self.edges, self._ends, self._edge_cells, self._index
+        for edge, tail, head, side, cells in quad_edges:
+            if side == shared:
+                edge_cells[self._old_edge(edge)] += cells
+                continue
+            index[(tail, head) if tail < head else (head, tail)] = len(edges)
+            edges.append(edge)
+            ends += (tail, head)
+            edge_cells.append(cells)
 
     def _freeze(self) -> None:
-        self.edge_cells = [frozenset(s) for s in self._edge_cells]
-        self._next: list[tuple[int, ...] | None] = [None] * len(self._steps)
+        self.edge_cells = [frozenset(c) for c in self._edge_cells]
+        ends, edges = self._ends, self.edges
+        self._heads = heads = ends[:]
+        heads[0::2], heads[1::2] = ends[1::2], ends[0::2]
+        # Step(e, sign) is tuple.__new__(Step, (e, sign)); mapping the
+        # latter keeps the loop out of the interpreter.
+        self._steps = steps = [None] * len(ends)
+        steps[0::2] = map(tuple.__new__, repeat(Step), zip(edges, repeat(1)))
+        steps[1::2] = map(tuple.__new__, repeat(Step), zip(edges, repeat(-1)))
+        self._next: list[tuple[int, ...] | None] = [None] * len(ends)
         # Vertex order: rationals by value, then midpoints by their two
         # endpoints.
         verts = self._verts
-        rationals = sorted((v for v in verts if isinstance(v, Frac)),
-                           key=cmp_to_key(_frac_cmp))
+        rationals = sorted((v for v in verts if isinstance(v, Frac)), key=Frac.key)
         value_rank = {v: i for i, v in enumerate(rationals)}
         corners = sorted((v for v in verts if isinstance(v, Corner)),
                          key=lambda c: (value_rank[c.lo], value_rank[c.hi]))
@@ -339,14 +376,22 @@ class DiagramComplex:
         # their end vertex, then forward before backward: one integer
         # key per traversal.
         n = len(verts)
-        heads, types = self._heads, [_TYPE_RANK[e.etype] for e in self.edges]
-
-        def order(t: int) -> int:
-            return ((types[t >> 1] * n + rank[heads[t]]) << 1) | (t & 1)
+        types = [_TYPE_RANK[e.etype] for e in edges]
+        keys = [((types[t >> 1] * n + rank[h]) << 1) | (t & 1)
+                for t, h in enumerate(heads)]
+        self._out: list[list[int]] = [[] for _ in verts]
+        for t, v in enumerate(ends):
+            self._out[v].append(t)
         for out in self._out:
-            out.sort(key=order)
+            out.sort(key=keys.__getitem__)
 
     # -- queries -----------------------------------------------------
+
+    @property
+    def cells(self) -> list[Cell]:
+        shapes = _CELL_SHAPES[self.kind]
+        return [Cell(qi, shape, None if at is None else quad.vertices()[at])
+                for qi, quad in enumerate(self.chain) for shape, at in shapes]
 
     def vertices(self) -> list[Vertex]:
         return list(self._order)
@@ -368,67 +413,60 @@ class DiagramComplex:
         return edge, 1 if edge.tail == u else -1
 
 
-def _side_matrix(u: Frac, v: Frac) -> GMat:
-    """Determinant-one matrix with first column the even-denominator
-    endpoint; it carries the reference side onto {u, v}."""
-    even, odd = (u, v) if u.den % 2 == 0 else (v, u)
-    det = even.num * odd.den - odd.num * even.den
-    return GMat.make(even.num, det * odd.num, even.den, det * odd.den)
-
-
 def _build_dt(cx: DiagramComplex) -> None:
+    ids, new = cx._ids, cx._new_vertex
     for qi, quad in enumerate(cx.chain):
-        p1, p2, p3, p4 = quad.vertices()
-        m12 = Corner.on_side(p1, p2)
-        m24 = Corner.on_side(p2, p4)
-        m43 = Corner.on_side(p4, p3)
-        m31 = Corner.on_side(p3, p1)
-        g = quad.g
-        gs, gr = g * SHIFT, g * ROT
-        grs = gr * SHIFT
-        a1 = cx._add_edge(Edge("A", p1, m12, g))
-        a2 = cx._add_edge(Edge("A", p1, m31, gs))
-        a3 = cx._add_edge(Edge("A", p4, m43, gr))
-        a4 = cx._add_edge(Edge("A", p4, m24, grs))
-        b1 = cx._add_edge(Edge("B", p2, m12, g))
-        b2 = cx._add_edge(Edge("B", p3, m31, gs))
-        b3 = cx._add_edge(Edge("B", p3, m43, gr))
-        b4 = cx._add_edge(Edge("B", p2, m24, grs))
-        cu = cx._add_edge(Edge("C", m31, m12, g, detour=p1))
-        cl = cx._add_edge(Edge("C", m24, m43, gr, detour=p4))
-        dl = cx._add_edge(Edge("D", m24, m12, g, detour=p2))
-        dr = cx._add_edge(Edge("D", m31, m43, gr, detour=p3))
-        cx._add_cell(Cell(qi, "corner", p1), (a1, cu, a2))
-        cx._add_cell(Cell(qi, "corner", p4), (a3, cl, a4))
-        cx._add_cell(Cell(qi, "corner", p2), (b1, dl, b4))
-        cx._add_cell(Cell(qi, "corner", p3), (b2, dr, b3))
-        cx._add_cell(Cell(qi, "rectangle"), (cu, cl, dl, dr))
+        g, p1, p2, p3, p4, gs, gr, grs = quad
+        i1, i2, i3, i4, shared = cx._quad_ids(quad)
+        mids = (Corner.on_side(p1, p2), Corner.on_side(p2, p4),
+                Corner.on_side(p4, p3), Corner.on_side(p3, p1))
+        m12, m24, m43, m31 = mids
+        j12, j24, j43, j31 = [ids[m] if s == shared else new(m)
+                              for s, m in enumerate(mids)]
+        c = 5 * qi       # corners at p1, p4, p2, p3, then the rectangle
+        cx._add_edges(shared, (
+            (Edge("A", p1, m12, g), i1, j12, 0, [c]),
+            (Edge("A", p1, m31, gs), i1, j31, 3, [c]),
+            (Edge("A", p4, m43, gr), i4, j43, 2, [c + 1]),
+            (Edge("A", p4, m24, grs), i4, j24, 1, [c + 1]),
+            (Edge("B", p2, m12, g), i2, j12, 0, [c + 2]),
+            (Edge("B", p3, m31, gs), i3, j31, 3, [c + 3]),
+            (Edge("B", p3, m43, gr), i3, j43, 2, [c + 3]),
+            (Edge("B", p2, m24, grs), i2, j24, 1, [c + 2]),
+            (Edge("C", m31, m12, g, detour=p1), j31, j12, -1, [c, c + 4]),
+            (Edge("C", m24, m43, gr, detour=p4), j24, j43, -1, [c + 1, c + 4]),
+            (Edge("D", m24, m12, g, detour=p2), j24, j12, -1, [c + 2, c + 4]),
+            (Edge("D", m31, m43, gr, detour=p3), j31, j43, -1, [c + 3, c + 4]),
+        ))
 
 
 def _build_d1(cx: DiagramComplex) -> None:
     for qi, quad in enumerate(cx.chain):
-        p1, p2, p3, p4 = quad.vertices()
-        side = {}
-        for u, v in quad.sides():
-            even, odd = (u, v) if u.den % 2 == 0 else (v, u)
-            side[(u, v)] = cx._add_edge(Edge("A", even, odd, _side_matrix(u, v)))
-        a, b, c, d = quad.g
-        diag = cx._add_edge(Edge("C", p3, p2, GMat.make(a + b, b, c + d, d),
-                                 detour=p1, cpair=(p2, p3)))
-        cx._add_cell(Cell(qi, "triangle", p1), (side[(p1, p2)], diag, side[(p3, p1)]))
-        cx._add_cell(Cell(qi, "triangle", p4), (side[(p2, p4)], side[(p4, p3)], diag))
+        g, p1, p2, p3, p4, gs, gr, grs = quad
+        i1, i2, i3, i4, shared = cx._quad_ids(quad)
+        c = 2 * qi       # triangles at p1 and p4
+        cx._add_edges(shared, (
+            (Edge("A", p1, p2, g), i1, i2, 0, [c]),
+            (Edge("A", p4, p2, grs), i4, i2, 1, [c + 1]),
+            (Edge("A", p4, p3, gr), i4, i3, 2, [c + 1]),
+            (Edge("A", p1, p3, gs), i1, i3, 3, [c]),
+            (Edge("C", p3, p2, _frame(g.a + g.b, g.b, g.c + g.d, g.d),
+                  detour=p1, cpair=(p2, p3)), i3, i2, -1, [c, c + 1]),
+        ))
 
 
 def _build_d0(cx: DiagramComplex) -> None:
     for qi, quad in enumerate(cx.chain):
-        p1, p2, p3, p4 = quad.vertices()
-        side = {}
-        for u, v in quad.sides():
-            even, odd = (u, v) if u.den % 2 == 0 else (v, u)
-            side[(u, v)] = cx._add_edge(Edge("B", odd, even, _side_matrix(u, v)))
-        diag = cx._add_edge(Edge("D", p1, p4, quad.g))
-        cx._add_cell(Cell(qi, "triangle", p2), (side[(p1, p2)], side[(p2, p4)], diag))
-        cx._add_cell(Cell(qi, "triangle", p3), (side[(p4, p3)], side[(p3, p1)], diag))
+        g, p1, p2, p3, p4, gs, gr, grs = quad
+        i1, i2, i3, i4, shared = cx._quad_ids(quad)
+        c = 2 * qi       # triangles at p2 and p3
+        cx._add_edges(shared, (
+            (Edge("B", p2, p1, g), i2, i1, 0, [c]),
+            (Edge("B", p2, p4, grs), i2, i4, 1, [c]),
+            (Edge("B", p3, p4, gr), i3, i4, 2, [c + 1]),
+            (Edge("B", p3, p1, gs), i3, i1, 3, [c + 1]),
+            (Edge("D", p1, p4, g), i1, i4, -1, [c, c + 1]),
+        ))
 
 
 _BUILDERS = {"Dt": _build_dt, "D1": _build_d1, "D0": _build_d0}
@@ -477,7 +515,7 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
             if successors is None:
                 cells = edge_cells[t >> 1]
                 successors = table[t] = tuple(
-                    u for u in out[nxt] if not cells & edge_cells[u >> 1])
+                    u for u in out[nxt] if cells.isdisjoint(edge_cells[u >> 1]))
             path.append(steps[t])
             ends.append(nxt)
             visited[nxt] = 1

@@ -210,7 +210,7 @@ def _track_contribution(etype: str, g, sign: int) -> tuple[int, int, int, int]:
             v = (1, -1, 1, -1)
     else:
         raise ValueError(f"unknown edge type {etype!r}")
-    return tuple(sign * t for t in v)
+    return v if sign > 0 else (-v[0], -v[1], -v[2], -v[3])
 
 
 def _track_contribution_free(g, sign: int) -> tuple[int, int, int, int]:
@@ -221,7 +221,7 @@ def _track_contribution_free(g, sign: int) -> tuple[int, int, int, int]:
         v = (2, -2, 0, 2)
     else:                               # 0 < -d/c: (-2n, 2(n - beta))
         v = (0, -2, -2, 2)
-    return tuple(sign * t for t in v)
+    return v if sign > 0 else (-v[0], -v[1], -v[2], -v[3])
 
 
 def m_form_edgewise(path: TypedPath):
@@ -441,9 +441,11 @@ def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     sraw = sorted({s_form(p) for p in c_paths})
     spref = sorted({to_preferred(s, l) for s in sraw})
 
-    limits = {tuple(collapse(p, diagrams.d1).vertices()) for p in dt_paths}
+    # Steps and vertex sequences of these paths determine each other:
+    # two vertices of D1 bound at most one edge, and no path is empty.
+    limits = {collapse(p, diagrams.d1).steps for p in dt_paths}
     for p in c_paths:
-        if tuple(p.vertices()) not in limits:
+        if p.steps not in limits:
             diagnostics.append(
                 f"t=1 path not a limit of any deformed minimal path: {p}")
 

@@ -1,13 +1,16 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from twobridge.arith import (ContFrac, Frac, INFINITY, TwoBridgeLink,
+from twobridge.arith import (ContFrac, Frac, GMat, INFINITY, TwoBridgeLink,
                              enumerate_links, make_link)
-from twobridge.diagram import (Corner, DiagramComplex, Diagrams, Edge, Step,
-                               TypedPath, build_diagram, collapse, is_minimal,
+from twobridge.diagram import (ROT, SHIFT, Cell, Corner, DiagramComplex,
+                               Diagrams, Edge, Quad, Step, TypedPath,
+                               build_diagram, collapse, is_minimal,
                                minimal_paths, quad_chain)
 from twobridge.slopes import m_form, m_form_edgewise
 
@@ -50,12 +53,15 @@ class TestQuadChain:
             quad_chain(TwoBridgeLink(3, 2))
 
     def test_errors_survive_optimised_mode(self):
-        # The chain and expansion invariants raise explicitly, so they
-        # still fire when Python strips asserts.
+        # The chain, vertex numbering and expansion invariants raise
+        # explicitly, so they still fire when Python strips asserts.
         code = ("from twobridge.arith import Frac, TwoBridgeLink, cf_positive\n"
-                "from twobridge.diagram import _far_quad\n"
+                "from twobridge.diagram import DiagramComplex, quad_chain\n"
+                "cx = DiagramComplex('D1', [])\n"
+                "cx._new_vertex(Frac(1, 2))\n"
                 "for call in (lambda: cf_positive(TwoBridgeLink(1, 1)),\n"
-                "             lambda: _far_quad(Frac(1, 2), Frac(1, 5), frozenset())):\n"
+                "             lambda: quad_chain(TwoBridgeLink(3, 2)),\n"
+                "             lambda: cx._new_vertex(Frac(1, 2))):\n"
                 "    try:\n"
                 "        call()\n"
                 "    except (ValueError, RuntimeError):\n"
@@ -177,15 +183,26 @@ class TestEdgeIndex:
                 is_minimal(cx, path)
 
     def test_rebuilding_an_edge_must_agree(self):
+        # An edge on a side shared with the previous quadrilateral is
+        # built again and must equal the one already there.
         cx = DiagramComplex("D1", [])
         g = quad_chain(make_link(1, 2))[0].g
-        first = cx._add_edge(Edge("A", INFINITY, frac(0, 1), g))
-        assert cx._add_edge(Edge("A", INFINITY, frac(0, 1), g)) == first
+        tail, head = cx._new_vertex(INFINITY), cx._new_vertex(frac(0, 1))
+        edge = Edge("A", INFINITY, frac(0, 1), g)
+        cx._add_edges(None, ((edge, tail, head, 0, [0]),))
+        cx._add_edges(0, ((edge, tail, head, 0, [1]),))
+        assert cx.edges == [edge] and cx._edge_cells == [[0, 1]]
         # a second edge on the same pair, of another type or reversed
         for clash in (Edge("C", INFINITY, frac(0, 1), g),
                       Edge("A", frac(0, 1), INFINITY, g)):
             with pytest.raises(RuntimeError, match="inconsistent edge rebuild"):
-                cx._add_edge(clash)
+                cx._add_edges(0, ((clash, tail, head, 0, [1]),))
+
+    def test_a_vertex_is_numbered_once(self):
+        cx = DiagramComplex("Dt", [])
+        cx._new_vertex(frac(1, 2))
+        with pytest.raises(RuntimeError, match="numbered twice"):
+            cx._new_vertex(frac(1, 2))
 
 
 class TestMinimalPaths:
@@ -279,3 +296,205 @@ class TestPathConfinement:
                     assert v in chain_verts
                 else:
                     assert v.lo in chain_verts and v.hi in chain_verts
+
+
+# -- construction oracles ---------------------------------------------------
+#
+# The chain walk and the builders as they were before the walk by frame
+# products and the construction by position.  They sort by Fraction,
+# find every edge through a pair index and build every cell eagerly.
+
+def _value(v):
+    return (1, Fraction(0)) if v.den == 0 else (0, Fraction(v.num, v.den))
+
+
+def reference_chain(link):
+    """Sort the current quadrilateral's vertices, find the side whose
+    arc holds p/q, and cross it to the other quadrilateral on that side."""
+    target = link.fraction()
+    quad = Quad.of(GMat.make(1, 0, 0, 1))
+    chain = [quad]
+    while target not in quad.vertices():
+        ordered = sorted(quad.vertices(), key=_value)
+        for u, v in zip(ordered, ordered[1:]):
+            if not v.is_infinite and _value(u) < _value(target) < _value(v):
+                break
+        else:
+            raise RuntimeError(f"{target} lies in no side arc")
+        even, odd = (u, v) if u.den % 2 == 0 else (v, u)
+        det = even.num * odd.den - odd.num * even.den
+        assert det in (1, -1)
+        near = GMat.make(even.num, det * odd.num, even.den, det * odd.den)
+        far = GMat.make(det * even.num - 2 * odd.num, odd.num,
+                        det * even.den - 2 * odd.den, odd.den)
+        across = [Quad.of(g if g.b % 2 == 0 else g * ROT) for g in (near, far)]
+        quad = next(q for q in across if set(q.vertices()) != set(quad.vertices()))
+        chain.append(quad)
+    return chain
+
+
+def side_matrix(u, v):
+    """Determinant-one matrix with first column the even-denominator
+    endpoint, carrying the reference side onto {u, v}."""
+    even, odd = (u, v) if u.den % 2 == 0 else (v, u)
+    det = even.num * odd.den - odd.num * even.den
+    return GMat.make(even.num, det * odd.num, even.den, det * odd.den)
+
+
+def reference_complex(chain, kind):
+    """(edges, edge cells, cells) of a diagram built edge by edge."""
+    edges, index, edge_cells, cells = [], {}, [], []
+
+    def edge(e):
+        pair = frozenset((e.tail, e.head))
+        if pair not in index:
+            index[pair] = len(edges)
+            edges.append(e)
+            edge_cells.append(set())
+        assert edges[index[pair]] == e
+        return index[pair]
+
+    def cell(c, eids):
+        for eid in eids:
+            edge_cells[eid].add(len(cells))
+        cells.append(c)
+
+    for qi, quad in enumerate(chain):
+        p1, p2, p3, p4 = quad.vertices()
+        g = quad.g
+        if kind == "Dt":
+            m12, m24 = Corner.on_side(p1, p2), Corner.on_side(p2, p4)
+            m43, m31 = Corner.on_side(p4, p3), Corner.on_side(p3, p1)
+            gs, gr = g * SHIFT, g * ROT
+            grs = gr * SHIFT
+            a1, a2 = edge(Edge("A", p1, m12, g)), edge(Edge("A", p1, m31, gs))
+            a3, a4 = edge(Edge("A", p4, m43, gr)), edge(Edge("A", p4, m24, grs))
+            b1, b2 = edge(Edge("B", p2, m12, g)), edge(Edge("B", p3, m31, gs))
+            b3, b4 = edge(Edge("B", p3, m43, gr)), edge(Edge("B", p2, m24, grs))
+            cu = edge(Edge("C", m31, m12, g, detour=p1))
+            cl = edge(Edge("C", m24, m43, gr, detour=p4))
+            dl = edge(Edge("D", m24, m12, g, detour=p2))
+            dr = edge(Edge("D", m31, m43, gr, detour=p3))
+            cell(Cell(qi, "corner", p1), (a1, cu, a2))
+            cell(Cell(qi, "corner", p4), (a3, cl, a4))
+            cell(Cell(qi, "corner", p2), (b1, dl, b4))
+            cell(Cell(qi, "corner", p3), (b2, dr, b3))
+            cell(Cell(qi, "rectangle"), (cu, cl, dl, dr))
+            continue
+        side = {}
+        for u, v in quad.sides():
+            even, odd = (u, v) if u.den % 2 == 0 else (v, u)
+            if kind == "D1":
+                side[(u, v)] = edge(Edge("A", even, odd, side_matrix(u, v)))
+            else:
+                side[(u, v)] = edge(Edge("B", odd, even, side_matrix(u, v)))
+        if kind == "D1":
+            a, b, c, d = g
+            diag = edge(Edge("C", p3, p2, GMat.make(a + b, b, c + d, d),
+                             detour=p1, cpair=(p2, p3)))
+            cell(Cell(qi, "triangle", p1), (side[(p1, p2)], diag, side[(p3, p1)]))
+            cell(Cell(qi, "triangle", p4), (side[(p2, p4)], side[(p4, p3)], diag))
+        else:
+            diag = edge(Edge("D", p1, p4, g))
+            cell(Cell(qi, "triangle", p2), (side[(p1, p2)], side[(p2, p4)], diag))
+            cell(Cell(qi, "triangle", p3), (side[(p4, p3)], side[(p3, p1)], diag))
+    return edges, [frozenset(c) for c in edge_cells], cells
+
+
+def fractions_of_type(link):
+    p, q = link
+    return [TwoBridgeLink(x, q)
+            for x in sorted({p, pow(p, -1, q), q - p, pow(q - p, -1, q)})]
+
+
+def deep_links():
+    """1/n, 3/(3n-8), [a, n-a] with a odd near n/2 and [2, n, 2] for n
+    from 100 to 500, under every fraction naming their link type."""
+    out = []
+    for n in range(100, 501, 40):
+        a = n // 2 | 1
+        for body in ((n,), (n - 3, 3), (a, n - a), (2, n, 2)):
+            value = ContFrac((0,) + body).value()
+            out.extend(fractions_of_type(make_link(value.num, value.den)))
+    return out
+
+
+@st.composite
+def links_by_expansion(draw, max_crossings=24):
+    """Links of up to ``max_crossings`` crossings, drawn as positive
+    expansions; expansions with an odd denominator (knots) are skipped."""
+    remaining = draw(st.integers(2, max_crossings))
+    body = []
+    while remaining > 0:
+        body.append(draw(st.integers(1, remaining)))
+        remaining -= body[-1]
+    body[-1] = max(body[-1], 2)
+    value = ContFrac((0,) + tuple(body)).value()
+    assume(value.den % 2 == 0)
+    return make_link(value.num, value.den)
+
+
+class TestConstructionOracles:
+    def test_walk_matches_reference_through_16_crossings(self):
+        for link in enumerate_links(16):
+            assert quad_chain(link) == reference_chain(link), link
+
+    def test_walk_matches_reference_on_deep_chains(self):
+        for link in deep_links():
+            assert quad_chain(link) == reference_chain(link), link
+
+    @settings(max_examples=60, deadline=None)
+    @given(links_by_expansion())
+    def test_walk_matches_reference_on_random_links(self, link):
+        for variant in fractions_of_type(link):
+            assert quad_chain(variant) == reference_chain(variant)
+
+    def test_each_quad_brings_two_new_rationals(self):
+        for link in enumerate_links(14) + deep_links()[::4]:
+            chain = quad_chain(link)
+            seen = set(chain[0].vertices())
+            for prev, quad in zip(chain, chain[1:]):
+                verts = set(quad.vertices())
+                shared = verts & seen
+                assert len(shared) == 2 and shared <= set(prev.vertices()), link
+                assert shared in [set(s) for s in quad.sides()], link
+                assert shared in [set(s) for s in prev.sides()], link
+                seen |= verts
+
+    def test_side_frames(self):
+        for link in enumerate_links(14) + deep_links()[::4]:
+            for quad in quad_chain(link):
+                p1, p2, p3, p4 = quad.vertices()
+                assert quad.g == side_matrix(p1, p2)
+                assert quad.gs == side_matrix(p3, p1) == quad.g * SHIFT
+                assert quad.gr == side_matrix(p4, p3) == quad.g * ROT
+                assert quad.grs == side_matrix(p2, p4) == quad.g * ROT * SHIFT
+
+    def test_complexes_match_reference(self):
+        # Same edges in the same order, same edge cells, and the cells
+        # property equal to the cell list built eagerly.
+        links = enumerate_links(12) + [make_link(1, 120), make_link(119, 240)]
+        for link in links:
+            chain = quad_chain(link)
+            for kind in ("Dt", "D1", "D0"):
+                cx = build_diagram(chain, kind)
+                edges, edge_cells, cells = reference_complex(chain, kind)
+                assert cx.edges == edges, (link, kind)
+                assert cx.edge_cells == edge_cells, (link, kind)
+                assert [(c.quad, c.shape, c.vertex, c.label) for c in cx.cells] == [
+                    (c.quad, c.shape, c.vertex, c.label) for c in cells], (link, kind)
+
+    def test_dt_quads_bring_three_new_midpoints(self):
+        for link in enumerate_links(12):
+            cx = build_diagram(quad_chain(link), "Dt")
+            corners = [v for v in cx.vertices() if isinstance(v, Corner)]
+            assert len(corners) == 4 + 3 * (len(cx.chain) - 1)
+
+    def test_a_chain_with_a_gap_is_refused(self):
+        # Construction by position needs each quadrilateral to share a
+        # side with the one before it.
+        chain = quad_chain(make_link(13, 34))
+        for broken in (chain[:1] + chain[2:], chain + chain[-1:]):
+            for kind in ("Dt", "D1", "D0"):
+                with pytest.raises(RuntimeError):
+                    build_diagram(broken, kind)

@@ -2,8 +2,9 @@ from collections import Counter
 
 import pytest
 
-from twobridge.arith import Frac, GMat, INFINITY, linking_number, make_link
-from twobridge.diagram import Diagrams, minimal_paths
+from twobridge.arith import (Frac, GMat, INFINITY, enumerate_links,
+                             linking_number, make_link)
+from twobridge.diagram import Diagrams, collapse, minimal_paths
 from twobridge.slopes import (MForm, SForm, SlopeFamily, delta_sum, m_form,
                               m_form_edgewise, s_form, s_form_symbolic,
                               slope_families, straighten, to_preferred)
@@ -119,6 +120,56 @@ class TestTrackContributions:
         assert _track_contribution_free(GMat.make(1, 0, 3, 1), 1) == (2, -2, 0, 2)
         # -d/c = 5/3 > 0: (-2n, 2(n - beta))
         assert _track_contribution_free(GMat.make(1, -2, 3, -5), 1) == (0, -2, -2, 2)
+
+    # One matrix per case of each edge class, with the value at sign +1;
+    # the contribution at sign -1 must be the negation, as the former
+    # formula tuple(sign * t for t in value) gave.
+    CASES = (
+        ("A", GMat.make(1, 0, 0, 1), (0, 0, 0, 0)),            # c = 0
+        ("A", GMat.make(1, 0, 2, 1), (0, 1, 0, 1)),            # -d/c < 0
+        ("A", GMat.make(1, -1, 2, -1), (0, -1, 0, -1)),        # 0 < -d/c
+        ("B", GMat.make(1, 0, 0, 1), (0, 0, 0, 0)),
+        ("B", GMat.make(1, 0, 2, 1), (-1, 1, 0, 0)),
+        ("B", GMat.make(1, -1, 2, -1), (1, -1, 0, 0)),
+        ("C", GMat.make(1, -1, 4, -3), (0, -2, 0, 0)),         # 0 < -d/c < 1
+        ("C", GMat.make(1, 0, 0, 1), (0, 0, 0, 2)),            # c = 0
+        ("C", GMat.make(1, 0, 2, 1), (0, 0, 0, 2)),            # -d/c < 0
+        ("C", GMat.make(1, -2, 2, -3), (0, 0, 0, 2)),          # -d/c > 1
+        ("D", GMat.make(1, 0, 0, 1), (0, 0, 1, -1)),           # -d/c = oo
+        ("D", GMat.make(1, -1, 2, -1), (0, 0, 1, -1)),         # -d/c = 1/2
+        ("D", GMat.make(1, 0, 2, 1), (-1, 1, 1, -1)),          # -d/c < 1/2
+        ("D", GMat.make(-1, 0, 4, -1), (-1, 1, 1, -1)),        # 0 < -d/c < 1/2
+        ("D", GMat.make(1, -2, 2, -3), (1, -1, 1, -1)),        # -d/c > 1/2
+    )
+    FREE_CASES = (
+        (GMat.make(1, 0, 3, 1), (2, -2, 0, 2)),                # -d/c < 0
+        (GMat.make(1, -2, 3, -5), (0, -2, -2, 2)),             # 0 < -d/c
+    )
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_every_case_and_sign(self, sign):
+        from twobridge.slopes import _track_contribution, _track_contribution_free
+        for etype, g, value in self.CASES:
+            assert _track_contribution(etype, g, sign) == tuple(
+                sign * t for t in value), (etype, g)
+        for g, value in self.FREE_CASES:
+            assert _track_contribution_free(g, sign) == tuple(
+                sign * t for t in value), g
+
+
+class TestLimitCheck:
+    def test_membership_by_steps_matches_vertices(self):
+        # slope_families tests each t = 1 path for being a limit by its
+        # steps; by its vertex sequence the answer must be the same.
+        for link in enumerate_links(12):
+            d = Diagrams(link)
+            dt = minimal_paths(d.dt, INFINITY, link.fraction())
+            by_steps = {collapse(p, d.d1).steps for p in dt}
+            by_vertices = {tuple(collapse(p, d.d1).vertices()) for p in dt}
+            assert len(by_steps) == len(by_vertices), link
+            for path in minimal_paths(d.d1, INFINITY, link.fraction()):
+                assert (path.steps in by_steps) == (
+                    tuple(path.vertices()) in by_vertices), (link, str(path))
 
 
 class TestSForm:
