@@ -8,14 +8,13 @@ on an internal error (a bug), reported as one line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .arith import (INFINITY, crossing_number, enumerate_links, make_link,
                     rolfsen_name)
 from .diagram import Diagrams, minimal_paths
 from .slopes import oracle_check, slope_families
-from .tables import emit, verify_corpus
+from .tables import _json_array, _json_str, emit, verify_corpus
 
 
 def _parse_pq(text: str):
@@ -71,25 +70,37 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _paths_json(link, cx, paths) -> str:
+    """The layout of ``json.dumps(payload, indent=2)`` plus a newline,
+    written directly as ``tables.emit`` writes its JSON."""
+    def strings(items, indent):
+        return _json_array([_json_str(str(v)) for v in items], indent)
+
+    def edge_json(e):
+        return (f'{{\n      "type": {_json_str(e.etype)},'
+                f'\n      "tail": {_json_str(str(e.tail))},'
+                f'\n      "head": {_json_str(str(e.head))},'
+                f'\n      "matrix": {_json_str(str(e.g))}\n    }}')
+
+    def path_json(p):
+        steps = [f"{s.edge.etype}{'+' if s.sign > 0 else '-'}" for s in p.steps]
+        return (f'{{\n      "vertices": {strings(p.vertices(), " " * 6)},'
+                f'\n      "edges": {strings(steps, " " * 6)}\n    }}')
+
+    return (f'{{\n  "link": {{\n    "p": {link.p},\n    "q": {link.q}\n  }},'
+            f'\n  "diagram": {_json_str(cx.kind)},'
+            f'\n  "vertices": {strings(cx.vertices(), "  ")},'
+            f'\n  "edges": {_json_array([edge_json(e) for e in cx.edges], "  ")},'
+            f'\n  "paths": {_json_array([path_json(p) for p in paths], "  ")}\n}}\n')
+
+
 def _cmd_paths(args) -> int:
     link = _parse_pq(args.pq)
     diagrams = Diagrams(link)
     cx = diagrams.get({"dt": "Dt", "d1": "D1", "d0": "D0"}[args.diagram])
     paths = minimal_paths(cx, INFINITY, link.fraction())
     if args.format == "json":
-        payload = {
-            "link": {"p": link.p, "q": link.q},
-            "diagram": cx.kind,
-            "vertices": [str(v) for v in cx.vertices()],
-            "edges": [{"type": e.etype, "tail": str(e.tail),
-                       "head": str(e.head), "matrix": str(e.g)}
-                      for e in cx.edges],
-            "paths": [{"vertices": [str(v) for v in p.vertices()],
-                       "edges": [f"{s.edge.etype}{'+' if s.sign > 0 else '-'}"
-                                 for s in p.steps]}
-                      for p in paths],
-        }
-        print(json.dumps(payload, indent=2))
+        sys.stdout.write(_paths_json(link, cx, paths))
     else:
         print(f"{len(paths)} minimal paths in {cx.kind} "
               f"from 1/0 to {link.fraction()}")

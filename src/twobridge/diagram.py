@@ -41,11 +41,17 @@ An edge path is minimal if no two consecutive edges lie in a common
 cell.  Minimal paths from 1/0 to p/q index the spanning surfaces, and
 every one of them stays inside the chain, so a depth-first search over
 the chain complex enumerates them all.
+
+The slope algorithms straighten each Dt or D1 path across its cells and
+add per-step terms: a determinant sum and signed push counts.  One fold
+over the steps computes them (``TypedPath.sums``).  The search folds as
+it goes, over the prefixes consecutive paths share, so each path comes
+out with its sums and no path is walked again from 1/0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
@@ -215,12 +221,73 @@ class Step(NamedTuple):
         return self.edge.head if self.sign > 0 else self.edge.tail
 
 
+def _fold(steps, states: list) -> None:
+    """The straightening fold: extend ``states``, whose last entry is the
+    state (k, a, b, prev) before ``steps``, by the state after each step.
+
+    Straightening replaces every edge with a detour (a rectangle side of
+    Dt, an odd diagonal of D1) by the two edges around its detour
+    vertex.  k is the determinant sum over consecutive rational vertices
+    of the straightened path so far (a pair with 1/0 adds nothing) and
+    prev its last rational vertex, or None before the first.  On Dt, a
+    and b are the signed counts of corner triangles crossed at even
+    vertices (C edges, counted against the grain) and at odd vertices
+    (D edges, with it).  On D1, a and b count the odd diagonals crossed
+    in their positive and in their negative pushing sense.
+    """
+    k, a, b, prev = states[-1]
+    append = states.append
+    for edge, sign in steps:
+        v = edge.detour
+        if v is not None:
+            if edge.cpair is not None:
+                if (edge.tail if sign > 0 else edge.head) == edge.cpair[0]:
+                    a += 1
+                else:
+                    b += 1
+            elif edge.etype == "C":
+                a -= sign
+            else:
+                b += sign
+            if prev is not None and prev.den and v.den:
+                k += prev.num * v.den - v.num * prev.den
+            prev = v
+        v = edge.head if sign > 0 else edge.tail
+        if isinstance(v, Frac):
+            if prev is not None and prev.den and v.den:
+                k += prev.num * v.den - v.num * prev.den
+            prev = v
+        append((k, a, b, prev))
+
+
+def _fold_start(kind: str, start: Vertex) -> tuple:
+    if kind == "D0":
+        raise ValueError("D0 paths have no straightening sums: "
+                         "the diagonals of D0 have no detour")
+    return (0, 0, 0, start if isinstance(start, Frac) else None)
+
+
 @dataclass(frozen=True)
 class TypedPath:
-    """A vertex-to-vertex edge path in one of the three diagrams."""
+    """A vertex-to-vertex edge path in one of the three diagrams.
+
+    ``sums`` is the (k, a, b) of the straightening fold over the whole
+    path.  ``minimal_paths`` fills it in as it finds the path; a path
+    built otherwise folds its steps on first use.
+    """
 
     kind: str                  # 'Dt', 'D1' or 'D0'
     steps: tuple[Step, ...]
+    _sums: tuple[int, int, int] | None = field(default=None, compare=False,
+                                               repr=False)
+
+    @property
+    def sums(self) -> tuple[int, int, int]:
+        if self._sums is None:
+            states = [_fold_start(self.kind, self.start)]
+            _fold(self.steps, states)
+            object.__setattr__(self, "_sums", states[-1][:3])
+        return self._sums
 
     @property
     def start(self) -> Vertex:
@@ -483,12 +550,22 @@ def build_diagram(chain: list[Quad], kind: str) -> DiagramComplex:
 
 
 def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]:
-    """All minimal edge paths from start to end.
+    """All minimal edge paths from start to end, with their sums.
 
     Depth-first search; a step is allowed when the new edge shares no
     cell with the previous one.  Paths never revisit a vertex.  The
     search keeps its own stack, so path length is not bounded by the
     interpreter's recursion limit.
+
+    Consecutive paths share most of their prefix, so the straightening
+    fold (``TypedPath.sums``) runs along the search: ``states[d]`` is
+    the fold state after the first d steps of the last path found, and
+    it still holds for the current prefix while ``pending[d]`` is the
+    frame it was folded under (``frames[d]``).  Finding a path folds
+    only the steps beyond the deepest state that still holds and drops
+    the states the search has backtracked past; a dead end folds
+    nothing, and backtracking costs nothing extra.  D0 paths have no
+    sums.
     """
     first, last = cx._ids.get(start), cx._ids.get(end)
     if first is None or last is None:
@@ -498,18 +575,33 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     found: list[TypedPath] = []
     kind, out, edge_cells = cx.kind, cx._out, cx.edge_cells
     heads, steps, table = cx._heads, cx._steps, cx._next
+    fold = kind != "D0"
     path: list[Step] = []
     ends: list[int] = []                  # vertex id reached by each step
     visited = bytearray(len(out))
     visited[first] = 1
     pending = [iter(out[first])]          # untried traversals per depth
+    states = [_fold_start(kind, start)] if fold else []
+    frames = pending[:]                   # the pending entry of each state
     while pending:
         for t in pending[-1]:
             nxt = heads[t]
             if visited[nxt]:
                 continue
             if nxt == last:
-                found.append(TypedPath(kind, (*path, steps[t])))
+                if fold:
+                    # The root frame never changes: the scan stops at 0.
+                    d = min(len(states) - 1, len(path))
+                    while frames[d] is not pending[d]:
+                        d -= 1
+                    del states[d + 1:], frames[d + 1:]
+                    _fold((*path[d:], steps[t]), states)
+                    frames += pending[d + 1:]
+                    # The last step is not on the prefix: its state, the
+                    # path's sums, comes off again.
+                    found.append(TypedPath(kind, (*path, steps[t]), states.pop()[:3]))
+                else:
+                    found.append(TypedPath(kind, (*path, steps[t])))
                 continue
             successors = table[t]
             if successors is None:

@@ -7,7 +7,10 @@ and beta (t = alpha/beta).  Two independent computations are provided:
 
 * ``m_form`` deforms the path to one made of side halves only, whose
   value is a determinant sum over its rational vertices, and corrects
-  for each cell the deformation pushed the path across.
+  for each cell the deformation pushed the path across.  These sums are
+  folded step by step (``TypedPath.sums``), and the path search folds
+  them over the prefixes its paths share, so ``m_form`` and ``s_form``
+  only combine three integers per path.
 * ``m_form_edgewise`` sums, edge by edge, the intersection of the
   pulled-back longitudes with the train track carried by that edge.
 
@@ -23,10 +26,10 @@ number to both slope coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arith import Frac, INFINITY, TwoBridgeLink, linking_number, make_link
+from .arith import Frac, INFINITY, TwoBridgeLink, linking_number
 from .diagram import Diagrams, TypedPath, collapse, minimal_paths
 
 
@@ -52,15 +55,9 @@ class PushLedger:
     triangles at even vertices (n0), at odd vertices (n1), and the
     rectangle (n4)."""
 
-    n0p: int = 0
-    n0m: int = 0
-    n1p: int = 0
-    n1m: int = 0
-    n4p: int = 0
-    n4m: int = 0
-
-    def counts(self) -> tuple[int, int, int]:
-        return (self.n0p - self.n0m, self.n1p - self.n1m, self.n4p - self.n4m)
+    n0: int = 0
+    n1: int = 0
+    n4: int = 0
 
 
 class SymbolicM(NamedTuple):
@@ -109,7 +106,8 @@ def straighten(path: TypedPath) -> tuple[list[Frac], PushLedger]:
     A C edge crossed with the grain of its triangle boundary counts
     positively into n0, a D edge into n1; traversals against the grain
     count negatively.  The result is the rational vertex sequence of the
-    straightened path.
+    straightened path.  This is the step-by-step reference for the fold
+    behind ``TypedPath.sums``.
     """
     if path.kind != "Dt":
         raise ValueError("only Dt paths are straightened")
@@ -123,14 +121,9 @@ def straighten(path: TypedPath) -> tuple[list[Frac], PushLedger]:
         # Boundary of the corner triangle runs against a C edge and with
         # a D edge, so the crossing sense differs by edge type.
         if etype == "C":
-            if step.sign < 0:
-                ledger.n0p += 1
-            else:
-                ledger.n0m += 1
-        elif step.sign > 0:
-            ledger.n1p += 1
+            ledger.n0 -= step.sign
         else:
-            ledger.n1m += 1
+            ledger.n1 += step.sign
         seq.append(step.edge.detour)
         seq.append(step.target)
     rationals = [v for v in seq if isinstance(v, Frac)]
@@ -145,29 +138,14 @@ def m_form(path: TypedPath) -> MForm:
     cell: (0, -2*beta) at even vertices, (-alpha + beta, alpha - beta) at
     odd ones, (-2*beta, -2*alpha + 4*beta) for the rectangle.
 
-    Computes what ``straighten`` and ``delta_sum`` would in one pass over
-    the steps.  Straightening never crosses the rectangle, so n4 = 0.
+    Reads k, n0 and n1 from ``path.sums``, which hold what
+    ``straighten`` and ``delta_sum`` would compute; the path search
+    folds them over the prefixes consecutive paths share.  Straightening
+    never crosses the rectangle, so n4 = 0.
     """
     if path.kind != "Dt":
         raise ValueError("only Dt paths are straightened")
-    k = n0 = n1 = 0
-    prev = path.start if isinstance(path.start, Frac) else None
-    for edge, sign in path.steps:
-        etype = edge.etype
-        if etype == "C" or etype == "D":
-            if etype == "C":
-                n0 -= sign
-            else:
-                n1 += sign
-            v = edge.detour
-            if prev is not None and prev.den and v.den:
-                k += prev.num * v.den - v.num * prev.den
-            prev = v
-        v = edge.head if sign > 0 else edge.tail
-        if isinstance(v, Frac):
-            if prev is not None and prev.den and v.den:
-                k += prev.num * v.den - v.num * prev.den
-            prev = v
+    k, n0, n1 = path.sums
     x = k - n1
     y = n1
     z = k - n1 - 2 * n0
@@ -286,12 +264,12 @@ def s_form(path: TypedPath) -> SForm:
     Each odd diagonal is pushed across the triangle at the even vertex
     of its quadrilateral, adding (-2*beta + 2n, -2n) with its crossing
     sense; with P positive and N negative senses and determinant sum k
-    of the straightened path, x = k - P + N and y = P + N.
+    of the straightened path, x = k - P + N and y = P + N.  All three
+    come from ``path.sums``.
     """
-    seq, senses = _d1_pushes(path)
-    k = delta_sum(seq)
-    pos = sum(1 for s in senses if s > 0)
-    neg = len(senses) - pos
+    if path.kind != "D1":
+        raise ValueError("s_form takes a D1 path")
+    k, pos, neg = path.sums
     x = k - pos + neg
     y = pos + neg
     if path.start == INFINITY and isinstance(path.end, Frac):
@@ -312,6 +290,12 @@ def s_form_symbolic(path: TypedPath) -> SymbolicM:
         n1=tuple(2 * s for s in senses),
         n2=tuple(-2 * s for s in senses),
     )
+
+
+def _crosses_diagonal(path: TypedPath) -> bool:
+    """Whether a D1 path uses an odd diagonal: its sums count them."""
+    _k, pos, neg = path.sums
+    return pos + neg > 0
 
 
 class OracleReport(NamedTuple):
@@ -336,7 +320,7 @@ def oracle_check(link: TwoBridgeLink) -> OracleReport:
         if push != track:
             bad.append((path, push, track))
     c_paths = [p for p in minimal_paths(diagrams.d1, INFINITY, target)
-               if "C" in p.edge_types()]
+               if _crosses_diagonal(p)]
     for path in c_paths:
         push, track = s_form_symbolic(path), m_form_edgewise(path)
         if push != track:
@@ -376,10 +360,6 @@ class SlopeFamily:
 
     def sort_key(self):
         return (_BRANCH_RANK[self.branch], self.coeffs, self.domain, self.phi)
-
-    def slope_pair(self) -> tuple[str, str]:
-        from .tables import render_family
-        return render_family(self)
 
 
 def _families_for_mform(form: MForm) -> list[SlopeFamily]:
@@ -437,7 +417,7 @@ def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     mpref = sorted({to_preferred(m, l) for m in mraw})
 
     d1_paths = minimal_paths(diagrams.d1, INFINITY, target)
-    c_paths = [p for p in d1_paths if "C" in p.edge_types()]
+    c_paths = [p for p in d1_paths if _crosses_diagonal(p)]
     sraw = sorted({s_form(p) for p in c_paths})
     spref = sorted({to_preferred(s, l) for s in sraw})
 

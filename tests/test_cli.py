@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from twobridge.arith import INFINITY, make_link
 from twobridge.cli import main
+from twobridge.diagram import Diagrams, minimal_paths
 from twobridge.tables import verify_corpus
 
 
@@ -89,6 +91,34 @@ class TestPathsCommand:
         rc, out, _ = run(capsys, "paths", "--pq", "1/2", "--diagram", "d0")
         assert rc == 0
         assert "D0" in out
+
+    @staticmethod
+    def json_oracle(pq, diagram):
+        """The JSON dump as first written: ``json.dumps`` of the payload."""
+        link = make_link(*map(int, pq.split("/")))
+        cx = Diagrams(link).get({"dt": "Dt", "d1": "D1", "d0": "D0"}[diagram])
+        paths = minimal_paths(cx, INFINITY, link.fraction())
+        payload = {
+            "link": {"p": link.p, "q": link.q},
+            "diagram": cx.kind,
+            "vertices": [str(v) for v in cx.vertices()],
+            "edges": [{"type": e.etype, "tail": str(e.tail),
+                       "head": str(e.head), "matrix": str(e.g)}
+                      for e in cx.edges],
+            "paths": [{"vertices": [str(v) for v in p.vertices()],
+                       "edges": [f"{s.edge.etype}{'+' if s.sign > 0 else '-'}"
+                                 for s in p.steps]}
+                      for p in paths],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("pq", ["1/2", "3/8", "13/34", "1/40", "19/50"])
+    @pytest.mark.parametrize("diagram", ["dt", "d1", "d0"])
+    def test_json_dump_matches_json_dumps(self, capsys, pq, diagram):
+        rc, out, _ = run(capsys, "paths", "--pq", pq, "--diagram", diagram,
+                         "--format", "json")
+        assert rc == 0
+        assert out == self.json_oracle(pq, diagram)
 
 
 class TestOracleCheckCommand:

@@ -12,7 +12,8 @@ from twobridge.diagram import (ROT, SHIFT, Cell, Corner, DiagramComplex,
                                Diagrams, Edge, Quad, Step, TypedPath,
                                build_diagram, collapse, is_minimal,
                                minimal_paths, quad_chain)
-from twobridge.slopes import m_form, m_form_edgewise
+from twobridge.slopes import (_d1_pushes, delta_sum, m_form, m_form_edgewise,
+                              straighten)
 
 
 def frac(p, q):
@@ -243,6 +244,59 @@ class TestMinimalPaths:
         a = [str(p) for p in minimal_paths(d.dt, INFINITY, frac(13, 34))]
         b = [str(p) for p in minimal_paths(d.dt, INFINITY, frac(13, 34))]
         assert a == b
+
+
+def sums_reference(path):
+    """(k, a, b) of a Dt or D1 path from the step-by-step push code."""
+    if path.kind == "Dt":
+        rationals, ledger = straighten(path)
+        return (delta_sum(rationals), ledger.n0, ledger.n1)
+    seq, senses = _d1_pushes(path)
+    return (delta_sum(seq), senses.count(1), senses.count(-1))
+
+
+class TestPathSums:
+    def test_search_sums_equal_the_fold_through_14_crossings(self):
+        for link in enumerate_links(14):
+            d = Diagrams(link)
+            for cx in (d.dt, d.d1):
+                for path in minimal_paths(cx, INFINITY, link.fraction()):
+                    assert path._sums is not None
+                    assert path.sums == TypedPath(path.kind, path.steps).sums, (
+                        link, str(path))
+
+    @pytest.mark.parametrize("p,q", [(3, 8), (13, 34), (89, 144), (1, 40), (19, 50)])
+    def test_sums_equal_the_push_reference(self, p, q):
+        d = Diagrams(make_link(p, q))
+        for cx in (d.dt, d.d1):
+            for path in minimal_paths(cx, INFINITY, frac(p, q)):
+                assert path.sums == sums_reference(path), str(path)
+
+    def test_paths_from_a_midpoint(self):
+        # The fold starts with no rational vertex, as straightening does.
+        d = Diagrams(make_link(13, 34))
+        starts = [v for v in d.dt.vertices() if isinstance(v, Corner)]
+        for start in starts[:6]:
+            paths = minimal_paths(d.dt, start, frac(13, 34))
+            assert paths
+            for path in paths:
+                assert path.start == start
+                assert path.sums == sums_reference(path)
+                assert path.sums == TypedPath("Dt", path.steps).sums
+                m_form(path)        # parities hold from a midpoint too
+
+    def test_d0_paths_have_no_sums(self):
+        d = Diagrams(make_link(3, 8))
+        for path in minimal_paths(d.d0, INFINITY, frac(3, 8)):
+            with pytest.raises(ValueError, match="no straightening sums"):
+                path.sums
+
+    def test_sums_stay_out_of_equality_and_repr(self):
+        d = Diagrams(make_link(3, 8))
+        path = minimal_paths(d.dt, INFINITY, frac(3, 8))[0]
+        copy = TypedPath("Dt", path.steps)
+        assert copy == path and hash(copy) == hash(path)
+        assert repr(copy) == repr(path) and "sums" not in repr(path)
 
 
 class TestCollapse:

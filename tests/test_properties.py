@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twobridge.arith import (INFINITY, ContFrac, Frac, TwoBridgeLink,
                              canonical_rep, cf_positive, crossing_number,
                              linking_number, make_link)
 from twobridge.diagram import Diagrams, Step, TypedPath, minimal_paths
-from twobridge.slopes import slope_families
+from twobridge.slopes import (m_form, m_form_edgewise, s_form_symbolic,
+                              slope_families)
 
 
 # Links generated through their positive expansions, so the crossing
@@ -162,3 +164,49 @@ def test_path_search_matches_recursive_reference(link):
     for cx in (d.dt, d.d1):
         got = minimal_paths(cx, INFINITY, link.fraction())
         assert got == reference_paths(cx, INFINITY, link.fraction())
+
+
+def check_forms_and_sums(link):
+    """Push against edgewise on every Dt path and every t = 1 path
+    through an odd diagonal, and the sums the search fills in against a
+    hand-built copy of each path; returns the two path counts."""
+    d = Diagrams(link)
+    counts = []
+    for cx in (d.dt, d.d1):
+        paths = minimal_paths(cx, INFINITY, link.fraction())
+        for path in paths:
+            assert path.sums == TypedPath(path.kind, path.steps).sums, str(path)
+        if cx.kind == "Dt":
+            for path in paths:
+                assert m_form(path) == m_form_edgewise(path), str(path)
+        else:
+            paths = [p for p in paths if "C" in p.edge_types()]
+            for path in paths:
+                assert s_form_symbolic(path) == m_form_edgewise(path), str(path)
+        counts.append(len(paths))
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(links(max_crossings=24))
+def test_push_matches_edgewise_past_twelve_crossings(link):
+    check_forms_and_sums(link)
+
+
+def chain_link(*terms):
+    value = ContFrac((0,) + terms).value()
+    return make_link(value.num, value.den)
+
+
+# [1, ..., 1, 2] (all paths through fans of two), [2, m, 2] and 1/n
+# (long chains with few paths).
+@pytest.mark.parametrize("link,counts", [
+    (chain_link(*[1] * 18, 2), [828, 257]),
+    (chain_link(*[1] * 21, 2), [2293, 607]),
+    (chain_link(2, 40, 2), [6, 1]),
+    (chain_link(2, 101, 2), [6, 1]),
+    (make_link(1, 24), [3, 0]),
+    (make_link(1, 300), [3, 0]),
+], ids=["1^18-2", "1^21-2", "2-40-2", "2-101-2", "1/24", "1/300"])
+def test_push_matches_edgewise_on_long_chains(link, counts):
+    assert check_forms_and_sums(link) == counts

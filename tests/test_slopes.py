@@ -62,11 +62,16 @@ class TestMForm:
         got = Counter(m_form(p) for p in dt_paths(surgery_link(k)))
         assert got == expected_surgery_mforms(k)
 
-    def test_straighten_ledger_nonnegative(self):
+    def test_straighten_ledger_bounded_by_crossings(self):
+        # Each C (D) step moves n0 (n1) by one, either way; the
+        # rectangle is never crossed.
         for p in dt_paths(make_link(13, 34)):
             _, ledger = straighten(p)
-            assert min(ledger.n0p, ledger.n0m, ledger.n1p, ledger.n1m,
-                       ledger.n4p, ledger.n4m) >= 0
+            types = p.edge_types()
+            for count, etype in ((ledger.n0, "C"), (ledger.n1, "D")):
+                assert abs(count) <= types.count(etype)
+                assert (count - types.count(etype)) % 2 == 0
+            assert ledger.n4 == 0
 
     def test_one_pass_matches_straighten_then_sum(self):
         # m_form fuses these two passes; the cell values are those of
@@ -75,7 +80,7 @@ class TestMForm:
             for path in dt_paths(make_link(p, q)):
                 rationals, ledger = straighten(path)
                 k = delta_sum(rationals)
-                n0, n1, n4 = ledger.counts()
+                n0, n1, n4 = ledger.n0, ledger.n1, ledger.n4
                 assert m_form(path) == MForm(k - n1, n1 - 2 * n4,
                                              k - n1 - 2 * n0 + 4 * n4)
 
