@@ -357,7 +357,8 @@ class DiagramComplex:
         self._verts: list[Vertex] = []
         self._index: dict[tuple[int, int], int] = {}
         self._ends: list[int] = []
-        self._collapsed: dict[Step, Step | None] = {}   # see collapse()
+        self._collapsed: dict[int, Step | None] = {}    # see collapse()
+        self._collapsed_sources: list[Step] = []
 
     # -- construction ------------------------------------------------
 
@@ -636,13 +637,28 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
 
     Midpoints slide to the odd endpoint of their side in D1 and to the
     even endpoint in D0; edges whose endpoints merge disappear.  Each
-    step's image is remembered on the target, so a step shared by many
-    paths is projected once.
+    step's image is remembered on the target, keyed by the identity of
+    the source step: ``_collapsed`` maps ``id(step)`` to the image, the
+    target's own Step object ``target._steps[t]``, or to None when the
+    step's endpoints merge.  ``_collapsed_sources`` keeps every step
+    keyed, so no id is reused while the memo lives.  A step shared by
+    many paths (the search hands out one Step per traversal) is
+    projected once, and two collapsed paths are equal exactly when
+    their steps are the same objects.
     """
     if path.kind != "Dt":
         raise ValueError("only Dt paths collapse")
     if target.kind not in ("D1", "D0"):
         raise ValueError("collapse target must be D1 or D0")
+    images = target._collapsed
+    try:
+        # A display, not tuple(): tuple() of an iterator with no length
+        # hint reaches its size by resizing, which leaves the freed
+        # tuples piling up in CPython's per-size free lists.
+        return TypedPath(target.kind, (
+            *filter(None, map(images.__getitem__, map(id, path.steps))),))
+    except KeyError:
+        pass
     parity = 1 if target.kind == "D1" else 0
 
     def project(v: Vertex) -> Frac:
@@ -650,14 +666,21 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
             return v
         return v.lo if v.lo.den % 2 == parity else v.hi
 
-    images = target._collapsed
+    keep = target._collapsed_sources
     steps: list[Step] = []
     for step in path.steps:
-        image = images.get(step, step)      # a step is never its own image
-        if image is step:
+        key = id(step)
+        if key in images:
+            image = images[key]
+        else:
             src, dst = project(step.source), project(step.target)
-            image = None if src == dst else Step(*target.edge_between(src, dst))
-            images[step] = image
+            if src == dst:
+                image = None
+            else:
+                idx = target._edge_index(src, dst)
+                image = target._steps[2 * idx + (target.edges[idx].tail != src)]
+            images[key] = image
+            keep.append(step)
         if image is not None:
             steps.append(image)
     return TypedPath(target.kind, tuple(steps))

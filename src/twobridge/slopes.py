@@ -298,6 +298,13 @@ def _crosses_diagonal(path: TypedPath) -> bool:
     return pos + neg > 0
 
 
+def _one_per_sums(paths: list[TypedPath]):
+    """One path for each distinct ``sums`` among paths that share their
+    endpoints: ``m_form`` and ``s_form`` read nothing else, so the forms
+    of these paths are the forms of all of them."""
+    return {p.sums: p for p in paths}.values()
+
+
 class OracleReport(NamedTuple):
     """Both slope algorithms compared on every minimal path of one link:
     the number of Dt paths and of t = 1 paths through an odd diagonal
@@ -410,24 +417,32 @@ def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     diagrams = Diagrams(link)
     target = link.fraction()
     l = linking_number(link)
+    d1 = diagrams.d1
     diagnostics: list[str] = []
 
     dt_paths = minimal_paths(diagrams.dt, INFINITY, target)
-    mraw = sorted({m_form(p) for p in dt_paths})
+    mraw = sorted({m_form(p) for p in _one_per_sums(dt_paths)})
     mpref = sorted({to_preferred(m, l) for m in mraw})
 
-    d1_paths = minimal_paths(diagrams.d1, INFINITY, target)
+    d1_paths = minimal_paths(d1, INFINITY, target)
     c_paths = [p for p in d1_paths if _crosses_diagonal(p)]
-    sraw = sorted({s_form(p) for p in c_paths})
+    sraw = sorted({s_form(p) for p in _one_per_sums(c_paths)})
     spref = sorted({to_preferred(s, l) for s in sraw})
 
-    # Steps and vertex sequences of these paths determine each other:
-    # two vertices of D1 bound at most one edge, and no path is empty.
-    limits = {collapse(p, diagrams.d1).steps for p in dt_paths}
-    for p in c_paths:
-        if p.steps not in limits:
-            diagnostics.append(
-                f"t=1 path not a limit of any deformed minimal path: {p}")
+    # Every t = 1 path through an odd diagonal must be the limit of some
+    # Dt path.  The search and collapse both hand out the complex's one
+    # Step object per traversal, so two of these paths are equal exactly
+    # when their steps are the same objects: a path is keyed by the ids
+    # of its steps, and each collapsed Dt path strikes its key off.  The
+    # keys are tuple displays for the reason given in collapse().
+    unmatched = {(*map(id, p.steps),) for p in c_paths}
+    for p in dt_paths:
+        unmatched.discard((*map(id, collapse(p, d1).steps),))
+    if unmatched:
+        for p in c_paths:
+            if (*map(id, p.steps),) in unmatched:
+                diagnostics.append(
+                    f"t=1 path not a limit of any deformed minimal path: {p}")
 
     families: list[SlopeFamily] = []
     for form in mpref:

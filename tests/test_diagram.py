@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -256,14 +257,13 @@ def sums_reference(path):
 
 
 class TestPathSums:
-    def test_search_sums_equal_the_fold_through_14_crossings(self):
-        for link in enumerate_links(14):
-            d = Diagrams(link)
-            for cx in (d.dt, d.d1):
-                for path in minimal_paths(cx, INFINITY, link.fraction()):
+    def test_search_sums_equal_the_fold_through_14_crossings(self, paths_through_14):
+        for r in paths_through_14:
+            for paths in (r.dt, r.d1):
+                for path in paths:
                     assert path._sums is not None
                     assert path.sums == TypedPath(path.kind, path.steps).sums, (
-                        link, str(path))
+                        r.link, str(path))
 
     @pytest.mark.parametrize("p,q", [(3, 8), (13, 34), (89, 144), (1, 40), (19, 50)])
     def test_sums_equal_the_push_reference(self, p, q):
@@ -337,6 +337,70 @@ class TestCollapse:
         paths = minimal_paths(d.dt, INFINITY, frac(7, 16))
         limits = {tuple(collapse(p, d.d1).vertices()) for p in paths}
         assert (INFINITY, frac(1, 1), frac(1, 2), frac(4, 9), frac(7, 16)) in limits
+
+
+def projected(path, target):
+    """``collapse`` by value: every step's endpoints projected and the
+    joining edge looked up, with no memo."""
+    parity = 1 if target.kind == "D1" else 0
+
+    def project(v):
+        if isinstance(v, Frac):
+            return v
+        return v.lo if v.lo.den % 2 == parity else v.hi
+
+    steps = []
+    for step in path.steps:
+        src, dst = project(step.source), project(step.target)
+        if src != dst:
+            steps.append(Step(*target.edge_between(src, dst)))
+    return TypedPath(target.kind, tuple(steps))
+
+
+def fresh_copy(path):
+    """The path rebuilt from new Step and Edge objects equal to its own."""
+    return TypedPath(path.kind, tuple(Step(Edge(*s.edge), s.sign)
+                                      for s in path.steps))
+
+
+class TestCollapseByIdentity:
+    """``collapse`` remembers images by the identity of the source step;
+    its results must still be those of the projection by value."""
+
+    LONG = {"6765-10946": (6765, 10946), "2-40-2": (81, 164)}
+
+    def test_equals_the_projection_by_value(self, paths_through_12):
+        cases = [(r.diagrams, r.dt) for r in paths_through_12]
+        for p, q in self.LONG.values():
+            d = Diagrams(make_link(p, q))
+            cases.append((d, minimal_paths(d.dt, INFINITY, frac(p, q))))
+        for d, paths in cases:
+            for target in (d.d1, d.d0):
+                canonical = set(map(id, target._steps))
+                for path in paths:
+                    down = collapse(path, target)
+                    assert down == projected(path, target), (d.link, str(path))
+                    assert all(id(s) in canonical for s in down.steps)
+                    assert collapse(path, target) == down      # from the memo
+
+    @pytest.mark.parametrize("kind", ["D1", "D0"])
+    @pytest.mark.parametrize("p,q", LONG.values(), ids=LONG.keys())
+    def test_fresh_copies_collapse_equal(self, p, q, kind):
+        d = Diagrams(make_link(p, q))
+        target = d.get(kind)
+        paths = minimal_paths(d.dt, INFINITY, frac(p, q))
+        expected = [collapse(path, target) for path in paths]
+        # Each copy is freed after its call, so the next copy's steps
+        # may sit at its addresses.
+        assert [collapse(fresh_copy(path), target) for path in paths] == expected
+        # The same once the originals are gone as well.
+        values = [[(tuple(s.edge), s.sign) for s in path.steps] for path in paths]
+        del paths
+        del d._built["Dt"]
+        gc.collect()
+        copies = [TypedPath("Dt", tuple(Step(Edge(*e), sign) for e, sign in v))
+                  for v in reversed(values)]
+        assert [collapse(copy, target) for copy in copies] == expected[::-1]
 
 
 class TestPathConfinement:

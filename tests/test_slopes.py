@@ -2,9 +2,10 @@ from collections import Counter
 
 import pytest
 
-from twobridge.arith import (Frac, GMat, INFINITY, enumerate_links,
-                             linking_number, make_link)
-from twobridge.diagram import Diagrams, collapse, minimal_paths
+from twobridge import slopes
+from twobridge.arith import (Frac, GMat, INFINITY, linking_number,
+                             make_link)
+from twobridge.diagram import Diagrams, TypedPath, collapse, minimal_paths
 from twobridge.slopes import (MForm, SForm, SlopeFamily, delta_sum, m_form,
                               m_form_edgewise, s_form, s_form_symbolic,
                               slope_families, straighten, to_preferred)
@@ -163,18 +164,57 @@ class TestTrackContributions:
 
 
 class TestLimitCheck:
-    def test_membership_by_steps_matches_vertices(self):
+    def test_membership_by_steps_matches_vertices(self, paths_through_12):
         # slope_families tests each t = 1 path for being a limit by its
         # steps; by its vertex sequence the answer must be the same.
-        for link in enumerate_links(12):
-            d = Diagrams(link)
-            dt = minimal_paths(d.dt, INFINITY, link.fraction())
-            by_steps = {collapse(p, d.d1).steps for p in dt}
-            by_vertices = {tuple(collapse(p, d.d1).vertices()) for p in dt}
-            assert len(by_steps) == len(by_vertices), link
-            for path in minimal_paths(d.d1, INFINITY, link.fraction()):
+        for r in paths_through_12:
+            d1 = r.diagrams.d1
+            by_steps = {collapse(p, d1).steps for p in r.dt}
+            by_vertices = {tuple(collapse(p, d1).vertices()) for p in r.dt}
+            assert len(by_steps) == len(by_vertices), r.link
+            for path in r.d1:
                 assert (path.steps in by_steps) == (
-                    tuple(path.vertices()) in by_vertices), (link, str(path))
+                    tuple(path.vertices()) in by_vertices), (r.link, str(path))
+
+    def test_a_wrong_limit_is_reported(self, monkeypatch):
+        real_collapse = slopes.collapse
+
+        def drop_first_step(path, target):
+            down = real_collapse(path, target)
+            return TypedPath(down.kind, down.steps[1:])
+
+        monkeypatch.setattr(slopes, "collapse", drop_first_step)
+        link = make_link(13, 34)
+        c_paths = d1_c_paths(link)
+        assert len(c_paths) > 1
+        assert [d for d in slope_families(link).diagnostics if "not a limit" in d] == [
+            f"t=1 path not a limit of any deformed minimal path: {p}" for p in c_paths]
+
+
+class TestAgainstEveryPath:
+    """slope_families evaluates the forms once per distinct sums and
+    probes the limits by step identity; both must give what every path
+    gives."""
+
+    @staticmethod
+    def check(result, dt, d1):
+        assert result.mforms_raw == tuple(sorted({m_form(p) for p in dt}))
+        assert result.sforms_raw == tuple(sorted(
+            {s_form(p) for p in d1 if "C" in p.edge_types()}))
+
+    def test_through_12_crossings(self, paths_through_12, families_through_12):
+        assert len(paths_through_12) == len(families_through_12)
+        for r, result in zip(paths_through_12, families_through_12):
+            assert result.link == r.link
+            self.check(result, r.dt, r.d1)
+            assert not [d for d in result.diagnostics if "not a limit" in d], r.link
+
+    def test_fibonacci_link(self):
+        link = make_link(6765, 10946)
+        d = Diagrams(link)
+        self.check(slope_families(link),
+                   minimal_paths(d.dt, INFINITY, link.fraction()),
+                   minimal_paths(d.d1, INFINITY, link.fraction()))
 
 
 class TestSForm:

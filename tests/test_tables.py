@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from test_properties import links
-from twobridge.arith import enumerate_links, make_link, rolfsen_name
+from twobridge.arith import make_link, rolfsen_name
 from twobridge.slopes import slope_families
 from twobridge.tables import (corpus_text, emit,
                               family_table_for_surgery_family, load_corpus,
@@ -162,8 +162,8 @@ def json_oracle(results):
 
 
 class TestJsonMatchesOracle:
-    def test_every_link_through_twelve(self):
-        results = [slope_families(link) for link in enumerate_links(12)]
+    def test_every_link_through_twelve(self, families_through_12):
+        results = families_through_12
         assert emit(results, "json") == json_oracle(results)
         for r in results:
             assert emit([r], "json") == json_oracle([r])
