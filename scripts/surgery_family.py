@@ -8,11 +8,13 @@ Usage: python scripts/surgery_family.py [KMAX]
 
 import sys
 
-from twobridge.tables import family_table_for_surgery_family, render_family
+from twobridge.arith import make_link
+from twobridge.slopes import slope_families
+from twobridge.tables import render_family
 
 
 def describe(k: int) -> None:
-    result = family_table_for_surgery_family(k)
+    result = slope_families(make_link(4 * k - 1, 8 * k))
     link = result.link
     print(f"k = {k}: link {link}, linking number {result.linking_number}")
     for fam in result.families:

@@ -77,10 +77,6 @@ class GMat(NamedTuple):
             a, b, c, d = -a, -b, -c, -d
         return GMat(a, b, c, d)
 
-    @property
-    def in_even_subgroup(self) -> bool:
-        return self.c % 2 == 0
-
     def __mul__(self, other: "GMat") -> "GMat":
         a, b, c, d = self
         e, f, g, h = other

@@ -29,6 +29,18 @@ class UsageError(Exception):
     pass
 
 
+def _crossing_bound(text: str) -> int:
+    """A --max-crossings value: no link diagram has fewer than 2
+    crossings, so a lower bound would check or list nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
 def _cmd_slopes(args) -> int:
     link = _parse_pq(args.pq)
     result = slope_families(link)
@@ -137,20 +149,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_slopes)
 
     p = sub.add_parser("enumerate", help="list link types by crossing number")
-    p.add_argument("--max-crossings", type=int, required=True)
+    p.add_argument("--max-crossings", type=_crossing_bound, required=True)
     p.add_argument("--identify-mirrors", action=argparse.BooleanOptionalAction,
                    default=True)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("table", help="slope tables for all links up to a bound")
-    p.add_argument("--max-crossings", type=int, required=True)
+    p.add_argument("--max-crossings", type=_crossing_bound, required=True)
     p.add_argument("--format", default="text",
                    choices=["text", "json", "csv", "tex"])
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="check computed slopes against the "
                                       "embedded reference tables")
-    p.add_argument("--max-crossings", type=int, default=10)
+    p.add_argument("--max-crossings", type=_crossing_bound, default=10)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("paths", help="dump minimal edge paths")
@@ -161,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="compare the two independent "
                                             "slope computations path by path")
-    p.add_argument("--max-crossings", type=int, default=10)
+    p.add_argument("--max-crossings", type=_crossing_bound, default=10)
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

@@ -332,13 +332,13 @@ _CELL_SHAPES = {
 class DiagramComplex:
     """Vertices, typed edges and 2-cells of one diagram over a chain.
 
-    Vertices are numbered in the order they are first seen; ``_ids`` and
-    ``_verts`` map between a vertex and its id, and ``_index`` maps the
-    (lower, higher) id pair of an edge's endpoints to the edge.  Cell j
-    of quadrilateral i is cell i * (cells per quadrilateral) + j, in the
-    order of ``_CELL_SHAPES``; ``edge_cells[e]`` holds the cells of edge
-    e.  Traversals are numbered 2*e (edge e tail to head) and 2*e + 1
-    (head to tail); traversal t leaves vertex ``_ends[t]``, and
+    ``_ids`` numbers the vertices in the order they are first seen, so
+    its keys list them by id; ``_index`` maps the (lower, higher) id
+    pair of an edge's endpoints to the edge.  Cell j of quadrilateral i
+    is cell i * (cells per quadrilateral) + j, in the order of
+    ``_CELL_SHAPES``; ``edge_cells[e]`` holds the cells of edge e.
+    Traversals are numbered 2*e (edge e tail to head) and 2*e + 1 (head
+    to tail); traversal t leaves vertex ``_ends[t]``, and
     ``_steps[t]`` and ``_heads[t]`` are its Step and the id of the
     vertex it reaches.  ``_out[v]`` lists the traversals leaving vertex
     v in the order the path search tries them.  ``_next`` is the
@@ -354,7 +354,6 @@ class DiagramComplex:
         self.edges: list[Edge] = []
         self._edge_cells: list[list[int]] = []
         self._ids: dict[Vertex, int] = {}
-        self._verts: list[Vertex] = []
         self._index: dict[tuple[int, int], int] = {}
         self._ends: list[int] = []
         self._collapsed: dict[int, Step | None] = {}    # see collapse()
@@ -365,8 +364,7 @@ class DiagramComplex:
     def _new_vertex(self, v: Vertex) -> int:
         if v in self._ids:
             raise RuntimeError(f"vertex {v} of {self.kind} numbered twice")
-        vid = self._ids[v] = len(self._verts)
-        self._verts.append(v)
+        vid = self._ids[v] = len(self._ids)
         return vid
 
     def _quad_ids(self, quad: Quad) -> tuple[int, int, int, int, int | None]:
@@ -431,7 +429,7 @@ class DiagramComplex:
         self._next: list[tuple[int, ...] | None] = [None] * len(ends)
         # Vertex order: rationals by value, then midpoints by their two
         # endpoints.
-        verts = self._verts
+        verts = list(self._ids)
         rationals = sorted((v for v in verts if isinstance(v, Frac)), key=Frac.key)
         value_rank = {v: i for i, v in enumerate(rationals)}
         corners = sorted((v for v in verts if isinstance(v, Corner)),
@@ -463,9 +461,6 @@ class DiagramComplex:
 
     def vertices(self) -> list[Vertex]:
         return list(self._order)
-
-    def rational_vertices(self) -> list[Frac]:
-        return [v for v in self._order if isinstance(v, Frac)]
 
     def _edge_index(self, u: Vertex, v: Vertex) -> int:
         try:

@@ -272,10 +272,7 @@ def s_form(path: TypedPath) -> SForm:
     k, pos, neg = path.sums
     x = k - pos + neg
     y = pos + neg
-    if path.start == INFINITY and isinstance(path.end, Frac):
-        q = path.end.den
-        if (x + y - 1 - q) % 2:
-            raise RuntimeError(f"parity x + y = 1 + q mod 2 violated on {path}")
+    _check_parities(x, y, x, path)
     return SForm(x, y)
 
 
@@ -347,11 +344,7 @@ def to_preferred(form, l: int):
 
 # -- slope families -------------------------------------------------------
 
-_BRANCH_RANK = {"T": 0, "endpoint": 1, "S": 2}
-
-
-@dataclass(frozen=True, order=False)
-class SlopeFamily:
+class SlopeFamily(NamedTuple):
     """One family of boundary-slope pairs.
 
     branch 'T': coeffs (X, Y, Z) meaning (X + Y/t, Y*t + Z) on the stored
@@ -364,23 +357,6 @@ class SlopeFamily:
     coeffs: tuple[int, ...]
     domain: tuple[str, str]
     phi: str = "none"
-
-    def sort_key(self):
-        return (_BRANCH_RANK[self.branch], self.coeffs, self.domain, self.phi)
-
-
-def _families_for_mform(form: MForm) -> list[SlopeFamily]:
-    x, y, z = form
-    out = []
-    if x == z:
-        out.append(SlopeFamily("T", (x, y, z), ("0", "inf")))
-    else:
-        out.append(SlopeFamily("T", (x, y, z), ("1", "inf")))
-        out.append(SlopeFamily("T", (z, y, x), ("0", "1")))
-    if y == 0:
-        out.append(SlopeFamily("endpoint", (x,), ("inf", "inf"), phi="second"))
-        out.append(SlopeFamily("endpoint", (x,), ("0", "0"), phi="first"))
-    return out
 
 
 @dataclass(frozen=True)
@@ -418,16 +394,17 @@ def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     target = link.fraction()
     l = linking_number(link)
     d1 = diagrams.d1
-    diagnostics: list[str] = []
 
     dt_paths = minimal_paths(diagrams.dt, INFINITY, target)
     mraw = sorted({m_form(p) for p in _one_per_sums(dt_paths)})
-    mpref = sorted({to_preferred(m, l) for m in mraw})
+    # The shift to the preferred longitudes keeps forms distinct and in
+    # order.
+    mpref = [to_preferred(m, l) for m in mraw]
 
     d1_paths = minimal_paths(d1, INFINITY, target)
     c_paths = [p for p in d1_paths if _crosses_diagonal(p)]
     sraw = sorted({s_form(p) for p in _one_per_sums(c_paths)})
-    spref = sorted({to_preferred(s, l) for s in sraw})
+    spref = [to_preferred(s, l) for s in sraw]
 
     # Every t = 1 path through an odd diagonal must be the limit of some
     # Dt path.  The search and collapse both hand out the complex's one
@@ -435,25 +412,27 @@ def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     # when their steps are the same objects: a path is keyed by the ids
     # of its steps, and each collapsed Dt path strikes its key off.  The
     # keys are tuple displays for the reason given in collapse().
-    unmatched = {(*map(id, p.steps),) for p in c_paths}
+    unmatched = {(*map(id, p.steps),): p for p in c_paths}
     for p in dt_paths:
-        unmatched.discard((*map(id, collapse(p, d1).steps),))
-    if unmatched:
-        for p in c_paths:
-            if (*map(id, p.steps),) in unmatched:
-                diagnostics.append(
-                    f"t=1 path not a limit of any deformed minimal path: {p}")
+        unmatched.pop((*map(id, collapse(p, d1).steps),), None)
+    diagnostics = [f"t=1 path not a limit of any deformed minimal path: {p}"
+                   for p in unmatched.values()]
 
-    families: list[SlopeFamily] = []
-    for form in mpref:
-        families.extend(_families_for_mform(form))
-        if form.y != 0:
-            diagnostics.append(
-                f"family {form}: slope on the second component is unbounded "
-                f"as t -> inf; no endpoint entry emitted")
-    for s in spref:
-        families.append(SlopeFamily("S", tuple(s), ("-1", "1")))
-    families.sort(key=SlopeFamily.sort_key)
+    # Families print T first, then endpoints, then S; within a branch
+    # they sort as tuples.  spref is sorted already.
+    t_families: list[SlopeFamily] = []
+    endpoints: list[SlopeFamily] = []
+    for x, y, z in mpref:
+        if x == z:
+            t_families.append(SlopeFamily("T", (x, y, z), ("0", "inf")))
+        else:
+            t_families += (SlopeFamily("T", (x, y, z), ("1", "inf")),
+                           SlopeFamily("T", (z, y, x), ("0", "1")))
+        if y == 0:
+            endpoints += (SlopeFamily("endpoint", (x,), ("inf", "inf"), "second"),
+                          SlopeFamily("endpoint", (x,), ("0", "0"), "first"))
+    families = sorted(t_families) + sorted(endpoints)
+    families += [SlopeFamily("S", tuple(s), ("-1", "1")) for s in spref]
 
     return LinkSlopes(
         link=link,

@@ -16,8 +16,7 @@ import json
 import re
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import (TwoBridgeLink, canonical_rep, crossing_number, make_link,
-                    rolfsen_name)
+from .arith import TwoBridgeLink, rolfsen_name
 from .corpus_data import CORPUS
 from .slopes import LinkSlopes, SlopeFamily, slope_families
 
@@ -43,29 +42,28 @@ def _coord(const: int, coef: int, sym: str) -> str:
     return "".join(parts)
 
 
-def render_key(key: FamilyKey) -> str:
-    """Canonical text for a presentation family."""
+def _coords(key: FamilyKey) -> tuple[str, str]:
+    """The two slope coordinates of a presentation family, as text."""
     if key[0] == "T":
         _, x, y, z = key
-        return f"({_coord(x, y, 't^-1')},{_coord(z, y, 't')})"
+        return _coord(x, y, "t^-1"), _coord(z, y, "t")
     if key[0] == "S":
         _, x, y = key
-        return f"({_coord(x, y, 's')},{_coord(x, -y, 's')})"
+        return _coord(x, y, "s"), _coord(x, -y, "s")
     raise ValueError(f"cannot render {key!r}")
+
+
+def render_key(key: FamilyKey) -> str:
+    """Canonical text for a presentation family."""
+    return "(%s,%s)" % _coords(key)
 
 
 def render_family(fam: SlopeFamily) -> tuple[str, str]:
     """The two slope coordinates of a family, as text."""
-    if fam.branch == "T":
-        x, y, z = fam.coeffs
-        return (_coord(x, y, "t^-1"), _coord(z, y, "t"))
-    if fam.branch == "S":
-        x, y = fam.coeffs
-        return (_coord(x, y, "s"), _coord(x, -y, "s"))
     if fam.branch == "endpoint":
         (x,) = fam.coeffs
         return ("phi", str(x)) if fam.phi == "first" else (str(x), "phi")
-    raise ValueError(f"cannot render {fam!r}")
+    return _coords((fam.branch, *fam.coeffs))
 
 
 _TERM = re.compile(r"([+-]?)(\d*)(u|t|s)?$")
@@ -174,14 +172,6 @@ def verify_corpus(max_crossings: int = 10) -> TableReport:
     return TableReport(tuple(entries), matched, len(entries))
 
 
-def family_table_for_surgery_family(k: int) -> LinkSlopes:
-    """Slope families of the link (4k-1)/(8k), the 1/k surgery on one
-    component of the Borromean rings, in merged presentation."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    return slope_families(make_link(4 * k - 1, 8 * k))
-
-
 # -- serialization --------------------------------------------------------
 
 # The JSON output is the layout of ``json.dumps(payload, indent=2)``,
@@ -262,9 +252,7 @@ def _emit_tex(results: Sequence[LinkSlopes]) -> str:
              "\\hline", "\\hline"]
     for r in results:
         keys = sorted(r.presentation(), key=lambda k: (k[0] != "T", k[1:]))
-        cells = ["(%s,%s)" % tuple(_tex_coord(c) for c in
-                                   render_key(k)[1:-1].split(","))
-                 for k in keys]
+        cells = ["(%s,%s)" % tuple(map(_tex_coord, _coords(k))) for k in keys]
         prefix = ([rolfsen_name(r.link) or "", str(r.link)]
                   if named else [str(r.link)])
         first = True

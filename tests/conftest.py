@@ -5,6 +5,7 @@ from typing import Iterator, NamedTuple
 
 import pytest
 
+from twobridge import slopes
 from twobridge.arith import (INFINITY, TwoBridgeLink, crossing_number,
                              enumerate_links)
 from twobridge.diagram import Diagrams, TypedPath, minimal_paths
@@ -58,3 +59,16 @@ def families_through_12() -> list[LinkSlopes]:
     """``slope_families`` of every link through 12 crossings, in the
     order of ``enumerate_links(12)``, for the checks that read them."""
     return [slope_families(link) for link in enumerate_links(12)]
+
+
+@pytest.fixture
+def wrong_limits(monkeypatch):
+    """Breaks the limit check of ``slope_families``: every collapsed Dt
+    path loses its first step, so no t = 1 path is matched."""
+    real_collapse = slopes.collapse
+
+    def drop_first_step(path, target):
+        down = real_collapse(path, target)
+        return TypedPath(down.kind, down.steps[1:])
+
+    monkeypatch.setattr(slopes, "collapse", drop_first_step)

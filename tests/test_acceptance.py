@@ -14,7 +14,7 @@ from twobridge.arith import (INFINITY, crossing_number, enumerate_links,
 from twobridge.diagram import Diagrams, minimal_paths
 from twobridge.slopes import (MForm, SForm, m_form, oracle_check,
                               slope_families)
-from twobridge.tables import family_table_for_surgery_family, verify_corpus
+from twobridge.tables import verify_corpus
 
 
 def _timed(fn):
@@ -45,8 +45,8 @@ def test_criterion_2_full_table():
 
 def test_criterion_3_surgery_family():
     for k in (1, 2, 3):
-        result = family_table_for_surgery_family(k)
         link = make_link(4 * k - 1, 8 * k)
+        result = slope_families(link)
         assert result.link == link
 
         # Intersection forms, blackboard framing, one per minimal path.

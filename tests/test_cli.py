@@ -38,12 +38,23 @@ class TestSlopesCommand:
         assert data[0]["p"] == 3 and data[0]["q"] == 8
         assert len(data[0]["families"]) == 11
 
-    def test_diagnostics_go_to_stderr(self, capsys):
-        rc, out, err = run(capsys, "slopes", "--pq", "3/8")
+    @pytest.mark.parametrize("argv", [
+        ("slopes", "--pq", "3/8"),
+        ("table", "--max-crossings", "12"),
+    ])
+    def test_stderr_empty_when_nothing_is_unexpected(self, capsys, argv):
+        rc, _, err = run(capsys, *argv)
         assert rc == 0
-        assert "unbounded" in err
-        assert "unbounded" not in out
+        assert err == ""
 
+    def test_diagnostics_go_to_stderr(self, capsys, wrong_limits):
+        rc, out, err = run(capsys, "slopes", "--pq", "13/34")
+        assert rc == 0
+        notes = err.splitlines()
+        assert notes and all(
+            n.startswith("13/34: t=1 path not a limit of any deformed "
+                          "minimal path: ") for n in notes)
+        assert "not a limit" not in out
 
     def test_deep_chain_answers(self, capsys):
         # 1200 crossings: paths of about 1800 steps.
@@ -179,3 +190,14 @@ class TestUsage:
 
     def test_bad_flag(self, capsys):
         assert main(["slopes", "--nope"]) == 2
+
+    @pytest.mark.parametrize("command", ["enumerate", "table", "verify",
+                                         "oracle-check"])
+    def test_crossing_bound_below_two(self, capsys, command):
+        # No link diagram has fewer than 2 crossings: a smaller bound is
+        # a usage error, not a crash and not a check of nothing.
+        for bound in ("1", "0", "-3"):
+            rc, out, err = run(capsys, command, "--max-crossings", bound)
+            assert rc == 2, bound
+            assert out == ""
+            assert "--max-crossings: must be at least 2" in err

@@ -2,10 +2,9 @@ from collections import Counter
 
 import pytest
 
-from twobridge import slopes
 from twobridge.arith import (Frac, GMat, INFINITY, linking_number,
                              make_link)
-from twobridge.diagram import Diagrams, TypedPath, collapse, minimal_paths
+from twobridge.diagram import Diagrams, collapse, minimal_paths
 from twobridge.slopes import (MForm, SForm, SlopeFamily, delta_sum, m_form,
                               m_form_edgewise, s_form, s_form_symbolic,
                               slope_families, straighten, to_preferred)
@@ -176,14 +175,7 @@ class TestLimitCheck:
                 assert (path.steps in by_steps) == (
                     tuple(path.vertices()) in by_vertices), (r.link, str(path))
 
-    def test_a_wrong_limit_is_reported(self, monkeypatch):
-        real_collapse = slopes.collapse
-
-        def drop_first_step(path, target):
-            down = real_collapse(path, target)
-            return TypedPath(down.kind, down.steps[1:])
-
-        monkeypatch.setattr(slopes, "collapse", drop_first_step)
+    def test_a_wrong_limit_is_reported(self, wrong_limits):
         link = make_link(13, 34)
         c_paths = d1_c_paths(link)
         assert len(c_paths) > 1
@@ -215,6 +207,47 @@ class TestAgainstEveryPath:
         self.check(slope_families(link),
                    minimal_paths(d.dt, INFINITY, link.fraction()),
                    minimal_paths(d.d1, INFINITY, link.fraction()))
+
+
+class TestFamilyAssembly:
+    """slope_families builds its families in output order.  The
+    reference is the assembly it replaced: the families of each form,
+    sorted by branch rank (T, endpoint, S) and then as tuples."""
+
+    RANK = {"T": 0, "endpoint": 1, "S": 2}
+
+    @staticmethod
+    def families_for_mform(form):
+        x, y, z = form
+        out = []
+        if x == z:
+            out.append(SlopeFamily("T", (x, y, z), ("0", "inf")))
+        else:
+            out.append(SlopeFamily("T", (x, y, z), ("1", "inf")))
+            out.append(SlopeFamily("T", (z, y, x), ("0", "1")))
+        if y == 0:
+            out.append(SlopeFamily("endpoint", (x,), ("inf", "inf"), phi="second"))
+            out.append(SlopeFamily("endpoint", (x,), ("0", "0"), phi="first"))
+        return out
+
+    def check(self, result):
+        l = result.linking_number
+        assert result.mforms == tuple(to_preferred(m, l) for m in result.mforms_raw)
+        assert result.sforms == tuple(to_preferred(s, l) for s in result.sforms_raw)
+        assert result.mforms == tuple(sorted(set(result.mforms)))
+        assert result.sforms == tuple(sorted(set(result.sforms)))
+        expected = [f for m in result.mforms for f in self.families_for_mform(m)]
+        expected += [SlopeFamily("S", tuple(s), ("-1", "1")) for s in result.sforms]
+        expected.sort(key=lambda f: (self.RANK[f.branch], f.coeffs, f.domain, f.phi))
+        assert result.families == tuple(expected), result.link
+        assert all(type(f.coeffs) is tuple for f in result.families)
+
+    def test_through_12_crossings(self, families_through_12):
+        for result in families_through_12:
+            self.check(result)
+
+    def test_fibonacci_link(self):
+        self.check(slope_families(make_link(6765, 10946)))
 
 
 class TestSForm:

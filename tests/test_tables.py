@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from test_properties import links
 from twobridge.arith import make_link, rolfsen_name
 from twobridge.slopes import slope_families
-from twobridge.tables import (corpus_text, emit,
-                              family_table_for_surgery_family, load_corpus,
-                              parse_family, render_key, verify_corpus)
+from twobridge.tables import (corpus_text, emit, load_corpus, parse_family,
+                              render_key, verify_corpus)
 
 
 class TestFamilyNotation:
@@ -71,20 +70,13 @@ class TestCorpus:
 
 
 class TestSurgeryFamilyTable:
-    def test_matches_direct_computation(self):
-        for k in range(1, 6):
-            direct = slope_families(make_link(4 * k - 1, 8 * k))
-            assert family_table_for_surgery_family(k) == direct
-
     def test_contracted_family_only_above_one(self):
-        # The merged (-2/t, -2t) family needs k > 1.
-        assert ("T", 0, -2, 0) not in family_table_for_surgery_family(1).presentation()
+        # The merged (-2/t, -2t) family of (4k-1)/(8k) needs k > 1.
+        def keys(k):
+            return slope_families(make_link(4 * k - 1, 8 * k)).presentation()
+        assert ("T", 0, -2, 0) not in keys(1)
         for k in (2, 3):
-            assert ("T", 0, -2, 0) in family_table_for_surgery_family(k).presentation()
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            family_table_for_surgery_family(0)
+            assert ("T", 0, -2, 0) in keys(k)
 
 
 @pytest.fixture(scope="module")
