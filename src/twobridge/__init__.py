@@ -11,9 +11,9 @@ from .arith import (ContFrac, Frac, GMat, INFINITY, TwoBridgeLink,
                     enumerate_links, linking_number, make_link, rolfsen_name)
 from .diagram import (Corner, Diagrams, Edge, Quad, TypedPath, build_diagram,
                       collapse, minimal_paths, quad_chain)
-from .slopes import (LinkSlopes, MForm, PushLedger, SForm, SlopeFamily,
-                     SymbolicM, delta_sum, m_form, m_form_edgewise, s_form,
-                     s_form_symbolic, slope_families, straighten, to_preferred)
+from .slopes import (LinkSlopes, MForm, SForm, SlopeFamily, SymbolicM, m_form,
+                     m_form_edgewise, s_form, s_form_symbolic, slope_families,
+                     to_preferred)
 from .tables import (TableReport, emit, parse_family, render_family,
                      verify_corpus)
 

@@ -14,15 +14,23 @@ from .arith import (INFINITY, crossing_number, enumerate_links, make_link,
                     rolfsen_name)
 from .diagram import Diagrams, minimal_paths
 from .slopes import oracle_check, slope_families
-from .tables import _json_array, _json_str, emit, verify_corpus
+from .tables import _json_array, _json_str, emit, render_families, verify_corpus
+
+_PQ_HELP = ("the link's fraction as two integers, such as 3/8; "
+            "write a negative P as --pq=-3/8")
 
 
 def _parse_pq(text: str):
+    p_str, _, q_str = text.partition("/")
     try:
-        p_str, q_str = text.split("/")
-        return make_link(int(p_str), int(q_str))
+        p, q = int(p_str), int(q_str)
+    except ValueError:
+        raise UsageError(f"--pq expects P/Q, two integers such as 3/8, "
+                         f"got {text!r}") from None
+    try:
+        return make_link(p, q)
     except ValueError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(str(exc)) from None
 
 
 class UsageError(Exception):
@@ -46,7 +54,11 @@ def _cmd_slopes(args) -> int:
     result = slope_families(link)
     for note in result.diagnostics:
         print(f"{link}: {note}", file=sys.stderr)
-    sys.stdout.write(emit([result], args.format).decode())
+    if args.format == "text":
+        text = render_families(result) + "\n"
+    else:
+        text = emit([result], args.format).decode()
+    sys.stdout.write(text)
     return 0
 
 
@@ -143,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("slopes", help="slope families of one link")
-    p.add_argument("--pq", required=True, metavar="P/Q")
+    p.add_argument("--pq", required=True, metavar="P/Q", help=_PQ_HELP)
     p.add_argument("--format", default="text",
                    choices=["text", "json", "csv", "tex"])
     p.set_defaults(func=_cmd_slopes)
@@ -166,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("paths", help="dump minimal edge paths")
-    p.add_argument("--pq", required=True, metavar="P/Q")
+    p.add_argument("--pq", required=True, metavar="P/Q", help=_PQ_HELP)
     p.add_argument("--diagram", default="dt", choices=["dt", "d0", "d1"])
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_paths)

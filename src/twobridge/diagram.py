@@ -57,9 +57,6 @@ from typing import NamedTuple
 
 from .arith import Frac, GMat, INFINITY, TwoBridgeLink, frac_cmp
 
-ROT = GMat.make(1, -1, 2, -1)    # half-turn of the base quadrilateral
-SHIFT = GMat.make(1, 1, 0, 1)    # next frame around the vertex 1/0
-
 
 class Corner(NamedTuple):
     """Rectangle vertex sitting on a quadrilateral side, shared with the
@@ -101,10 +98,13 @@ class Quad(NamedTuple):
     """One quadrilateral of the tiling, framed by a matrix with even b
     (each quadrilateral has exactly one such frame up to sign), with its
     four vertices and the frames of its sides computed once by
-    ``Quad.of`` (from g as ``GMat.make`` normalises it): the side
-    {p1, p2} is carried from the reference side by g, {p3, p1} by
-    gs = g*SHIFT, {p4, p3} by gr = g*ROT and {p2, p4} by
-    grs = g*ROT*SHIFT."""
+    ``Quad.of`` (from g as ``GMat.make`` normalises it).
+
+    The sides are numbered 0: {p1, p2}, 1: {p2, p4}, 2: {p4, p3} and
+    3: {p3, p1}.  Side 0 is carried from the reference side {1/0, 0/1}
+    by g, side 3 by gs = g*[[1, 1], [0, 1]] (the next frame around p1),
+    side 2 by gr = g*[[1, -1], [2, -1]] (the half-turn of the base
+    quadrilateral) and side 1 by grs = gr*[[1, 1], [0, 1]]."""
 
     g: GMat
     p1: Frac                       # even denominator
@@ -127,13 +127,9 @@ class Quad(NamedTuple):
     def vertices(self) -> tuple[Frac, Frac, Frac, Frac]:
         return (self.p1, self.p2, self.p3, self.p4)
 
-    def sides(self) -> tuple[tuple[Frac, Frac], ...]:
-        p1, p2, p3, p4 = self.vertices()
-        return ((p1, p2), (p2, p4), (p4, p3), (p3, p1))
-
 
 # Crossing side s of the base quadrilateral (sides numbered as in
-# Quad.sides) leads to the quadrilateral framed by M_s; the target then
+# Quad) leads to the quadrilateral framed by M_s; the target then
 # moves by M_s^-1.  Each entry is (M_s, M_s^-1), taken up to sign.
 _CROSSINGS = (
     ((-1, 0, 2, -1), (1, 0, 2, 1)),        # {1/0, 0/1}
@@ -177,9 +173,7 @@ class Edge(NamedTuple):
 
     ``g`` carries the reference edge of the class onto this edge; a path
     traverses the edge with sign +1 (tail to head) or -1.  ``detour`` is
-    the vertex the edge can be pushed across when eliminating it, and
-    ``cpair`` records, for the odd diagonals of D1, the (tail, head) of
-    the positive pushing sense.
+    the vertex the edge can be pushed across when eliminating it.
     """
 
     etype: str
@@ -187,23 +181,9 @@ class Edge(NamedTuple):
     head: Vertex
     g: GMat
     detour: Frac | None = None
-    cpair: tuple[Frac, Frac] | None = None
 
     def __str__(self) -> str:
         return f"{self.etype}:{self.tail}->{self.head}"
-
-
-class Cell(NamedTuple):
-    """A 2-cell in quadrilateral ``quad``: a corner triangle of Dt, the
-    rectangle, or a triangle of D1 or D0, named by the vertex it sits at."""
-
-    quad: int
-    shape: str                     # 'corner', 'rectangle' or 'triangle'
-    vertex: Frac | None = None
-
-    @property
-    def label(self) -> str:
-        return self.shape if self.vertex is None else f"{self.shape} {self.vertex}"
 
 
 class Step(NamedTuple):
@@ -221,27 +201,35 @@ class Step(NamedTuple):
         return self.edge.head if self.sign > 0 else self.edge.tail
 
 
-def _fold(steps, states: list) -> None:
+def _fold(steps, states: list, d1: bool) -> None:
     """The straightening fold: extend ``states``, whose last entry is the
-    state (k, a, b, prev) before ``steps``, by the state after each step.
+    state (k, a, b, num, den) before ``steps``, by the state after each
+    step; ``d1`` says the steps are on D1 rather than Dt.
 
     Straightening replaces every edge with a detour (a rectangle side of
     Dt, an odd diagonal of D1) by the two edges around its detour
     vertex.  k is the determinant sum over consecutive rational vertices
     of the straightened path so far (a pair with 1/0 adds nothing) and
-    prev its last rational vertex, or None before the first.  On Dt, a
-    and b are the signed counts of corner triangles crossed at even
-    vertices (C edges, counted against the grain) and at odd vertices
-    (D edges, with it).  On D1, a and b count the odd diagonals crossed
-    in their positive and in their negative pushing sense.
+    num/den its last rational vertex, with den 0 when that is 1/0 or
+    there is none yet.  On Dt, a and b are the signed counts of corner
+    triangles crossed at even vertices (C edges, counted against the
+    grain) and at odd vertices (D edges, with it).  On D1, a and b count
+    the odd diagonals crossed in their positive and in their negative
+    pushing sense.  A diagonal is built from p3 to p2 of its
+    quadrilateral and its positive sense runs from p2, so it is pushed
+    positively exactly when it is traversed backward.
+
+    ``tests/oracles.py`` keeps the step-by-step reference for these
+    sums: the path straightened into its rational vertices, their
+    determinant sum, and the diagonals' senses found from the geometry.
     """
-    k, a, b, prev = states[-1]
+    k, a, b, pn, pd = states[-1]
     append = states.append
     for edge, sign in steps:
         v = edge.detour
         if v is not None:
-            if edge.cpair is not None:
-                if (edge.tail if sign > 0 else edge.head) == edge.cpair[0]:
+            if d1:
+                if sign < 0:
                     a += 1
                 else:
                     b += 1
@@ -249,30 +237,35 @@ def _fold(steps, states: list) -> None:
                 a -= sign
             else:
                 b += sign
-            if prev is not None and prev.den and v.den:
-                k += prev.num * v.den - v.num * prev.den
-            prev = v
+            vn, vd = v
+            if pd and vd:
+                k += pn * vd - vn * pd
+            pn, pd = vn, vd
         v = edge.head if sign > 0 else edge.tail
         if isinstance(v, Frac):
-            if prev is not None and prev.den and v.den:
-                k += prev.num * v.den - v.num * prev.den
-            prev = v
-        append((k, a, b, prev))
+            vn, vd = v
+            if pd and vd:
+                k += pn * vd - vn * pd
+            pn, pd = vn, vd
+        append((k, a, b, pn, pd))
 
 
-def _fold_start(kind: str, start: Vertex) -> tuple:
+def _fold_start(kind: str, start: Vertex) -> tuple[int, int, int, int, int]:
     if kind == "D0":
         raise ValueError("D0 paths have no straightening sums: "
                          "the diagonals of D0 have no detour")
-    return (0, 0, 0, start if isinstance(start, Frac) else None)
+    if isinstance(start, Frac):
+        return (0, 0, 0, start.num, start.den)
+    return (0, 0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
 class TypedPath:
     """A vertex-to-vertex edge path in one of the three diagrams.
 
-    ``sums`` is the (k, a, b) of the straightening fold over the whole
-    path.  ``minimal_paths`` fills it in as it finds the path; a path
+    ``sums`` is the (k, a, b) of the straightening fold (``_fold``) over
+    the whole path: what ``m_form``, ``s_form`` and ``s_form_symbolic``
+    read.  ``minimal_paths`` fills it in as it finds the path; a path
     built otherwise folds its steps on first use.
     """
 
@@ -285,7 +278,7 @@ class TypedPath:
     def sums(self) -> tuple[int, int, int]:
         if self._sums is None:
             states = [_fold_start(self.kind, self.start)]
-            _fold(self.steps, states)
+            _fold(self.steps, states, self.kind == "D1")
             object.__setattr__(self, "_sums", states[-1][:3])
         return self._sums
 
@@ -319,24 +312,14 @@ class TypedPath:
 _TYPE_RANK = {"A": 0, "B": 1, "C": 2, "D": 3}
 
 
-# The cells of one quadrilateral in the order the builders number them:
-# (shape, position of the vertex in Quad.vertices(), or None).
-_CELL_SHAPES = {
-    "Dt": (("corner", 0), ("corner", 3), ("corner", 1), ("corner", 2),
-           ("rectangle", None)),
-    "D1": (("triangle", 0), ("triangle", 3)),
-    "D0": (("triangle", 1), ("triangle", 2)),
-}
-
-
 class DiagramComplex:
     """Vertices, typed edges and 2-cells of one diagram over a chain.
 
     ``_ids`` numbers the vertices in the order they are first seen, so
     its keys list them by id; ``_index`` maps the (lower, higher) id
     pair of an edge's endpoints to the edge.  Cell j of quadrilateral i
-    is cell i * (cells per quadrilateral) + j, in the order of
-    ``_CELL_SHAPES``; ``edge_cells[e]`` holds the cells of edge e.
+    is cell i * (cells per quadrilateral) + j, in the order each builder
+    gives; ``edge_cells[e]`` holds the cells of edge e.
     Traversals are numbered 2*e (edge e tail to head) and 2*e + 1 (head
     to tail); traversal t leaves vertex ``_ends[t]``, and
     ``_steps[t]`` and ``_heads[t]`` are its Step and the id of the
@@ -368,7 +351,7 @@ class DiagramComplex:
         return vid
 
     def _quad_ids(self, quad: Quad) -> tuple[int, int, int, int, int | None]:
-        """Ids of p1..p4 and the position in ``Quad.sides`` of the side
+        """Ids of p1..p4 and the number (as in ``Quad``) of the side
         the quadrilateral shares with the chain built so far (None for
         the first one).  The two vertices off that side get new ids."""
         ids, new = self._ids, self._new_vertex
@@ -400,8 +383,8 @@ class DiagramComplex:
 
     def _add_edges(self, shared: int | None, quad_edges) -> None:
         """File one quadrilateral's edges, each given as (edge, tail id,
-        head id, side, cells): side is the position of the edge's side
-        in ``Quad.sides``, or -1 for an edge inside the quadrilateral.
+        head id, side, cells): side is the number (as in ``Quad``) of the
+        edge's side, or -1 for an edge inside the quadrilateral.
         The edges on the side ``shared`` exist already and gain the
         cells; the others are new."""
         # No two distinct edges of one diagram join the same vertex pair,
@@ -452,12 +435,6 @@ class DiagramComplex:
             out.sort(key=keys.__getitem__)
 
     # -- queries -----------------------------------------------------
-
-    @property
-    def cells(self) -> list[Cell]:
-        shapes = _CELL_SHAPES[self.kind]
-        return [Cell(qi, shape, None if at is None else quad.vertices()[at])
-                for qi, quad in enumerate(self.chain) for shape, at in shapes]
 
     def vertices(self) -> list[Vertex]:
         return list(self._order)
@@ -514,7 +491,7 @@ def _build_d1(cx: DiagramComplex) -> None:
             (Edge("A", p4, p3, gr), i4, i3, 2, [c + 1]),
             (Edge("A", p1, p3, gs), i1, i3, 3, [c]),
             (Edge("C", p3, p2, _frame(g.a + g.b, g.b, g.c + g.d, g.d),
-                  detour=p1, cpair=(p2, p3)), i3, i2, -1, [c, c + 1]),
+                  detour=p1), i3, i2, -1, [c, c + 1]),
         ))
 
 
@@ -556,12 +533,10 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     Consecutive paths share most of their prefix, so the straightening
     fold (``TypedPath.sums``) runs along the search: ``states[d]`` is
     the fold state after the first d steps of the last path found, and
-    it still holds for the current prefix while ``pending[d]`` is the
-    frame it was folded under (``frames[d]``).  Finding a path folds
-    only the steps beyond the deepest state that still holds and drops
-    the states the search has backtracked past; a dead end folds
-    nothing, and backtracking costs nothing extra.  D0 paths have no
-    sums.
+    ``states[:good + 1]`` still hold for the current prefix.  Finding a
+    path folds only the steps beyond ``good`` and raises it to the
+    path's depth; backtracking to depth d lowers it to d at most.  A
+    dead end folds nothing.  D0 paths have no sums.
     """
     first, last = cx._ids.get(start), cx._ids.get(end)
     if first is None or last is None:
@@ -571,14 +546,14 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     found: list[TypedPath] = []
     kind, out, edge_cells = cx.kind, cx._out, cx.edge_cells
     heads, steps, table = cx._heads, cx._steps, cx._next
-    fold = kind != "D0"
+    fold, d1 = kind != "D0", kind == "D1"
     path: list[Step] = []
     ends: list[int] = []                  # vertex id reached by each step
     visited = bytearray(len(out))
     visited[first] = 1
     pending = [iter(out[first])]          # untried traversals per depth
     states = [_fold_start(kind, start)] if fold else []
-    frames = pending[:]                   # the pending entry of each state
+    good = 0
     while pending:
         for t in pending[-1]:
             nxt = heads[t]
@@ -586,13 +561,9 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
                 continue
             if nxt == last:
                 if fold:
-                    # The root frame never changes: the scan stops at 0.
-                    d = min(len(states) - 1, len(path))
-                    while frames[d] is not pending[d]:
-                        d -= 1
-                    del states[d + 1:], frames[d + 1:]
-                    _fold((*path[d:], steps[t]), states)
-                    frames += pending[d + 1:]
+                    del states[good + 1:]
+                    _fold((*path[good:], steps[t]), states, d1)
+                    good = len(path)
                     # The last step is not on the prefix: its state, the
                     # path's sums, comes off again.
                     found.append(TypedPath(kind, (*path, steps[t]), states.pop()[:3]))
@@ -614,17 +585,9 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
             if path:
                 path.pop()
                 visited[ends.pop()] = 0
+                if good > len(path):
+                    good = len(path)
     return found
-
-
-def is_minimal(cx: DiagramComplex, path: TypedPath) -> bool:
-    prev: frozenset[int] | None = None
-    for step in path.steps:
-        cells = cx.edge_cells[cx._edge_index(step.edge.tail, step.edge.head)]
-        if prev is not None and prev & cells:
-            return False
-        prev = cells
-    return True
 
 
 def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:

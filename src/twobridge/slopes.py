@@ -7,10 +7,12 @@ and beta (t = alpha/beta).  Two independent computations are provided:
 
 * ``m_form`` deforms the path to one made of side halves only, whose
   value is a determinant sum over its rational vertices, and corrects
-  for each cell the deformation pushed the path across.  These sums are
-  folded step by step (``TypedPath.sums``), and the path search folds
-  them over the prefixes its paths share, so ``m_form`` and ``s_form``
-  only combine three integers per path.
+  for each cell the deformation pushed the path across.  One fold over
+  the steps (``TypedPath.sums``) gives the sum and the push counts; the
+  path search runs it over the prefixes its paths share, so ``m_form``,
+  ``s_form`` and ``s_form_symbolic`` start from three integers per
+  path.  The step-by-step reference for that fold lives in the tests
+  (``tests/oracles.py``).
 * ``m_form_edgewise`` sums, edge by edge, the intersection of the
   pulled-back longitudes with the train track carried by that edge.
 
@@ -49,17 +51,6 @@ class SForm(NamedTuple):
     y: int
 
 
-@dataclass
-class PushLedger:
-    """Signed counts of cell crossings used to straighten a path: corner
-    triangles at even vertices (n0), at odd vertices (n1), and the
-    rectangle (n4)."""
-
-    n0: int = 0
-    n1: int = 0
-    n4: int = 0
-
-
 class SymbolicM(NamedTuple):
     """M with one free weight per odd diagonal of a t = 1 path:
     M1 = b1*beta + sum(n1[i] * n_i), M2 = b2*beta + sum(n2[i] * n_i)."""
@@ -68,25 +59,6 @@ class SymbolicM(NamedTuple):
     b2: int
     n1: tuple[int, ...]
     n2: tuple[int, ...]
-
-
-def delta_sum(path_or_vertices) -> int:
-    """Determinant sum over consecutive rational vertices.
-
-    Each consecutive pair contributes p_i*q_{i+1} - p_{i+1}*q_i, or 0
-    when either vertex is 1/0.  Accepts a path (its rational vertices
-    are used) or any sequence of fractions.
-    """
-    if isinstance(path_or_vertices, TypedPath):
-        verts = path_or_vertices.rationals()
-    else:
-        verts = list(path_or_vertices)
-    total = 0
-    for a, b in zip(verts, verts[1:]):
-        if a.den == 0 or b.den == 0:
-            continue
-        total += a.num * b.den - b.num * a.den
-    return total
 
 
 def _check_parities(x: int, y: int, z: int, path: TypedPath) -> None:
@@ -99,37 +71,6 @@ def _check_parities(x: int, y: int, z: int, path: TypedPath) -> None:
                 f"parity x + y = 1 + q mod 2 violated on {path}: {(x, y, z)}")
 
 
-def straighten(path: TypedPath) -> tuple[list[Frac], PushLedger]:
-    """Replace every rectangle-side edge by the two side halves around
-    its corner triangle, recording the crossings.
-
-    A C edge crossed with the grain of its triangle boundary counts
-    positively into n0, a D edge into n1; traversals against the grain
-    count negatively.  The result is the rational vertex sequence of the
-    straightened path.  This is the step-by-step reference for the fold
-    behind ``TypedPath.sums``.
-    """
-    if path.kind != "Dt":
-        raise ValueError("only Dt paths are straightened")
-    ledger = PushLedger()
-    seq: list = [path.start]
-    for step in path.steps:
-        etype = step.edge.etype
-        if etype in ("A", "B"):
-            seq.append(step.target)
-            continue
-        # Boundary of the corner triangle runs against a C edge and with
-        # a D edge, so the crossing sense differs by edge type.
-        if etype == "C":
-            ledger.n0 -= step.sign
-        else:
-            ledger.n1 += step.sign
-        seq.append(step.edge.detour)
-        seq.append(step.target)
-    rationals = [v for v in seq if isinstance(v, Frac)]
-    return rationals, ledger
-
-
 def m_form(path: TypedPath) -> MForm:
     """Intersection pair of a Dt path via straightening.
 
@@ -138,10 +79,10 @@ def m_form(path: TypedPath) -> MForm:
     cell: (0, -2*beta) at even vertices, (-alpha + beta, alpha - beta) at
     odd ones, (-2*beta, -2*alpha + 4*beta) for the rectangle.
 
-    Reads k, n0 and n1 from ``path.sums``, which hold what
-    ``straighten`` and ``delta_sum`` would compute; the path search
-    folds them over the prefixes consecutive paths share.  Straightening
-    never crosses the rectangle, so n4 = 0.
+    Reads k, n0 and n1 from ``path.sums``: the determinant sum of the
+    straightened path and the signed corner-triangle counts at even and
+    at odd vertices.  Straightening never crosses the rectangle, so
+    n4 = 0.
     """
     if path.kind != "Dt":
         raise ValueError("only Dt paths are straightened")
@@ -242,22 +183,6 @@ def m_form_edgewise(path: TypedPath):
     raise ValueError("edgewise computation handles Dt and D1 paths")
 
 
-def _d1_pushes(path: TypedPath) -> tuple[list[Frac], list[int]]:
-    if path.kind != "D1":
-        raise ValueError("s_form takes a D1 path")
-    seq: list[Frac] = [path.start]
-    senses: list[int] = []
-    for step in path.steps:
-        if step.edge.etype == "A":
-            seq.append(step.target)
-            continue
-        pos = step.edge.cpair
-        senses.append(1 if (step.source, step.target) == pos else -1)
-        seq.append(step.edge.detour)
-        seq.append(step.target)
-    return seq, senses
-
-
 def s_form(path: TypedPath) -> SForm:
     """One-parameter family value of a t = 1 path.
 
@@ -278,9 +203,13 @@ def s_form(path: TypedPath) -> SForm:
 
 def s_form_symbolic(path: TypedPath) -> SymbolicM:
     """The same push computation kept with one free weight per diagonal,
-    for comparison against the edgewise sum."""
-    seq, senses = _d1_pushes(path)
-    k = delta_sum(seq)
+    for comparison against the edgewise sum.  The determinant sum is
+    ``path.sums[0]``; a diagonal is pushed in its positive sense (+1)
+    exactly when it is traversed backward (see ``diagram._fold``)."""
+    if path.kind != "D1":
+        raise ValueError("s_form takes a D1 path")
+    k = path.sums[0]
+    senses = [-step.sign for step in path.steps if step.edge.etype == "C"]
     return SymbolicM(
         b1=k - 2 * sum(senses),
         b2=k,

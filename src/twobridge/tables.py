@@ -223,17 +223,19 @@ def _emit_csv(results: Sequence[LinkSlopes]) -> str:
     return out.getvalue()
 
 
+def render_families(r: LinkSlopes) -> str:
+    """The families of one link as one line of slope pairs."""
+    return "; ".join("(%s, %s)" % render_family(f) for f in r.families)
+
+
 def _emit_text(results: Sequence[LinkSlopes]) -> str:
+    """One line per link, labelled with its fraction and its name where
+    it has one."""
     lines = []
     for r in results:
-        pairs = ["(%s, %s)" % render_family(f) for f in r.families]
-        body = "; ".join(pairs)
-        if len(results) == 1:
-            lines.append(body)
-        else:
-            name = rolfsen_name(r.link)
-            label = f"{r.link}" + (f" ({name})" if name else "")
-            lines.append(f"{label}: {body}")
+        name = rolfsen_name(r.link)
+        label = f"{r.link}" + (f" ({name})" if name else "")
+        lines.append(f"{label}: {render_families(r)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,0 +1,119 @@
+"""Step-by-step references for what the engine computes in one pass.
+
+The engine gets the straightening sums of a path from one fold over its
+steps (``twobridge.diagram._fold``), which the path search runs over the
+prefixes its paths share.  The references here take one path at a time
+and follow the paper: straighten the path into its rational vertices,
+sum the determinants over them and count the cells it was pushed across.
+The sense of a D1 diagonal is found from the geometry, not from the
+traversal sign the fold reads.  Alongside are the frame matrices and
+side list of a quadrilateral and the minimality test of a path, which
+only the construction and path checks use.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from twobridge.arith import Frac, GMat
+
+ROT = GMat.make(1, -1, 2, -1)    # half-turn of the base quadrilateral
+SHIFT = GMat.make(1, 1, 0, 1)    # next frame around the vertex 1/0
+
+
+def sides(quad):
+    """The four sides of a quadrilateral, numbered as in ``Quad``."""
+    p1, p2, p3, p4 = quad.vertices()
+    return ((p1, p2), (p2, p4), (p4, p3), (p3, p1))
+
+
+def is_minimal(cx, path) -> bool:
+    """Whether no two consecutive steps of the path share a cell of cx."""
+    prev = None
+    for step in path.steps:
+        cells = cx.edge_cells[cx._edge_index(step.edge.tail, step.edge.head)]
+        if prev is not None and prev & cells:
+            return False
+        prev = cells
+    return True
+
+
+@dataclass
+class PushLedger:
+    """Signed counts of cell crossings used to straighten a path: corner
+    triangles at even vertices (n0), at odd vertices (n1), and the
+    rectangle (n4)."""
+
+    n0: int = 0
+    n1: int = 0
+    n4: int = 0
+
+
+def delta_sum(vertices) -> int:
+    """Determinant sum over consecutive rational vertices: each pair
+    contributes p_i*q_{i+1} - p_{i+1}*q_i, or 0 when either is 1/0."""
+    verts = list(vertices)
+    total = 0
+    for a, b in zip(verts, verts[1:]):
+        if a.den == 0 or b.den == 0:
+            continue
+        total += a.num * b.den - b.num * a.den
+    return total
+
+
+def straighten(path) -> tuple[list[Frac], PushLedger]:
+    """Replace every rectangle-side edge of a Dt path by the two side
+    halves around its corner triangle, recording the crossings.
+
+    A C edge crossed with the grain of its triangle boundary counts
+    positively into n0, a D edge into n1; traversals against the grain
+    count negatively.  The result is the rational vertex sequence of the
+    straightened path.
+    """
+    if path.kind != "Dt":
+        raise ValueError("only Dt paths are straightened")
+    ledger = PushLedger()
+    seq: list = [path.start]
+    for step in path.steps:
+        etype = step.edge.etype
+        if etype in ("A", "B"):
+            seq.append(step.target)
+            continue
+        # Boundary of the corner triangle runs against a C edge and with
+        # a D edge, so the crossing sense differs by edge type.
+        if etype == "C":
+            ledger.n0 -= step.sign
+        else:
+            ledger.n1 += step.sign
+        seq.append(step.edge.detour)
+        seq.append(step.target)
+    rationals = [v for v in seq if isinstance(v, Frac)]
+    return rationals, ledger
+
+
+def d1_pushes(path) -> tuple[list[Frac], list[int]]:
+    """The straightened vertex sequence of a D1 path and the sense of
+    each odd diagonal it pushes across its triangle at p1: +1 when the
+    step leaves the quadrilateral's p2, which is the second column of
+    the diagonal's frame, and -1 when it arrives there."""
+    if path.kind != "D1":
+        raise ValueError("s_form takes a D1 path")
+    seq: list[Frac] = [path.start]
+    senses: list[int] = []
+    for step in path.steps:
+        if step.edge.etype == "A":
+            seq.append(step.target)
+            continue
+        senses.append(1 if step.source == step.edge.g.col2() else -1)
+        seq.append(step.edge.detour)
+        seq.append(step.target)
+    return seq, senses
+
+
+def sums_reference(path) -> tuple[int, int, int]:
+    """(k, a, b) of a Dt or D1 path, as ``TypedPath.sums`` holds them."""
+    if path.kind == "Dt":
+        rationals, ledger = straighten(path)
+        return (delta_sum(rationals), ledger.n0, ledger.n1)
+    seq, senses = d1_pushes(path)
+    return (delta_sum(seq), senses.count(1), senses.count(-1))

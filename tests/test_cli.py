@@ -31,6 +31,24 @@ class TestSlopesCommand:
         rc, _, err = run(capsys, "slopes", "--pq", "banana")
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["slopes", "paths"])
+    @pytest.mark.parametrize("pq", ["1/2/3", "1/x", "3", "/"])
+    def test_malformed_pq_says_what_it_expects(self, capsys, command, pq):
+        rc, out, err = run(capsys, command, "--pq", pq)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --pq expects P/Q, two integers such as 3/8, got {pq!r}\n"
+
+    def test_negative_p_after_an_equals_sign(self, capsys):
+        # argparse takes the value in "--pq -3/8" for an option; the help
+        # says to write it with "=".
+        negative = run(capsys, "slopes", "--pq=-3/8")
+        assert negative == run(capsys, "slopes", "--pq", "5/8")
+        for command in ("slopes", "paths"):
+            rc, out, _ = run(capsys, command, "--help")
+            assert rc == 0
+            assert "--pq=-3/8" in " ".join(out.split())
+
     def test_json(self, capsys):
         rc, out, _ = run(capsys, "slopes", "--pq", "3/8", "--format", "json")
         assert rc == 0
@@ -61,6 +79,20 @@ class TestSlopesCommand:
         rc, out, _ = run(capsys, "slopes", "--pq", "1/1200")
         assert rc == 0
         assert out.startswith("(-600, -600); ")
+
+
+class TestTableCommand:
+    @pytest.mark.parametrize("bound", ["2", "3"])
+    def test_a_single_row_is_labelled(self, capsys, bound):
+        rc, out, _ = run(capsys, "table", "--max-crossings", bound)
+        assert rc == 0
+        assert out == "1/2 (2^2_1): (-t^-1, -t); (t^-1, t)\n"
+
+    def test_slopes_prints_the_row_without_its_label(self, capsys):
+        _, table, _ = run(capsys, "table", "--max-crossings", "5")
+        rc, slopes, _ = run(capsys, "slopes", "--pq", "3/8")
+        assert rc == 0
+        assert "3/8 (5^2_1): " + slopes in table.splitlines(keepends=True)
 
 
 class TestEnumerateCommand:

@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twobridge.arith import (ContFrac, Frac, GMat, INFINITY, TwoBridgeLink,
                              enumerate_links, make_link)
-from twobridge.diagram import (ROT, SHIFT, Cell, Corner, DiagramComplex,
-                               Diagrams, Edge, Quad, Step, TypedPath,
-                               build_diagram, collapse, is_minimal,
+from twobridge.diagram import (Corner, DiagramComplex, Diagrams, Edge, Quad,
+                               Step, TypedPath, build_diagram, collapse,
                                minimal_paths, quad_chain)
-from twobridge.slopes import (_d1_pushes, delta_sum, m_form, m_form_edgewise,
-                              straighten)
+from twobridge.slopes import m_form, m_form_edgewise
+
+from oracles import ROT, SHIFT, is_minimal, sides, sums_reference
 
 
 def frac(p, q):
@@ -48,7 +48,7 @@ class TestQuadChain:
             assert len(shared) == 2
             # and the shared pair really is a side of both
             assert tuple(sorted(shared, key=Frac.key)) in {
-                tuple(sorted(s, key=Frac.key)) for s in a.sides()}
+                tuple(sorted(s, key=Frac.key)) for s in sides(a)}
 
     def test_target_outside_the_unit_interval_is_an_error(self):
         with pytest.raises(RuntimeError, match="no side arc"):
@@ -102,7 +102,7 @@ class TestBuildDiagram:
         assert len(by_type["C"]) == 1
         diag = by_type["C"][0]
         assert {diag.tail, diag.head} == {frac(0, 1), frac(1, 1)}
-        assert len(cx.cells) == 2
+        assert set().union(*cx.edge_cells) == {0, 1}
 
     def test_d0_over_hopf(self):
         cx = build_diagram(quad_chain(make_link(1, 2)), "D0")
@@ -113,36 +113,23 @@ class TestBuildDiagram:
         assert len(by_type["D"]) == 1
         diag = by_type["D"][0]
         assert {diag.tail, diag.head} == {INFINITY, frac(1, 2)}
-        assert len(cx.cells) == 2
+        assert set().union(*cx.edge_cells) == {0, 1}
 
     def test_dt_over_hopf(self):
         cx = build_diagram(quad_chain(make_link(1, 2)), "Dt")
-        rects = [c for c in cx.cells if c.label == "rectangle"]
-        assert len(rects) == 1
         # 8 half-sides + 4 rectangle sides
         assert len(cx.edges) == 12
-        # every corner triangle at an even vertex reads A, C, A
-        for cid, cell in enumerate(cx.cells):
-            edges = [e for eid, e in enumerate(cx.edges)
-                     if cid in cx.edge_cells[eid]]
-            kinds = sorted(e.etype for e in edges)
-            if cell.label == "rectangle":
-                assert kinds == ["C", "C", "D", "D"]
-            elif cell.label in ("corner 1/0", "corner 1/2"):
-                assert kinds == ["A", "A", "C"]
-            else:
-                assert kinds == ["B", "B", "D"]
-
-    def test_cell_labels(self):
-        chain = quad_chain(make_link(1, 2))
-        labels = {kind: [c.label for c in build_diagram(chain, kind).cells]
-                  for kind in ("Dt", "D1", "D0")}
-        assert labels == {
-            "Dt": ["corner 1/0", "corner 1/2", "corner 0/1", "corner 1/1",
-                   "rectangle"],
-            "D1": ["triangle 1/0", "triangle 1/2"],
-            "D0": ["triangle 0/1", "triangle 1/1"],
-        }
+        # Cells 0-3 are the corner triangles at 1/0, 1/2, 0/1 and 1/1:
+        # one at an even vertex reads A, C, A and one at an odd vertex
+        # B, D, B.  Cell 4 is the rectangle.
+        in_cell = [[e for e, cells in zip(cx.edges, cx.edge_cells) if cid in cells]
+                   for cid in range(5)]
+        assert [sorted(e.etype for e in edges) for edges in in_cell] == [
+            ["A", "A", "C"], ["A", "A", "C"], ["B", "B", "D"], ["B", "B", "D"],
+            ["C", "C", "D", "D"]]
+        corners = (INFINITY, frac(1, 2), frac(0, 1), frac(1, 1))
+        for edges, vertex in zip(in_cell, corners):
+            assert {e.tail for e in edges if e.etype in "AB"} == {vertex}
 
     def test_edge_matrices_reproduce_endpoints(self):
         # The stored matrix must carry the reference edge of its class
@@ -247,15 +234,6 @@ class TestMinimalPaths:
         assert a == b
 
 
-def sums_reference(path):
-    """(k, a, b) of a Dt or D1 path from the step-by-step push code."""
-    if path.kind == "Dt":
-        rationals, ledger = straighten(path)
-        return (delta_sum(rationals), ledger.n0, ledger.n1)
-    seq, senses = _d1_pushes(path)
-    return (delta_sum(seq), senses.count(1), senses.count(-1))
-
-
 class TestPathSums:
     def test_search_sums_equal_the_fold_through_14_crossings(self, paths_through_14):
         for r in paths_through_14:
@@ -271,6 +249,14 @@ class TestPathSums:
         for cx in (d.dt, d.d1):
             for path in minimal_paths(cx, INFINITY, frac(p, q)):
                 assert path.sums == sums_reference(path), str(path)
+
+    def test_d1_sums_equal_the_push_reference_through_14_crossings(
+            self, paths_through_14):
+        # The reference finds each diagonal's sense from the geometry,
+        # the fold from the traversal sign.
+        for r in paths_through_14:
+            for path in r.d1:
+                assert path.sums == sums_reference(path), (r.link, str(path))
 
     def test_paths_from_a_midpoint(self):
         # The fold starts with no rational vertex, as straightening does.
@@ -460,8 +446,10 @@ def side_matrix(u, v):
 
 
 def reference_complex(chain, kind):
-    """(edges, edge cells, cells) of a diagram built edge by edge."""
-    edges, index, edge_cells, cells = [], {}, [], []
+    """(edges, edge cells, number of cells) of a diagram built edge by
+    edge; each cell takes the next number when its edges are filed."""
+    edges, index, edge_cells = [], {}, []
+    cells = 0
 
     def edge(e):
         pair = frozenset((e.tail, e.head))
@@ -472,12 +460,13 @@ def reference_complex(chain, kind):
         assert edges[index[pair]] == e
         return index[pair]
 
-    def cell(c, eids):
+    def cell(eids):
+        nonlocal cells
         for eid in eids:
-            edge_cells[eid].add(len(cells))
-        cells.append(c)
+            edge_cells[eid].add(cells)
+        cells += 1
 
-    for qi, quad in enumerate(chain):
+    for quad in chain:
         p1, p2, p3, p4 = quad.vertices()
         g = quad.g
         if kind == "Dt":
@@ -493,14 +482,14 @@ def reference_complex(chain, kind):
             cl = edge(Edge("C", m24, m43, gr, detour=p4))
             dl = edge(Edge("D", m24, m12, g, detour=p2))
             dr = edge(Edge("D", m31, m43, gr, detour=p3))
-            cell(Cell(qi, "corner", p1), (a1, cu, a2))
-            cell(Cell(qi, "corner", p4), (a3, cl, a4))
-            cell(Cell(qi, "corner", p2), (b1, dl, b4))
-            cell(Cell(qi, "corner", p3), (b2, dr, b3))
-            cell(Cell(qi, "rectangle"), (cu, cl, dl, dr))
+            cell((a1, cu, a2))          # corner at p1
+            cell((a3, cl, a4))          # corner at p4
+            cell((b1, dl, b4))          # corner at p2
+            cell((b2, dr, b3))          # corner at p3
+            cell((cu, cl, dl, dr))      # rectangle
             continue
         side = {}
-        for u, v in quad.sides():
+        for u, v in sides(quad):
             even, odd = (u, v) if u.den % 2 == 0 else (v, u)
             if kind == "D1":
                 side[(u, v)] = edge(Edge("A", even, odd, side_matrix(u, v)))
@@ -508,14 +497,13 @@ def reference_complex(chain, kind):
                 side[(u, v)] = edge(Edge("B", odd, even, side_matrix(u, v)))
         if kind == "D1":
             a, b, c, d = g
-            diag = edge(Edge("C", p3, p2, GMat.make(a + b, b, c + d, d),
-                             detour=p1, cpair=(p2, p3)))
-            cell(Cell(qi, "triangle", p1), (side[(p1, p2)], diag, side[(p3, p1)]))
-            cell(Cell(qi, "triangle", p4), (side[(p2, p4)], side[(p4, p3)], diag))
+            diag = edge(Edge("C", p3, p2, GMat.make(a + b, b, c + d, d), detour=p1))
+            cell((side[(p1, p2)], diag, side[(p3, p1)]))        # triangle at p1
+            cell((side[(p2, p4)], side[(p4, p3)], diag))        # triangle at p4
         else:
             diag = edge(Edge("D", p1, p4, g))
-            cell(Cell(qi, "triangle", p2), (side[(p1, p2)], side[(p2, p4)], diag))
-            cell(Cell(qi, "triangle", p3), (side[(p4, p3)], side[(p3, p1)], diag))
+            cell((side[(p1, p2)], side[(p2, p4)], diag))        # triangle at p2
+            cell((side[(p4, p3)], side[(p3, p1)], diag))        # triangle at p3
     return edges, [frozenset(c) for c in edge_cells], cells
 
 
@@ -535,6 +523,12 @@ def deep_links():
             value = ContFrac((0,) + body).value()
             out.extend(fractions_of_type(make_link(value.num, value.den)))
     return out
+
+
+@pytest.fixture(scope="module")
+def deep_chains():
+    """(link, chain) for every link of ``deep_links()``, walked once."""
+    return [(link, quad_chain(link)) for link in deep_links()]
 
 
 @st.composite
@@ -557,9 +551,9 @@ class TestConstructionOracles:
         for link in enumerate_links(16):
             assert quad_chain(link) == reference_chain(link), link
 
-    def test_walk_matches_reference_on_deep_chains(self):
-        for link in deep_links():
-            assert quad_chain(link) == reference_chain(link), link
+    def test_walk_matches_reference_on_deep_chains(self, deep_chains):
+        for link, chain in deep_chains:
+            assert chain == reference_chain(link), link
 
     @settings(max_examples=60, deadline=None)
     @given(links_by_expansion())
@@ -567,21 +561,22 @@ class TestConstructionOracles:
         for variant in fractions_of_type(link):
             assert quad_chain(variant) == reference_chain(variant)
 
-    def test_each_quad_brings_two_new_rationals(self):
-        for link in enumerate_links(14) + deep_links()[::4]:
-            chain = quad_chain(link)
+    def test_each_quad_brings_two_new_rationals(self, paths_through_14, deep_chains):
+        chains = [(r.link, r.diagrams.chain) for r in paths_through_14]
+        for link, chain in chains + deep_chains[::4]:
             seen = set(chain[0].vertices())
             for prev, quad in zip(chain, chain[1:]):
                 verts = set(quad.vertices())
                 shared = verts & seen
                 assert len(shared) == 2 and shared <= set(prev.vertices()), link
-                assert shared in [set(s) for s in quad.sides()], link
-                assert shared in [set(s) for s in prev.sides()], link
+                assert shared in [set(s) for s in sides(quad)], link
+                assert shared in [set(s) for s in sides(prev)], link
                 seen |= verts
 
-    def test_side_frames(self):
-        for link in enumerate_links(14) + deep_links()[::4]:
-            for quad in quad_chain(link):
+    def test_side_frames(self, paths_through_14, deep_chains):
+        chains = [r.diagrams.chain for r in paths_through_14]
+        for chain in chains + [chain for _, chain in deep_chains[::4]]:
+            for quad in chain:
                 p1, p2, p3, p4 = quad.vertices()
                 assert quad.g == side_matrix(p1, p2)
                 assert quad.gs == side_matrix(p3, p1) == quad.g * SHIFT
@@ -589,8 +584,8 @@ class TestConstructionOracles:
                 assert quad.grs == side_matrix(p2, p4) == quad.g * ROT * SHIFT
 
     def test_complexes_match_reference(self):
-        # Same edges in the same order, same edge cells, and the cells
-        # property equal to the cell list built eagerly.
+        # Same edges in the same order, same edge cells, edge by edge,
+        # and every cell of the reference numbered.
         links = enumerate_links(12) + [make_link(1, 120), make_link(119, 240)]
         for link in links:
             chain = quad_chain(link)
@@ -599,8 +594,7 @@ class TestConstructionOracles:
                 edges, edge_cells, cells = reference_complex(chain, kind)
                 assert cx.edges == edges, (link, kind)
                 assert cx.edge_cells == edge_cells, (link, kind)
-                assert [(c.quad, c.shape, c.vertex, c.label) for c in cx.cells] == [
-                    (c.quad, c.shape, c.vertex, c.label) for c in cells], (link, kind)
+                assert set().union(*cx.edge_cells) == set(range(cells)), (link, kind)
 
     def test_dt_quads_bring_three_new_midpoints(self):
         for link in enumerate_links(12):
@@ -616,3 +610,27 @@ class TestConstructionOracles:
             for kind in ("Dt", "D1", "D0"):
                 with pytest.raises(RuntimeError):
                     build_diagram(broken, kind)
+
+
+class TestDiagonalSense:
+    """The fold counts a D1 diagonal as pushed in its positive sense
+    exactly when the diagonal is traversed backward.  That holds because
+    every diagonal runs from p3 to p2 of its quadrilateral, and p2 is
+    the second column of its frame, where the push reference starts the
+    positive sense."""
+
+    @staticmethod
+    def check(chain, cx):
+        diagonals = [e for e in cx.edges if e.detour is not None]
+        assert len(diagonals) == len(chain)
+        for quad, edge in zip(chain, diagonals):
+            assert edge.head == edge.g.col2() == quad.p2, (quad, edge)
+            assert edge.tail == quad.p3 and edge.detour == quad.p1, (quad, edge)
+
+    def test_through_14_crossings(self, paths_through_14):
+        for r in paths_through_14:
+            self.check(r.diagrams.chain, r.diagrams.d1)
+
+    def test_deep_chains(self, deep_chains):
+        for _, chain in deep_chains:
+            self.check(chain, build_diagram(chain, "D1"))

@@ -7,7 +7,7 @@ from test_properties import links
 from twobridge.arith import make_link, rolfsen_name
 from twobridge.slopes import slope_families
 from twobridge.tables import (corpus_text, emit, load_corpus, parse_family,
-                              render_key, verify_corpus)
+                              render_families, render_key, verify_corpus)
 
 
 class TestFamilyNotation:
@@ -87,7 +87,10 @@ def hopf():
 class TestEmit:
 
     def test_text(self, hopf):
-        assert emit(hopf, "text") == b"(-t^-1, -t); (t^-1, t)\n"
+        # Every row is labelled, even the only one; the slopes command
+        # prints render_families alone.
+        assert emit(hopf, "text") == b"1/2 (2^2_1): (-t^-1, -t); (t^-1, t)\n"
+        assert render_families(hopf[0]) == "(-t^-1, -t); (t^-1, t)"
 
     def test_json_schema(self, hopf):
         data = json.loads(emit(hopf, "json"))
