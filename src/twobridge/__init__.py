@@ -14,7 +14,6 @@ from .diagram import (Corner, Diagrams, Edge, Quad, TypedPath, build_diagram,
 from .slopes import (LinkSlopes, MForm, SForm, SlopeFamily, SymbolicM, m_form,
                      m_form_edgewise, s_form, s_form_symbolic, slope_families,
                      to_preferred)
-from .tables import (TableReport, emit, parse_family, render_family,
-                     verify_corpus)
+from .tables import TableReport, emit, render_family, verify_corpus
 
 __version__ = "0.1.0"

@@ -2,12 +2,14 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 when a verification or equivalence check fails, 2 on usage errors, 3
-on an internal error (a bug), reported as one line on stderr.
+on an internal error (a bug), reported as one line on stderr, and 141,
+silently, when the reader closes stdout before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .arith import (INFINITY, crossing_number, enumerate_links, make_link,
@@ -20,10 +22,19 @@ _PQ_HELP = ("the link's fraction as two integers, such as 3/8; "
             "write a negative P as --pq=-3/8")
 
 
+def _integer(text: str) -> int:
+    """ASCII digits with an optional sign; ``int`` alone would also take
+    spaces, digit separators and non-ASCII digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_pq(text: str):
     p_str, _, q_str = text.partition("/")
     try:
-        p, q = int(p_str), int(q_str)
+        p, q = _integer(p_str), _integer(q_str)
     except ValueError:
         raise UsageError(f"--pq expects P/Q, two integers such as 3/8, "
                          f"got {text!r}") from None
@@ -198,7 +209,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does: no bug.  Fd 1
+        # goes to devnull so that the exit flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,9 @@
 The corpus in ``corpus_data`` lists, for every 2-bridge link through ten
 crossings, the boundary-slope families as printed: one (X + Y/t, Y*t + Z)
 family per intersection form (valid for 1 < t < oo) and one
-(x + y*s, x - y*s) family per s family.  ``verify_corpus`` recomputes
-everything from scratch and diffs.  ``emit`` serializes computed results
+(x + y*s, x - y*s) family per s family, as ``render_key`` prints them.
+``verify_corpus`` recomputes everything from scratch and compares
+canonical text; nothing is parsed.  ``emit`` serializes computed results
 as text, JSON, CSV or TeX with a fixed canonical ordering, so identical
 inputs always produce identical bytes.
 """
@@ -13,8 +14,7 @@ from __future__ import annotations
 
 import io
 import json
-import re
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import TwoBridgeLink, rolfsen_name
 from .corpus_data import CORPUS
@@ -27,19 +27,11 @@ FamilyKey = tuple  # ('T', X, Y, Z) or ('S', x, y)
 
 def _coord(const: int, coef: int, sym: str) -> str:
     """Render const + coef*sym, constant first, unit coefficients bare."""
-    parts = []
-    if const != 0:
-        parts.append(str(const))
-    if coef != 0:
-        mag = "" if abs(coef) == 1 else str(abs(coef))
-        term = f"{mag}{sym}"
-        if not parts:
-            parts.append(term if coef > 0 else f"-{term}")
-        else:
-            parts.append(f"+{term}" if coef > 0 else f"-{term}")
-    if not parts:
-        return "0"
-    return "".join(parts)
+    if coef == 0:
+        return str(const)
+    mag = "" if abs(coef) == 1 else str(abs(coef))
+    term = f"{'-' if coef < 0 else '+'}{mag}{sym}"
+    return f"{const}{term}" if const else term.lstrip("+")
 
 
 def _coords(key: FamilyKey) -> tuple[str, str]:
@@ -54,7 +46,8 @@ def _coords(key: FamilyKey) -> tuple[str, str]:
 
 
 def render_key(key: FamilyKey) -> str:
-    """Canonical text for a presentation family."""
+    """Canonical text for a presentation family.  Distinct keys render
+    distinct text: an S key has y >= 1, as y counts odd diagonals."""
     return "(%s,%s)" % _coords(key)
 
 
@@ -66,77 +59,18 @@ def render_family(fam: SlopeFamily) -> tuple[str, str]:
     return _coords((fam.branch, *fam.coeffs))
 
 
-_TERM = re.compile(r"([+-]?)(\d*)(u|t|s)?$")
-
-
-def _parse_coord(text: str) -> tuple[int, int, int, int]:
-    """(constant, t^-1 coefficient, t coefficient, s coefficient)."""
-    const = tinv = tcoef = scoef = 0
-    # Substitute the inverse-t symbol first: its minus sign must not
-    # split a term.
-    body = text.replace(" ", "").replace("t^-1", "u")
-    for piece in re.findall(r"[+-]?[^+-]+", body):
-        m = _TERM.match(piece)
-        if not m:
-            raise ValueError(f"cannot parse slope term {piece!r} in {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        mag = int(m.group(2)) if m.group(2) else 1
-        val = sign * mag
-        sym = m.group(3)
-        if sym is None:
-            if not m.group(2):
-                raise ValueError(f"empty term in {text!r}")
-            const += val
-        elif sym == "u":
-            tinv += val
-        elif sym == "t":
-            tcoef += val
-        else:
-            scoef += val
-    return const, tinv, tcoef, scoef
-
-
-def parse_family(text: str) -> FamilyKey:
-    """Parse a slope-pair string into a presentation family key."""
-    body = text.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"family must be parenthesized: {text!r}")
-    # The comma splitting the pair is never inside a term.
-    left, right = body[1:-1].split(",")
-    c1, tinv1, t1, s1 = _parse_coord(left)
-    c2, tinv2, t2, s2 = _parse_coord(right)
-    if s1 or s2:
-        if tinv1 or t1 or tinv2 or t2 or c1 != c2 or s2 != -s1 or s1 <= 0:
-            raise ValueError(f"malformed s family {text!r}")
-        return ("S", c1, s1)
-    if t1 or tinv2:
-        raise ValueError(f"malformed t family {text!r}")
-    if tinv1 != t2:
-        raise ValueError(f"t coefficients disagree in {text!r}")
-    return ("T", c1, tinv1, c2)
-
-
 # -- corpus ---------------------------------------------------------------
 
 class CorpusRow(NamedTuple):
     crossings: int
     name: str | None
     link: TwoBridgeLink
-    families: frozenset
+    families: frozenset  # canonical text, as render_key prints it
 
 
 def load_corpus() -> list[CorpusRow]:
-    rows = []
-    for crossings, name, p, q, fams in CORPUS:
-        rows.append(CorpusRow(crossings, name, TwoBridgeLink(p, q),
-                              frozenset(parse_family(f) for f in fams)))
-    return rows
-
-
-def corpus_text(families: Iterable[FamilyKey]) -> str:
-    """Canonical one-line corpus serialization of a family set."""
-    keys = sorted(families, key=lambda k: (k[0] != "T", k[1:]))
-    return " ".join(render_key(k) for k in keys)
+    return [CorpusRow(crossings, name, TwoBridgeLink(p, q), frozenset(fams))
+            for crossings, name, p, q, fams in CORPUS]
 
 
 class TableReport(NamedTuple):
@@ -155,20 +89,18 @@ class TableReport(NamedTuple):
 
 
 def verify_corpus(max_crossings: int = 10) -> TableReport:
-    """Recompute every corpus link up to the bound and diff the
-    presentation families against the stored rows."""
+    """Recompute every corpus link up to the bound and diff the canonical
+    text of its presentation families against the stored rows."""
     entries = []
-    matched = 0
     for row in load_corpus():
         if row.crossings > max_crossings:
             continue
-        computed = slope_families(row.link).presentation()
-        if computed == row.families:
-            entries.append((row.link, "match", frozenset(), frozenset()))
-            matched += 1
-        else:
-            entries.append((row.link, "mismatch",
-                            row.families - computed, computed - row.families))
+        computed = frozenset(map(render_key,
+                                 slope_families(row.link).presentation()))
+        missing, extra = row.families - computed, computed - row.families
+        status = "mismatch" if missing or extra else "match"
+        entries.append((row.link, status, missing, extra))
+    matched = sum(entry[1] == "match" for entry in entries)
     return TableReport(tuple(entries), matched, len(entries))
 
 
@@ -254,7 +186,7 @@ def _emit_tex(results: Sequence[LinkSlopes]) -> str:
              "\\hline", "\\hline"]
     for r in results:
         keys = sorted(r.presentation(), key=lambda k: (k[0] != "T", k[1:]))
-        cells = ["(%s,%s)" % tuple(map(_tex_coord, _coords(k))) for k in keys]
+        cells = [_tex_coord(render_key(k)) for k in keys]
         prefix = ([rolfsen_name(r.link) or "", str(r.link)]
                   if named else [str(r.link)])
         first = True

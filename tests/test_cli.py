@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twobridge
 from twobridge.arith import INFINITY, make_link
 from twobridge.cli import main
+from twobridge.corpus_data import CORPUS
 from twobridge.diagram import Diagrams, minimal_paths
 from twobridge.tables import verify_corpus
 
@@ -32,7 +37,8 @@ class TestSlopesCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("command", ["slopes", "paths"])
-    @pytest.mark.parametrize("pq", ["1/2/3", "1/x", "3", "/"])
+    @pytest.mark.parametrize("pq", ["1/2/3", "1/x", "3", "/",
+                                    "1_1/2", " 3/8", "\uff13/8"])
     def test_malformed_pq_says_what_it_expects(self, capsys, command, pq):
         rc, out, err = run(capsys, command, "--pq", pq)
         assert rc == 2
@@ -113,6 +119,18 @@ class TestVerifyCommand:
         rc, out, _ = run(capsys, "verify", "--max-crossings", "10")
         assert rc == 0
         assert out.strip() == "56/56 match"
+
+    def test_mismatch_prints_the_slope_pairs(self, capsys, monkeypatch):
+        (row,) = [r for r in CORPUS if r[2:4] == (3, 8)]
+        wrong = tuple("(-2t^-1,-2t)" if f == "(-2t^-1,-2-2t)" else f
+                      for f in row[4])
+        monkeypatch.setattr("twobridge.tables.CORPUS", (row[:4] + (wrong,),))
+        rc, out, err = run(capsys, "verify", "--max-crossings", "5")
+        assert rc == 1
+        assert out == "0/1 match\n"
+        assert err == ("3/8: mismatch\n"
+                       "  expected but not computed: (-2t^-1,-2t)\n"
+                       "  computed but not expected: (-2t^-1,-2-2t)\n")
 
 
 class TestPathsCommand:
@@ -214,6 +232,33 @@ class TestInternalError:
         monkeypatch.setattr("twobridge.cli.verify_corpus",
                             lambda n: verify_corpus(n)._replace(matched=0))
         assert run(capsys, "verify", "--max-crossings", "2")[0] == 1
+
+
+class TestClosedStdout:
+    def test_exit_141_and_nothing_on_stderr(self):
+        # A reader that stops early, as `| head` does, is not a bug.  The
+        # read end is closed before the child writes, so the first write
+        # to the pipe fails: at once when unbuffered, else at a flush.
+        src = os.path.dirname(os.path.dirname(twobridge.__file__))
+        runs = []
+        for unbuffered in (None, "1"):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = unbuffered
+            for argv in (["enumerate", "--max-crossings", "16"],
+                         ["table", "--max-crossings", "4"],
+                         ["verify", "--max-crossings", "4"]):
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                child = subprocess.Popen(
+                    [sys.executable, "-m", "twobridge", *argv], env=env,
+                    stdout=write_end, stderr=subprocess.PIPE)
+                os.close(write_end)
+                runs.append((unbuffered, argv[0], child))
+        for unbuffered, command, child in runs:
+            _, err = child.communicate(timeout=60)
+            assert (child.returncode, err) == (141, b""), (unbuffered, command)
 
 
 class TestUsage:

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 
 from test_properties import links
 from twobridge.arith import make_link, rolfsen_name
+from twobridge.corpus_data import CORPUS
 from twobridge.slopes import slope_families
-from twobridge.tables import (corpus_text, emit, load_corpus, parse_family,
-                              render_families, render_key, verify_corpus)
+from twobridge.tables import (emit, load_corpus, render_families, render_key,
+                              verify_corpus)
 
 
 class TestFamilyNotation:
@@ -24,27 +25,9 @@ class TestFamilyNotation:
         ("(-6+2s,-6-2s)", ("S", -6, 2)),
     ])
     def test_parse(self, text, key):
-        assert parse_family(text) == key
-
-    @pytest.mark.parametrize("text", [
-        "(t,t)", "(1+t^-1,2t)", "(2s,3s)", "(1+s,2-s)",
-    ])
-    def test_parse_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
-            parse_family(text)
-
-    def test_render_parse_round_trip(self):
-        for row in load_corpus():
-            for key in row.families:
-                assert parse_family(render_key(key)) == key
-
-    def test_corpus_text_round_trip(self):
-        # Canonical serialization is a fixed point of parse + render.
-        for row in load_corpus():
-            line = corpus_text(row.families)
-            reparsed = frozenset(parse_family(t) for t in line.split(" "))
-            assert reparsed == row.families
-            assert corpus_text(reparsed) == line
+        # A corpus string is read as the key that renders to it: the
+        # notation is rendered, never parsed.
+        assert render_key(key) == text
 
 
 class TestCorpus:
@@ -67,6 +50,18 @@ class TestCorpus:
 
     def test_verify_is_pure(self):
         assert verify_corpus(5) == verify_corpus(5)
+
+    @pytest.mark.parametrize("spelling", [
+        "(-3+s, -3-s)", "(s-3,-3-s)", "(-3+1s,-3-1s)", "(-3+s,-3+-s)",
+    ])
+    def test_other_spellings_are_mismatches(self, monkeypatch, spelling):
+        # The corpus is compared as text, so a row must be written as
+        # render_key prints it; the same slopes spelled otherwise fail.
+        (row,) = [r for r in CORPUS if r[2:4] == (3, 8)]
+        fams = tuple(spelling if f == "(-3+s,-3-s)" else f for f in row[4])
+        monkeypatch.setattr("twobridge.tables.CORPUS", (row[:4] + (fams,),))
+        (entry,) = verify_corpus(5).entries
+        assert entry[1:] == ("mismatch", {spelling}, {"(-3+s,-3-s)"})
 
 
 class TestSurgeryFamilyTable:
