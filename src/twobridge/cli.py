@@ -3,12 +3,16 @@
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 when a verification or equivalence check fails, 2 on usage errors, 3
 on an internal error (a bug), reported as one line on stderr, and 141,
-silently, when the reader closes stdout before the output is written.
+silently, when the reader closes stdout before the output or the help is
+written.  Each flag value is checked by its argparse type, integers as
+ASCII digits with an optional sign: a bad one gets argparse's usage line
+and ``error: argument ...``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -16,7 +20,7 @@ from .arith import (INFINITY, crossing_number, enumerate_links, make_link,
                     rolfsen_name)
 from .diagram import Diagrams, minimal_paths
 from .slopes import oracle_check, slope_families
-from .tables import _json_array, _json_str, emit, render_families, verify_corpus
+from .tables import emit, render_families, verify_corpus
 
 _PQ_HELP = ("the link's fraction as two integers, such as 3/8; "
             "write a negative P as --pq=-3/8")
@@ -27,44 +31,35 @@ def _integer(text: str) -> int:
     spaces, digit separators and non-ASCII digits."""
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
 
-def _parse_pq(text: str):
-    p_str, _, q_str = text.partition("/")
+def _link(text: str):
+    """A --pq value: P/Q, two integers that make a 2-bridge link."""
+    p, _, q = text.partition("/")
     try:
-        p, q = _integer(p_str), _integer(q_str)
-    except ValueError:
-        raise UsageError(f"--pq expects P/Q, two integers such as 3/8, "
-                         f"got {text!r}") from None
-    try:
-        return make_link(p, q)
+        return make_link(_integer(p), _integer(q))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expects P/Q, two integers such as 3/8, got {text!r}") from None
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-class UsageError(Exception):
-    pass
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _crossing_bound(text: str) -> int:
     """A --max-crossings value: no link diagram has fewer than 2
     crossings, so a lower bound would check or list nothing."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    n = _integer(text)
     if n < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
     return n
 
 
 def _cmd_slopes(args) -> int:
-    link = _parse_pq(args.pq)
-    result = slope_families(link)
+    result = slope_families(args.pq)
     for note in result.diagnostics:
-        print(f"{link}: {note}", file=sys.stderr)
+        print(f"{args.pq}: {note}", file=sys.stderr)
     if args.format == "text":
         text = render_families(result) + "\n"
     else:
@@ -105,37 +100,24 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _paths_json(link, cx, paths) -> str:
-    """The layout of ``json.dumps(payload, indent=2)`` plus a newline,
-    written directly as ``tables.emit`` writes its JSON."""
-    def strings(items, indent):
-        return _json_array([_json_str(str(v)) for v in items], indent)
-
-    def edge_json(e):
-        return (f'{{\n      "type": {_json_str(e.etype)},'
-                f'\n      "tail": {_json_str(str(e.tail))},'
-                f'\n      "head": {_json_str(str(e.head))},'
-                f'\n      "matrix": {_json_str(str(e.g))}\n    }}')
-
-    def path_json(p):
-        steps = [f"{s.edge.etype}{'+' if s.sign > 0 else '-'}" for s in p.steps]
-        return (f'{{\n      "vertices": {strings(p.vertices(), " " * 6)},'
-                f'\n      "edges": {strings(steps, " " * 6)}\n    }}')
-
-    return (f'{{\n  "link": {{\n    "p": {link.p},\n    "q": {link.q}\n  }},'
-            f'\n  "diagram": {_json_str(cx.kind)},'
-            f'\n  "vertices": {strings(cx.vertices(), "  ")},'
-            f'\n  "edges": {_json_array([edge_json(e) for e in cx.edges], "  ")},'
-            f'\n  "paths": {_json_array([path_json(p) for p in paths], "  ")}\n}}\n')
-
-
 def _cmd_paths(args) -> int:
-    link = _parse_pq(args.pq)
-    diagrams = Diagrams(link)
-    cx = diagrams.get({"dt": "Dt", "d1": "D1", "d0": "D0"}[args.diagram])
+    link = args.pq
+    cx = Diagrams(link).get({"dt": "Dt", "d1": "D1", "d0": "D0"}[args.diagram])
     paths = minimal_paths(cx, INFINITY, link.fraction())
     if args.format == "json":
-        sys.stdout.write(_paths_json(link, cx, paths))
+        payload = {
+            "link": {"p": link.p, "q": link.q},
+            "diagram": cx.kind,
+            "vertices": [str(v) for v in cx.vertices()],
+            "edges": [{"type": e.etype, "tail": str(e.tail),
+                       "head": str(e.head), "matrix": str(e.g)}
+                      for e in cx.edges],
+            "paths": [{"vertices": [str(v) for v in p.vertices()],
+                       "edges": [f"{s.edge.etype}{'+' if s.sign > 0 else '-'}"
+                                 for s in p.steps]}
+                      for p in paths],
+        }
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         print(f"{len(paths)} minimal paths in {cx.kind} "
               f"from 1/0 to {link.fraction()}")
@@ -166,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("slopes", help="slope families of one link")
-    p.add_argument("--pq", required=True, metavar="P/Q", help=_PQ_HELP)
+    p.add_argument("--pq", type=_link, required=True, metavar="P/Q",
+                   help=_PQ_HELP)
     p.add_argument("--format", default="text",
                    choices=["text", "json", "csv", "tex"])
     p.set_defaults(func=_cmd_slopes)
@@ -189,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("paths", help="dump minimal edge paths")
-    p.add_argument("--pq", required=True, metavar="P/Q", help=_PQ_HELP)
+    p.add_argument("--pq", type=_link, required=True, metavar="P/Q",
+                   help=_PQ_HELP)
     p.add_argument("--diagram", default="dt", choices=["dt", "d0", "d1"])
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_paths)
@@ -202,14 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _run(argv) -> int:
+    """The command's status, or argparse's after it printed help or a
+    usage error and raised SystemExit."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
+    return args.func(args)
+
+
+def main(argv=None) -> int:
     try:
-        status = args.func(args)
+        status = _run(argv)
         sys.stdout.flush()
         return status
     except BrokenPipeError:
@@ -219,9 +208,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:        # anything else is a bug, not a failed check
         detail = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
         print(f"internal error: {detail}", file=sys.stderr)

@@ -539,10 +539,8 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     dead end folds nothing.  D0 paths have no sums.
     """
     first, last = cx._ids.get(start), cx._ids.get(end)
-    if first is None or last is None:
-        raise ValueError(f"{start} or {end} is not a vertex of the complex")
-    if first == last:
-        return [TypedPath(cx.kind, ())]
+    if first is None or last is None or first == last:
+        raise ValueError(f"{start} and {end} are not two vertices of the complex")
     found: list[TypedPath] = []
     kind, out, edge_cells = cx.kind, cx._out, cx.edge_cells
     heads, steps, table = cx._heads, cx._steps, cx._next

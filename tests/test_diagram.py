@@ -212,9 +212,11 @@ class TestMinimalPaths:
                           (INFINITY, frac(1, 1), frac(1, 2))}
 
     def test_unknown_endpoint_is_an_error(self):
+        # 5/8 is not a vertex; from a vertex to itself no path has a step.
         d = Diagrams(make_link(3, 8))
-        with pytest.raises(ValueError):
-            minimal_paths(d.dt, INFINITY, frac(5, 8))
+        for start, end in ((INFINITY, frac(5, 8)), (INFINITY, INFINITY)):
+            with pytest.raises(ValueError):
+                minimal_paths(d.dt, start, end)
 
     def test_paths_longer_than_the_recursion_limit(self):
         # [2, m, 2] with m = 340: 344 crossings, paths of over 1000 steps.
