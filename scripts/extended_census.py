@@ -7,18 +7,26 @@ engine has no intrinsic bound; the embedded reference data stops at ten
 crossings, so everything above that is fresh output.
 
 Usage: python scripts/extended_census.py [MAX_CROSSINGS]
+
+MAX_CROSSINGS (default 12) is read as ``--max-crossings`` is: ASCII
+digits, at least 2.  A bad value gets a usage line and exit code 2.
 """
 
-import sys
+import argparse
 import time
 from collections import Counter
 
 from twobridge.arith import crossing_number, enumerate_links
+from twobridge.cli import _crossing_bound
 from twobridge.slopes import slope_families
 
 
 def main() -> int:
-    bound = int(sys.argv[1]) if len(sys.argv) > 1 else 12
+    parser = argparse.ArgumentParser(description="Census of 2-bridge links "
+                                                 "beyond the embedded tables.")
+    parser.add_argument("max_crossings", nargs="?", type=_crossing_bound,
+                        default=12, metavar="MAX_CROSSINGS")
+    bound = parser.parse_args().max_crossings
     t0 = time.monotonic()
     links = enumerate_links(bound)
     by_crossings = Counter(crossing_number(l) for l in links)

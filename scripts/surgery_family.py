@@ -4,13 +4,24 @@ the links obtained by 1/k surgery on one component of the Borromean
 rings, for a range of k.
 
 Usage: python scripts/surgery_family.py [KMAX]
+
+KMAX (default 3) is ASCII digits, at least 1; the links k = 1..KMAX are
+printed.  A bad value gets a usage line and exit code 2.
 """
 
-import sys
+import argparse
 
 from twobridge.arith import make_link
+from twobridge.cli import _integer
 from twobridge.slopes import slope_families
 from twobridge.tables import render_family
+
+
+def _kmax(text: str) -> int:
+    k = _integer(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
 
 
 def describe(k: int) -> None:
@@ -31,7 +42,11 @@ def describe(k: int) -> None:
 
 
 def main() -> int:
-    kmax = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+    parser = argparse.ArgumentParser(description="Boundary slopes of the "
+                                                 "surgery family (4k-1)/(8k).")
+    parser.add_argument("kmax", nargs="?", type=_kmax, default=3,
+                        metavar="KMAX")
+    kmax = parser.parse_args().kmax
     for k in range(1, kmax + 1):
         describe(k)
     return 0

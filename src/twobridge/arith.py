@@ -82,17 +82,6 @@ class GMat(NamedTuple):
         e, f, g, h = other
         return GMat.make(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
-    def inverse(self) -> "GMat":
-        return GMat.make(self.d, -self.b, -self.c, self.a)
-
-    def apply(self, v: Frac) -> Frac:
-        """Moebius action z -> (az + b)/(cz + d) on projective rationals."""
-        return Frac.make(self.a * v.num + self.b * v.den,
-                         self.c * v.num + self.d * v.den)
-
-    def col1(self) -> Frac:
-        return Frac.make(self.a, self.c)
-
     def col2(self) -> Frac:
         return Frac.make(self.b, self.d)
 

@@ -204,7 +204,7 @@ class Step(NamedTuple):
 def _fold(steps, states: list, d1: bool) -> None:
     """The straightening fold: extend ``states``, whose last entry is the
     state (k, a, b, num, den) before ``steps``, by the state after each
-    step; ``d1`` says the steps are on D1 rather than Dt.
+    step; ``d1`` says the steps are on D1 rather than Dt or D0.
 
     Straightening replaces every edge with a detour (a rectangle side of
     Dt, an odd diagonal of D1) by the two edges around its detour
@@ -217,7 +217,8 @@ def _fold(steps, states: list, d1: bool) -> None:
     the odd diagonals crossed in their positive and in their negative
     pushing sense.  A diagonal is built from p3 to p2 of its
     quadrilateral and its positive sense runs from p2, so it is pushed
-    positively exactly when it is traversed backward.
+    positively exactly when it is traversed backward.  D0 edges have no
+    detour, so there a and b stay 0.
 
     ``tests/oracles.py`` keeps the step-by-step reference for these
     sums: the path straightened into its rational vertices, their
@@ -250,10 +251,7 @@ def _fold(steps, states: list, d1: bool) -> None:
         append((k, a, b, pn, pd))
 
 
-def _fold_start(kind: str, start: Vertex) -> tuple[int, int, int, int, int]:
-    if kind == "D0":
-        raise ValueError("D0 paths have no straightening sums: "
-                         "the diagonals of D0 have no detour")
+def _fold_start(start: Vertex) -> tuple[int, int, int, int, int]:
     if isinstance(start, Frac):
         return (0, 0, 0, start.num, start.den)
     return (0, 0, 0, 0, 0)
@@ -265,8 +263,8 @@ class TypedPath:
 
     ``sums`` is the (k, a, b) of the straightening fold (``_fold``) over
     the whole path: what ``m_form``, ``s_form`` and ``s_form_symbolic``
-    read.  ``minimal_paths`` fills it in as it finds the path; a path
-    built otherwise folds its steps on first use.
+    read, and (k, 0, 0) on D0.  ``minimal_paths`` fills it in as it
+    finds the path; a path built otherwise folds its steps on first use.
     """
 
     kind: str                  # 'Dt', 'D1' or 'D0'
@@ -277,7 +275,7 @@ class TypedPath:
     @property
     def sums(self) -> tuple[int, int, int]:
         if self._sums is None:
-            states = [_fold_start(self.kind, self.start)]
+            states = [_fold_start(self.start)]
             _fold(self.steps, states, self.kind == "D1")
             object.__setattr__(self, "_sums", states[-1][:3])
         return self._sums
@@ -536,7 +534,7 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     ``states[:good + 1]`` still hold for the current prefix.  Finding a
     path folds only the steps beyond ``good`` and raises it to the
     path's depth; backtracking to depth d lowers it to d at most.  A
-    dead end folds nothing.  D0 paths have no sums.
+    dead end folds nothing.
     """
     first, last = cx._ids.get(start), cx._ids.get(end)
     if first is None or last is None or first == last:
@@ -544,13 +542,13 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     found: list[TypedPath] = []
     kind, out, edge_cells = cx.kind, cx._out, cx.edge_cells
     heads, steps, table = cx._heads, cx._steps, cx._next
-    fold, d1 = kind != "D0", kind == "D1"
+    d1 = kind == "D1"
     path: list[Step] = []
     ends: list[int] = []                  # vertex id reached by each step
     visited = bytearray(len(out))
     visited[first] = 1
     pending = [iter(out[first])]          # untried traversals per depth
-    states = [_fold_start(kind, start)] if fold else []
+    states = [_fold_start(start)]
     good = 0
     while pending:
         for t in pending[-1]:
@@ -558,15 +556,12 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
             if visited[nxt]:
                 continue
             if nxt == last:
-                if fold:
-                    del states[good + 1:]
-                    _fold((*path[good:], steps[t]), states, d1)
-                    good = len(path)
-                    # The last step is not on the prefix: its state, the
-                    # path's sums, comes off again.
-                    found.append(TypedPath(kind, (*path, steps[t]), states.pop()[:3]))
-                else:
-                    found.append(TypedPath(kind, (*path, steps[t])))
+                del states[good + 1:]
+                _fold((*path[good:], steps[t]), states, d1)
+                good = len(path)
+                # The last step is not on the prefix: its state, the
+                # path's sums, comes off again.
+                found.append(TypedPath(kind, (*path, steps[t]), states.pop()[:3]))
                 continue
             successors = table[t]
             if successors is None:

@@ -218,10 +218,15 @@ def s_form_symbolic(path: TypedPath) -> SymbolicM:
     )
 
 
-def _crosses_diagonal(path: TypedPath) -> bool:
-    """Whether a D1 path uses an odd diagonal: its sums count them."""
-    _k, pos, neg = path.sums
-    return pos + neg > 0
+def _link_paths(link: TwoBridgeLink):
+    """The link's ``Diagrams``, its minimal Dt paths and its minimal
+    t = 1 paths through an odd diagonal, all from 1/0 to p/q."""
+    diagrams = Diagrams(link)
+    target = link.fraction()
+    dt_paths = minimal_paths(diagrams.dt, INFINITY, target)
+    c_paths = [p for p in minimal_paths(diagrams.d1, INFINITY, target)
+               if p.sums[1] + p.sums[2] > 0]
+    return diagrams, dt_paths, c_paths
 
 
 def _one_per_sums(paths: list[TypedPath]):
@@ -243,17 +248,14 @@ class OracleReport(NamedTuple):
 
 def oracle_check(link: TwoBridgeLink) -> OracleReport:
     """Compare the push and the edgewise computation on every minimal Dt
-    path and every minimal t = 1 path through an odd diagonal."""
-    diagrams = Diagrams(link)
-    target = link.fraction()
+    path and every minimal t = 1 path through an odd diagonal, the paths
+    ``slope_families`` reads (``_link_paths``)."""
+    _diagrams, dt_paths, c_paths = _link_paths(link)
     bad = []
-    dt_paths = minimal_paths(diagrams.dt, INFINITY, target)
     for path in dt_paths:
         push, track = m_form(path), m_form_edgewise(path)
         if push != track:
             bad.append((path, push, track))
-    c_paths = [p for p in minimal_paths(diagrams.d1, INFINITY, target)
-               if _crosses_diagonal(p)]
     for path in c_paths:
         push, track = s_form_symbolic(path), m_form_edgewise(path)
         if push != track:
@@ -312,26 +314,22 @@ class LinkSlopes:
 def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     """All boundary-slope families of a 2-bridge link.
 
-    Enumerates minimal Dt paths for the t-parameterized families, both
-    branches and their merge when the two constant coefficients agree,
-    plus no-boundary endpoint entries where the mixed coefficient
-    vanishes; minimal t = 1 paths through odd diagonals supply the s
-    families.  All output is rebased to the preferred longitudes and
-    deduplicated.
+    Minimal Dt paths (from ``_link_paths``, the paths ``oracle_check``
+    checks) give the t-parameterized families, both branches and their
+    merge when the two constant coefficients agree, plus no-boundary
+    endpoint entries where the mixed coefficient vanishes; minimal t = 1
+    paths through odd diagonals supply the s families.  All output is
+    rebased to the preferred longitudes and deduplicated.
     """
-    diagrams = Diagrams(link)
-    target = link.fraction()
+    diagrams, dt_paths, c_paths = _link_paths(link)
     l = linking_number(link)
     d1 = diagrams.d1
 
-    dt_paths = minimal_paths(diagrams.dt, INFINITY, target)
     mraw = sorted({m_form(p) for p in _one_per_sums(dt_paths)})
     # The shift to the preferred longitudes keeps forms distinct and in
     # order.
     mpref = [to_preferred(m, l) for m in mraw]
 
-    d1_paths = minimal_paths(d1, INFINITY, target)
-    c_paths = [p for p in d1_paths if _crosses_diagonal(p)]
     sraw = sorted({s_form(p) for p in _one_per_sums(c_paths)})
     spref = [to_preferred(s, l) for s in sraw]
 

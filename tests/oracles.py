@@ -111,9 +111,13 @@ def d1_pushes(path) -> tuple[list[Frac], list[int]]:
 
 
 def sums_reference(path) -> tuple[int, int, int]:
-    """(k, a, b) of a Dt or D1 path, as ``TypedPath.sums`` holds them."""
+    """(k, a, b) of a path, as ``TypedPath.sums`` holds them.  D0 has no
+    edge to straighten, so a D0 path's k is the determinant sum over its
+    own vertices and a = b = 0."""
     if path.kind == "Dt":
         rationals, ledger = straighten(path)
         return (delta_sum(rationals), ledger.n0, ledger.n1)
+    if path.kind == "D0":
+        return (delta_sum(path.rationals()), 0, 0)
     seq, senses = d1_pushes(path)
     return (delta_sum(seq), senses.count(1), senses.count(-1))

@@ -111,13 +111,12 @@ def test_criterion_5_dual_algorithm_equivalence():
                f"{n_d1} t=1 paths through 10 crossings ({dt:.2f}s)")
 
 
-def test_criterion_6_parity_suite():
+def test_criterion_6_parity_suite(families_through_12):
     checked = 0
-    for link in enumerate_links(12):
-        result = slope_families(link)
+    for result in families_through_12:
         for x, y, z in result.mforms_raw:
             assert (x - z) % 2 == 0
-            assert (x + y) % 2 == (1 + link.q) % 2
+            assert (x + y) % 2 == (1 + result.link.q) % 2
             checked += 1
     _report(6, f"both parities hold for {checked} intersection forms "
                f"through 12 crossings")

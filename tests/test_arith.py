@@ -154,12 +154,3 @@ class TestGMat:
     def test_determinant_enforced(self):
         with pytest.raises(ValueError):
             GMat.make(1, 1, 1, 1)
-
-    def test_moebius_action(self):
-        g = GMat.make(1, 0, 2, 1)
-        assert g.apply(Frac(1, 0)) == Frac(1, 2)
-        assert g.apply(Frac(0, 1)) == Frac(0, 1)
-
-    def test_inverse(self):
-        g = GMat.make(3, 1, 8, 3)
-        assert g * g.inverse() == GMat.make(1, 0, 0, 1)

@@ -72,14 +72,16 @@ class TestQuadChain:
         subprocess.run([sys.executable, "-O", "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
-    def test_stored_vertices_match_the_frame(self):
+    def test_stored_vertices_match_the_frame(self, paths_through_14):
         # Quad.of skips the gcd; the frame's columns and mediants are
         # primitive, so Frac.make must give the same vertices.
         deep = [ContFrac((0, 2, m, 2)).value() for m in (1, 50, 340)]
-        links = enumerate_links(14) + [make_link(1, n) for n in (2, 30, 400)] + [
-            make_link(v.num, v.den) for v in deep]
-        for link in links:
-            for quad in quad_chain(link):
+        chains = [(r.link, r.diagrams.chain) for r in paths_through_14]
+        for link in [make_link(1, n) for n in (2, 30, 400)] + [
+                make_link(v.num, v.den) for v in deep]:
+            chains.append((link, quad_chain(link)))
+        for link, chain in chains:
+            for quad in chain:
                 a, b, c, d = quad.g
                 assert quad.vertices() == (
                     Frac.make(a, c), Frac.make(b, d),
@@ -139,7 +141,7 @@ class TestBuildDiagram:
             cx = build_diagram(quad_chain(make_link(7, 16)), kind)
             for e in cx.edges:
                 g = e.g
-                quad_verts = {g.col1(), g.col2(),
+                quad_verts = {Frac.make(g.a, g.c), g.col2(),
                               Frac.make(g.a + g.b, g.c + g.d),
                               Frac.make(g.a + 2 * g.b, g.c + 2 * g.d)}
                 for v in (e.tail, e.head):
@@ -248,7 +250,7 @@ class TestPathSums:
     @pytest.mark.parametrize("p,q", [(3, 8), (13, 34), (89, 144), (1, 40), (19, 50)])
     def test_sums_equal_the_push_reference(self, p, q):
         d = Diagrams(make_link(p, q))
-        for cx in (d.dt, d.d1):
+        for cx in (d.dt, d.d1, d.d0):
             for path in minimal_paths(cx, INFINITY, frac(p, q)):
                 assert path.sums == sums_reference(path), str(path)
 
@@ -272,12 +274,6 @@ class TestPathSums:
                 assert path.sums == sums_reference(path)
                 assert path.sums == TypedPath("Dt", path.steps).sums
                 m_form(path)        # parities hold from a midpoint too
-
-    def test_d0_paths_have_no_sums(self):
-        d = Diagrams(make_link(3, 8))
-        for path in minimal_paths(d.d0, INFINITY, frac(3, 8)):
-            with pytest.raises(ValueError, match="no straightening sums"):
-                path.sums
 
     def test_sums_stay_out_of_equality_and_repr(self):
         d = Diagrams(make_link(3, 8))

@@ -20,6 +20,10 @@ def surgery_link(k):
     return make_link(4 * k - 1, 8 * k)
 
 
+# The paper's worked example: 2k + 3 crossings, so k = 125 has 253.
+SURGERY_KS = [*range(1, 13), 60, 125]
+
+
 def dt_paths(link):
     d = Diagrams(link)
     return minimal_paths(d.dt, INFINITY, link.fraction())
@@ -59,7 +63,7 @@ def expected_surgery_mforms(k):
 
 
 class TestMForm:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", SURGERY_KS)
     def test_surgery_family_forms(self, k):
         got = Counter(m_form(p) for p in dt_paths(surgery_link(k)))
         assert got == expected_surgery_mforms(k)
@@ -253,7 +257,7 @@ class TestFamilyAssembly:
 
 
 class TestSForm:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", SURGERY_KS)
     def test_surgery_family_s_form(self, k):
         paths = d1_c_paths(surgery_link(k))
         assert len(paths) == 1
