@@ -2,7 +2,13 @@
 """Census of 2-bridge links beyond the embedded tables.
 
 Computes slope families for every link type up to a crossing bound and
-prints per-crossing counts, the largest family sets, and timing.  The
+prints one JSON line per crossing number n, over the link types with
+exactly n crossings:
+
+    {"crossings": n, "links": ..., "families": ..., "seconds": ...}
+
+``families`` is the number of slope families of those links, summed,
+and ``seconds`` the wall time ``slope_families`` took on them.  The
 engine has no intrinsic bound; the embedded reference data stops at ten
 crossings, so everything above that is fresh output.
 
@@ -13,8 +19,8 @@ digits, at least 2.  A bad value gets a usage line and exit code 2.
 """
 
 import argparse
+import json
 import time
-from collections import Counter
 
 from twobridge.arith import crossing_number, enumerate_links
 from twobridge.cli import _crossing_bound
@@ -27,22 +33,17 @@ def main() -> int:
     parser.add_argument("max_crossings", nargs="?", type=_crossing_bound,
                         default=12, metavar="MAX_CROSSINGS")
     bound = parser.parse_args().max_crossings
-    t0 = time.monotonic()
-    links = enumerate_links(bound)
-    by_crossings = Counter(crossing_number(l) for l in links)
-    print(f"{len(links)} link types through {bound} crossings:")
+    by_crossings: dict[int, list] = {}
+    for link in enumerate_links(bound):
+        by_crossings.setdefault(crossing_number(link), []).append(link)
     for n in sorted(by_crossings):
-        print(f"  {n} crossings: {by_crossings[n]}")
-
-    largest = []
-    for link in links:
-        result = slope_families(link)
-        largest.append((len(result.families), link))
-    largest.sort(reverse=True)
-    print("largest family sets:")
-    for size, link in largest[:5]:
-        print(f"  {link}: {size} families")
-    print(f"total time {time.monotonic() - t0:.2f}s")
+        links = by_crossings[n]
+        t0 = time.perf_counter()
+        families = sum(len(slope_families(link).families) for link in links)
+        seconds = time.perf_counter() - t0
+        print(json.dumps({"crossings": n, "links": len(links),
+                          "families": families, "seconds": round(seconds, 3)}),
+              flush=True)
     return 0
 
 

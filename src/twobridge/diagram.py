@@ -40,7 +40,9 @@ position: only the shared side's vertices and edges already exist.
 An edge path is minimal if no two consecutive edges lie in a common
 cell.  Minimal paths from 1/0 to p/q index the spanning surfaces, and
 every one of them stays inside the chain, so a depth-first search over
-the chain complex enumerates them all.
+the chain complex enumerates them all.  A backward pass from p/q first
+marks the traversals that can still lead on to it, and the search takes
+no other, so it walks into few dead ends.
 
 The slope algorithms straighten each Dt or D1 path across its cells and
 add per-step terms: a determinant sum and signed push counts.  One fold
@@ -322,11 +324,7 @@ class DiagramComplex:
     to tail); traversal t leaves vertex ``_ends[t]``, and
     ``_steps[t]`` and ``_heads[t]`` are its Step and the id of the
     vertex it reaches.  ``_out[v]`` lists the traversals leaving vertex
-    v in the order the path search tries them.  ``_next`` is the
-    search's successor table: ``minimal_paths`` sets entry t, the first
-    time it expands t, to the traversals that may follow t (those
-    sharing no cell with it).  Filling it up front would cost the square
-    of the degree at a fan vertex such as 0/1 in the chain of 1/n.
+    v in the order the path search tries them.
     """
 
     def __init__(self, kind: str, chain: list[Quad]):
@@ -407,7 +405,6 @@ class DiagramComplex:
         self._steps = steps = [None] * len(ends)
         steps[0::2] = map(tuple.__new__, repeat(Step), zip(edges, repeat(1)))
         steps[1::2] = map(tuple.__new__, repeat(Step), zip(edges, repeat(-1)))
-        self._next: list[tuple[int, ...] | None] = [None] * len(ends)
         # Vertex order: rationals by value, then midpoints by their two
         # endpoints.
         verts = list(self._ids)
@@ -520,6 +517,49 @@ def build_diagram(chain: list[Quad], kind: str) -> DiagramComplex:
     return cx
 
 
+def _live(cx: DiagramComplex, last: int) -> bytearray:
+    """Which traversals of cx lead on to vertex ``last``: entry t is 1
+    when t enters ``last``, or when some traversal leaving t's head
+    that shares no cell with t is live.  Such a chain of traversals may
+    revisit a vertex, so the live ones include every traversal that a
+    path to ``last`` can take, and maybe more.
+
+    Worked backward from the traversals into ``last``: when a traversal
+    u leaving v becomes live, so does every traversal into v that shares
+    no cell with u.  ``waiting[v]`` lists the traversals leaving v whose
+    reverses, into v, are still dead after some live one left v.  A
+    traversal into v shares a cell with at most three of those leaving
+    v (its own reverse, and the other edge at v of each of its at most
+    two cells), so it waits through at most three of them, and the pass
+    is linear in the number of edges.
+    """
+    out, ends, edge_cells = cx._out, cx._ends, cx.edge_cells
+    live = bytearray(len(ends))
+    # Traversals whose reverses are live but not yet worked back from.
+    work = out[last][:]
+    waiting: list[list[int] | None] = [None] * len(out)
+    waiting[last] = []              # every traversal into it is live
+    while work:
+        x = work.pop()
+        u = x ^ 1
+        live[u] = 1
+        v = ends[u]
+        w = waiting[v]
+        if w is None:
+            # No traversal into v is live before one leaving v is.
+            w = out[v]
+        elif not w:
+            continue
+        cells = edge_cells[x >> 1]
+        waiting[v] = keep = []
+        for t in w:
+            if cells.isdisjoint(edge_cells[t >> 1]):
+                work.append(t)
+            else:
+                keep.append(t)
+    return live
+
+
 def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]:
     """All minimal edge paths from start to end, with their sums.
 
@@ -527,6 +567,17 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     cell with the previous one.  Paths never revisit a vertex.  The
     search keeps its own stack, so path length is not bounded by the
     interpreter's recursion limit.
+
+    The search takes only traversals that ``_live`` marks as leading on
+    to ``end``.  The prune is exact: every step of a path to ``end`` is
+    followed by the next step, which shares no cell with it, and so on
+    to ``end``, so every step is live.  Dropping the rest loses no path
+    and keeps the order in which the others are found.  ``table[t]``
+    lists the live traversals that may follow t (leaving its head and
+    sharing no cell with it), filled the first time t is taken: filling
+    it up front would cost the square of the degree at a fan vertex such
+    as 0/1 in the chain of 1/n.  The successors depend on ``end``, so the
+    table lives for one call.
 
     Consecutive paths share most of their prefix, so the straightening
     fold (``TypedPath.sums``) runs along the search: ``states[d]`` is
@@ -541,13 +592,15 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
         raise ValueError(f"{start} and {end} are not two vertices of the complex")
     found: list[TypedPath] = []
     kind, out, edge_cells = cx.kind, cx._out, cx.edge_cells
-    heads, steps, table = cx._heads, cx._steps, cx._next
+    heads, steps = cx._heads, cx._steps
+    live = _live(cx, last)
+    table: list[list[int] | None] = [None] * len(heads)
     d1 = kind == "D1"
     path: list[Step] = []
     ends: list[int] = []                  # vertex id reached by each step
     visited = bytearray(len(out))
     visited[first] = 1
-    pending = [iter(out[first])]          # untried traversals per depth
+    pending = [iter([t for t in out[first] if live[t]])]   # untried, per depth
     states = [_fold_start(start)]
     good = 0
     while pending:
@@ -566,8 +619,10 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
             successors = table[t]
             if successors is None:
                 cells = edge_cells[t >> 1]
-                successors = table[t] = tuple(
-                    u for u in out[nxt] if cells.isdisjoint(edge_cells[u >> 1]))
+                table[t] = successors = []
+                for u in out[nxt]:
+                    if live[u] and cells.isdisjoint(edge_cells[u >> 1]):
+                        successors.append(u)
             path.append(steps[t])
             ends.append(nxt)
             visited[nxt] = 1

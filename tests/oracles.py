@@ -7,8 +7,9 @@ and follow the paper: straighten the path into its rational vertices,
 sum the determinants over them and count the cells it was pushed across.
 The sense of a D1 diagonal is found from the geometry, not from the
 traversal sign the fold reads.  Alongside are the frame matrices and
-side list of a quadrilateral and the minimality test of a path, which
-only the construction and path checks use.
+side list of a quadrilateral, the minimality test of a path and the
+traversals that can lead on to a vertex, which only the construction
+and path checks use.
 """
 
 from __future__ import annotations
@@ -36,6 +37,38 @@ def is_minimal(cx, path) -> bool:
             return False
         prev = cells
     return True
+
+
+def live_reference(cx) -> dict:
+    """For every vertex of cx as the end, the traversals (2*e for edge e
+    from tail to head, 2*e + 1 back) that lead on to it: those entering
+    it, and those with a live successor, a traversal leaving their head
+    along an edge that shares no cell with theirs.  The successor
+    relation is built once, pair by pair; each live set grows from the
+    traversals into its end to its fixpoint, each new member adding
+    those of its predecessors not yet in it."""
+    leaving, entering = {}, {}
+    for e, edge in enumerate(cx.edges):
+        for t, tail, head in ((2 * e, edge.tail, edge.head),
+                              (2 * e + 1, edge.head, edge.tail)):
+            leaving.setdefault(tail, []).append(t)
+            entering.setdefault(head, []).append(t)
+    predecessors = {t: [] for t in range(2 * len(cx.edges))}
+    for v, into in entering.items():
+        for t in into:
+            for u in leaving[v]:
+                if cx.edge_cells[t >> 1].isdisjoint(cx.edge_cells[u >> 1]):
+                    predecessors[u].append(t)
+    out = {}
+    for end, into in entering.items():
+        live = out[end] = set(into)
+        todo = list(live)
+        while todo:
+            for t in predecessors[todo.pop()]:
+                if t not in live:
+                    live.add(t)
+                    todo.append(t)
+    return out
 
 
 @dataclass

@@ -3,10 +3,9 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twobridge.arith import (ContFrac, Frac, GMat, TwoBridgeLink,
-                             canonical_rep, cf_positive, crossing_number,
-                             enumerate_links, linking_number, make_link,
-                             rolfsen_name)
+from twobridge.arith import (Frac, GMat, TwoBridgeLink, canonical_rep,
+                             cf_positive, crossing_number, enumerate_links,
+                             linking_number, make_link, rolfsen_name)
 
 
 class TestMakeLink:

@@ -208,13 +208,21 @@ class TestDeterminism:
 
 class TestGoldenOutput:
     # SHA-256 of the output as first released; any change to the engine
-    # must reproduce these bytes.
+    # must reproduce these bytes.  The D1, D0 and 1/120 digests were
+    # recorded later, from the search that walked every dead end.
     @pytest.mark.parametrize("argv,digest", [
         (("table", "--max-crossings", "12", "--format", "json"),
          "83557b5bb4e0da36d428faca64255a0dfe2a25a165c5fa2ab569839e3ec5266f"),
         (("paths", "--pq", "89/144", "--diagram", "dt", "--format", "json"),
          "c5ec0fdefe37e2853618331576c6c536f3ca7d52aabbe83ea16a954e3f4dd9fb"),
-    ], ids=["table-12", "paths-89-144"])
+        (("paths", "--pq", "89/144", "--diagram", "d1", "--format", "json"),
+         "28e15ab52f5604f82014eeba6d728becee950ed86cf455d26bfb5d914a4f28ed"),
+        (("paths", "--pq", "89/144", "--diagram", "d0", "--format", "json"),
+         "9fa6b807377e8da792f8b49b2bd5cbf69fda91524d38d582c5e068125c428b84"),
+        (("paths", "--pq", "1/120", "--diagram", "dt", "--format", "json"),
+         "6475ecd5ba5168474aa5ed6b1856e1b8748bf7562062b6f5cb47335ed9371977"),
+    ], ids=["table-12", "paths-89-144", "paths-89-144-d1", "paths-89-144-d0",
+            "paths-1-120"])
     def test_output_digest(self, capsys, argv, digest):
         rc, out, _ = run(capsys, *argv)
         assert rc == 0

@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from twobridge.arith import (ContFrac, Frac, GMat, INFINITY, TwoBridgeLink,
                              enumerate_links, make_link)
 from twobridge.diagram import (Corner, DiagramComplex, Diagrams, Edge, Quad,
-                               Step, TypedPath, build_diagram, collapse,
+                               Step, TypedPath, _live, build_diagram, collapse,
                                minimal_paths, quad_chain)
 from twobridge.slopes import m_form, m_form_edgewise
 
-from oracles import ROT, SHIFT, is_minimal, sides, sums_reference
+from oracles import (ROT, SHIFT, is_minimal, live_reference, sides,
+                     sums_reference)
 
 
 def frac(p, q):
@@ -236,6 +237,23 @@ class TestMinimalPaths:
         a = [str(p) for p in minimal_paths(d.dt, INFINITY, frac(13, 34))]
         b = [str(p) for p in minimal_paths(d.dt, INFINITY, frac(13, 34))]
         assert a == b
+
+    def test_live_traversals_match_the_reference(self, paths_through_14):
+        # What the search may take depends on its end, so every vertex
+        # of every diagram is tried as one: the links through 9
+        # crossings, a fan (1/40) and a long chain of one term ([2, 10, 2]).
+        value = ContFrac((0, 2, 10, 2)).value()
+        diagrams = [r.diagrams for r in paths_through_14 if r.crossings <= 9]
+        diagrams += [Diagrams(make_link(1, 40)),
+                     Diagrams(make_link(value.num, value.den))]
+        for d in diagrams:
+            for cx in (d.dt, d.d1, d.d0):
+                reference = live_reference(cx)
+                assert set(reference) == set(cx.vertices())
+                for end, want in reference.items():
+                    live = _live(cx, cx._ids[end])
+                    assert ({t for t, x in enumerate(live) if x}
+                            == want), (d.link, cx.kind, end)
 
 
 class TestPathSums:

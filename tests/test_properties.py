@@ -1,14 +1,13 @@
 """Property-based checks of the arithmetic layer and the slope pipeline."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twobridge.arith import (INFINITY, ContFrac, Frac, TwoBridgeLink,
                              canonical_rep, cf_positive, crossing_number,
                              linking_number, make_link)
-from twobridge.diagram import Diagrams, Step, TypedPath, minimal_paths
+from twobridge.diagram import (Corner, Diagrams, Step, TypedPath,
+                               minimal_paths)
 from twobridge.slopes import (m_form, m_form_edgewise, s_form_symbolic,
                               slope_families)
 
@@ -160,10 +159,17 @@ def reference_paths(cx, start, end):
 @given(links(max_crossings=20))
 @example(TwoBridgeLink(6765, 10946))     # all terms 1: 828 Dt paths
 def test_path_search_matches_recursive_reference(link):
+    # The search prunes to what can still reach its end, so the end
+    # varies too: p/q, and an odd rational from the middle of the chain.
     d = Diagrams(link)
-    for cx in (d.dt, d.d1):
-        got = minimal_paths(cx, INFINITY, link.fraction())
-        assert got == reference_paths(cx, INFINITY, link.fraction())
+    target = link.fraction()
+    middle = d.chain[len(d.chain) // 2].p3
+    cases = [(cx, INFINITY, end) for cx in (d.dt, d.d1, d.d0)
+             for end in (target, middle)]
+    cases.append((d.dt, Corner.on_side(INFINITY, Frac(0, 1)), target))
+    for cx, start, end in cases:
+        got = minimal_paths(cx, start, end)
+        assert got == reference_paths(cx, start, end), (cx.kind, start, end)
 
 
 def check_forms_and_sums(link):

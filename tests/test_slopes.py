@@ -2,8 +2,7 @@ from collections import Counter
 
 import pytest
 
-from twobridge.arith import (Frac, GMat, INFINITY, linking_number,
-                             make_link)
+from twobridge.arith import Frac, GMat, INFINITY, make_link
 from twobridge.diagram import Diagrams, collapse, minimal_paths
 from twobridge.slopes import (MForm, SForm, SlopeFamily, m_form,
                               m_form_edgewise, s_form, s_form_symbolic,
