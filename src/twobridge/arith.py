@@ -128,18 +128,14 @@ def canonical_rep(link: TwoBridgeLink, identify_mirrors: bool = False) -> TwoBri
     p/q and p'/q give the same unoriented link exactly when p' is p or
     its inverse mod q; the mirror image corresponds to q - p.  With
     ``identify_mirrors`` the representative is taken over the full
-    four-element orbit, which always lands below q/2 (the chirality the
-    reference tables print).
+    four-element orbit, which holds both p and q - p and so has its
+    minimum below q/2 (the chirality the reference tables print).
     """
     p, q = link
     orbit = {p, pow(p, -1, q)}
     if identify_mirrors:
         m = q - p
         orbit |= {m, pow(m, -1, q)}
-        rep = min(orbit)
-        if rep > q // 2:
-            rep = min(q - rep, pow(q - rep, -1, q))
-        return TwoBridgeLink(rep, q)
     return TwoBridgeLink(min(orbit), q)
 
 

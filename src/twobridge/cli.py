@@ -12,15 +12,17 @@ and ``error: argument ...``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+import time
 
 from .arith import (INFINITY, crossing_number, enumerate_links, make_link,
                     rolfsen_name)
 from .diagram import Diagrams, minimal_paths
 from .slopes import oracle_check, slope_families
-from .tables import emit, render_families, verify_corpus
+from .tables import emit, render_families, render_family, verify_corpus
 
 _PQ_HELP = ("the link's fraction as two integers, such as 3/8; "
             "write a negative P as --pq=-3/8")
@@ -56,10 +58,24 @@ def _crossing_bound(text: str) -> int:
     return n
 
 
-def _cmd_slopes(args) -> int:
-    result = slope_families(args.pq)
+def _kmax(text: str) -> int:
+    """A --kmax value: the surgery family starts at k = 1."""
+    k = _integer(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
+
+
+def _families(link):
+    """``slope_families(link)``, with each diagnostic written to stderr."""
+    result = slope_families(link)
     for note in result.diagnostics:
-        print(f"{args.pq}: {note}", file=sys.stderr)
+        print(f"{link}: {note}", file=sys.stderr)
+    return result
+
+
+def _cmd_slopes(args) -> int:
+    result = _families(args.pq)
     if args.format == "text":
         text = render_families(result) + "\n"
     else:
@@ -77,13 +93,46 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    results = []
-    for link in enumerate_links(args.max_crossings, True):
-        result = slope_families(link)
-        for note in result.diagnostics:
-            print(f"{link}: {note}", file=sys.stderr)
-        results.append(result)
+    results = [_families(link)
+               for link in enumerate_links(args.max_crossings, True)]
     sys.stdout.write(emit(results, args.format).decode())
+    return 0
+
+
+def _cmd_census(args) -> int:
+    # One line per crossing number n, over the links with exactly n
+    # crossings, flushed as soon as it is known; ``seconds`` is the wall
+    # time of their slope families.
+    links = enumerate_links(args.max_crossings, True)
+    for n, group in itertools.groupby(links, crossing_number):
+        group = list(group)
+        t0 = time.perf_counter()
+        families = sum(len(_families(link).families) for link in group)
+        seconds = time.perf_counter() - t0
+        print(json.dumps({"crossings": n, "links": len(group),
+                          "families": families, "seconds": round(seconds, 3)}),
+              flush=True)
+    return 0
+
+
+def _cmd_surgery(args) -> int:
+    # The links (4k-1)/8k of 1/k surgery on one component of the
+    # Borromean rings, each family with its domain.
+    for k in range(1, args.kmax + 1):
+        result = _families(make_link(4 * k - 1, 8 * k))
+        print(f"k = {k}: link {result.link}, "
+              f"linking number {result.linking_number}")
+        for fam in result.families:
+            lo, hi = fam.domain
+            if fam.branch == "T":
+                dom = f"{lo} <= t <= {hi}"
+            elif fam.branch == "S":
+                dom = f"{lo} <= s <= {hi}"
+            else:
+                dom = "t -> inf" if fam.phi == "second" else "t -> 0"
+            pair = "(%s, %s)" % render_family(fam)
+            print(f"  {pair:<28} {dom}")
+        print()
     return 0
 
 
@@ -165,6 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="text",
                    choices=["text", "json", "csv", "tex"])
     p.set_defaults(func=_cmd_table)
+
+    p = sub.add_parser("census", help="slope-family counts by crossing "
+                                      "number, one JSON line each")
+    p.add_argument("--max-crossings", type=_crossing_bound, required=True)
+    p.set_defaults(func=_cmd_census)
+
+    p = sub.add_parser("surgery", help="slope families of the links "
+                                       "(4k-1)/8k for k = 1..KMAX")
+    p.add_argument("--kmax", type=_kmax, default=3)
+    p.set_defaults(func=_cmd_surgery)
 
     p = sub.add_parser("verify", help="check computed slopes against the "
                                       "embedded reference tables")

@@ -7,10 +7,12 @@ import sys
 import pytest
 
 import twobridge
-from twobridge.arith import INFINITY, make_link
+from twobridge.arith import (INFINITY, crossing_number, enumerate_links,
+                             make_link)
 from twobridge.cli import main
 from twobridge.corpus_data import CORPUS
 from twobridge.diagram import Diagrams, minimal_paths
+from twobridge.slopes import oracle_check, slope_families
 from twobridge.tables import verify_corpus
 
 
@@ -104,6 +106,31 @@ class TestTableCommand:
         assert rc == 0
         assert "3/8 (5^2_1): " + slopes in table.splitlines(keepends=True)
 
+    def test_diagnostics_go_to_stderr(self, capsys, monkeypatch, wrong_limits):
+        rc, out, err = run(capsys, "table", "--max-crossings", "8")
+        assert rc == 0
+        links = {str(link) for link in enumerate_links(8)}
+        notes = err.splitlines()
+        assert notes and all(n.split(": ", 1)[0] in links for n in notes)
+        monkeypatch.undo()
+        assert run(capsys, "table", "--max-crossings", "8") == (0, out, "")
+
+
+class TestCensusCommand:
+    def test_one_line_per_crossing_number(self, capsys):
+        rc, out, err = run(capsys, "census", "--max-crossings", "8")
+        assert rc == 0 and err == ""
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["crossings"] for row in rows] == [2, 4, 5, 6, 7, 8]
+        links = enumerate_links(8)
+        for row in rows:
+            assert set(row) == {"crossings", "links", "families", "seconds"}
+            exact = [link for link in links
+                     if crossing_number(link) == row["crossings"]]
+            assert row["links"] == len(exact)
+            assert row["families"] == sum(
+                len(slope_families(link).families) for link in exact)
+
 
 class TestEnumerateCommand:
     def test_listing(self, capsys):
@@ -192,12 +219,26 @@ class TestOracleCheckCommand:
         assert rc == 0
         assert "all agree" in out
 
+    def test_disagreements_fail_the_check(self, capsys, monkeypatch):
+        # An edgewise form equal to no push form: every path disagrees.
+        monkeypatch.setattr("twobridge.slopes.m_form_edgewise",
+                            lambda path: "wrong")
+        rc, out, err = run(capsys, "oracle-check", "--max-crossings", "5")
+        expected = [f"{link}: {path}: {push} != wrong"
+                    for link in enumerate_links(5)
+                    for path, push, _ in oracle_check(link).disagreements]
+        assert rc == 1
+        assert err.splitlines() == expected
+        assert out == (f"checked 3 links, {len(expected)} paths: "
+                       f"{len(expected)} disagreements\n")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("slopes", "--pq", "13/34", "--format", "json"),
         ("table", "--max-crossings", "6", "--format", "tex"),
         ("enumerate", "--max-crossings", "8"),
+        ("surgery", "--kmax", "4"),
     ])
     def test_identical_output_on_repeat(self, capsys, argv):
         rc1, out1, _ = run(capsys, *argv)
@@ -221,8 +262,10 @@ class TestGoldenOutput:
          "9fa6b807377e8da792f8b49b2bd5cbf69fda91524d38d582c5e068125c428b84"),
         (("paths", "--pq", "1/120", "--diagram", "dt", "--format", "json"),
          "6475ecd5ba5168474aa5ed6b1856e1b8748bf7562062b6f5cb47335ed9371977"),
+        (("surgery", "--kmax", "12"),
+         "e6d640b0132c37b5af8b1575801277cf771f5e2219feb175808c0d4ed68ea788"),
     ], ids=["table-12", "paths-89-144", "paths-89-144-d1", "paths-89-144-d0",
-            "paths-1-120"])
+            "paths-1-120", "surgery-12"])
     def test_output_digest(self, capsys, argv, digest):
         rc, out, _ = run(capsys, *argv)
         assert rc == 0
@@ -260,7 +303,7 @@ class TestClosedStdout:
                 env["PYTHONUNBUFFERED"] = unbuffered
             for argv in (["enumerate", "--max-crossings", "16"],
                          ["table", "--max-crossings", "4"],
-                         ["verify", "--max-crossings", "4"],
+                         ["census", "--max-crossings", "4"],
                          ["--help"], ["slopes", "--help"]):
                 read_end, write_end = os.pipe()
                 os.close(read_end)
@@ -285,8 +328,8 @@ class TestUsage:
     def test_bad_flag(self, capsys):
         assert main(["slopes", "--nope"]) == 2
 
-    @pytest.mark.parametrize("command", ["enumerate", "table", "verify",
-                                         "oracle-check"])
+    @pytest.mark.parametrize("command", ["enumerate", "table", "census",
+                                         "verify", "oracle-check"])
     def test_crossing_bound_below_two(self, capsys, command):
         # No link diagram has fewer than 2 crossings: a smaller bound is
         # a usage error, not a crash and not a check of nothing.
@@ -301,3 +344,14 @@ class TestUsage:
             assert rc == 2, bound
             assert out == ""
             assert "argument --max-crossings: " in err
+
+    def test_kmax_below_one(self, capsys):
+        # The surgery family starts at k = 1.
+        for kmax, why in (("0", "must be at least 1"),
+                          ("-1", "must be at least 1"),
+                          ("x", "invalid int value")):
+            rc, out, err = run(capsys, "surgery", "--kmax", kmax)
+            assert rc == 2, kmax
+            assert out == ""
+            assert err.startswith("usage: ")
+            assert f"argument --kmax: {why}" in err

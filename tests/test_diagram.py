@@ -232,6 +232,25 @@ class TestMinimalPaths:
             assert is_minimal(d.dt, path)
             assert m_form(path) == m_form_edgewise(path)
 
+    def test_a_path_never_revisits_a_vertex(self):
+        # A hand-built D0 complex with a triangle 0/1 -> 1/3 -> 1/2 -> 0/1
+        # on the way from 1/0 to 1/1.  Only 0/1-1/3 and 1/2-0/1 share a
+        # cell, so either way round the triangle, once, is a chain of
+        # steps that share no cell with the one before, back at 0/1 and
+        # on to 1/1.  Those two walks revisit 0/1 and are not paths.
+        cx = DiagramComplex("D0", [])
+        g = quad_chain(make_link(1, 2))[0].g
+        v = [INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(1, 1)]
+        ids = [cx._new_vertex(x) for x in v]
+        cells = ([0], [1, 5], [2], [3, 5], [4])
+        cx._add_edges(None, [(Edge("B", v[a], v[b], g), ids[a], ids[b], -1, c)
+                             for (a, b), c in zip(
+                                 ((0, 1), (1, 2), (2, 3), (3, 1), (1, 4)),
+                                 cells)])
+        cx._freeze()
+        paths = minimal_paths(cx, INFINITY, frac(1, 1))
+        assert [str(p) for p in paths] == ["1/0 [B+] 0/1 [B+] 1/1"]
+
     def test_deterministic_order(self):
         d = Diagrams(make_link(13, 34))
         a = [str(p) for p in minimal_paths(d.dt, INFINITY, frac(13, 34))]
