@@ -49,21 +49,14 @@ def _link(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _crossing_bound(text: str) -> int:
-    """A --max-crossings value: no link diagram has fewer than 2
-    crossings, so a lower bound would check or list nothing."""
-    n = _integer(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
-    return n
-
-
-def _kmax(text: str) -> int:
-    """A --kmax value: the surgery family starts at k = 1."""
-    k = _integer(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
-    return k
+def _at_least(low: int):
+    """The argparse type of an integer flag whose values start at low."""
+    def integer(text: str) -> int:
+        n = _integer(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return integer
 
 
 def _families(link):
@@ -195,6 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twobridge",
         description="Boundary slopes of 2-bridge links, in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every --max-crossings: no link diagram has fewer than 2 crossings,
+    # so a lower bound would check or list nothing.
+    crossing_bound = _at_least(2)
 
     p = sub.add_parser("slopes", help="slope families of one link")
     p.add_argument("--pq", type=_link, required=True, metavar="P/Q",
@@ -204,30 +200,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_slopes)
 
     p = sub.add_parser("enumerate", help="list link types by crossing number")
-    p.add_argument("--max-crossings", type=_crossing_bound, required=True)
+    p.add_argument("--max-crossings", type=crossing_bound, required=True)
     p.add_argument("--identify-mirrors", action=argparse.BooleanOptionalAction,
                    default=True)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("table", help="slope tables for all links up to a bound")
-    p.add_argument("--max-crossings", type=_crossing_bound, required=True)
+    p.add_argument("--max-crossings", type=crossing_bound, required=True)
     p.add_argument("--format", default="text",
                    choices=["text", "json", "csv", "tex"])
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("census", help="slope-family counts by crossing "
                                       "number, one JSON line each")
-    p.add_argument("--max-crossings", type=_crossing_bound, required=True)
+    p.add_argument("--max-crossings", type=crossing_bound, required=True)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("surgery", help="slope families of the links "
                                        "(4k-1)/8k for k = 1..KMAX")
-    p.add_argument("--kmax", type=_kmax, default=3)
+    # The surgery family starts at k = 1.
+    p.add_argument("--kmax", type=_at_least(1), default=3)
     p.set_defaults(func=_cmd_surgery)
 
     p = sub.add_parser("verify", help="check computed slopes against the "
                                       "embedded reference tables")
-    p.add_argument("--max-crossings", type=_crossing_bound, default=10)
+    p.add_argument("--max-crossings", type=crossing_bound, default=10)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("paths", help="dump minimal edge paths")
@@ -239,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="compare the two independent "
                                             "slope computations path by path")
-    p.add_argument("--max-crossings", type=_crossing_bound, default=10)
+    p.add_argument("--max-crossings", type=crossing_bound, default=10)
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

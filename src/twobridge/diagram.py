@@ -49,6 +49,9 @@ add per-step terms: a determinant sum and signed push counts.  One fold
 over the steps computes them (``TypedPath.sums``).  The search folds as
 it goes, over the prefixes consecutive paths share, so each path comes
 out with its sums and no path is walked again from 1/0.
+
+``link_paths`` lists the paths every slope comes from; ``not_limits``,
+the t = 1 paths among them that are the ``collapse`` of no Dt path.
 """
 
 from __future__ import annotations
@@ -657,39 +660,33 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
     if target.kind not in ("D1", "D0"):
         raise ValueError("collapse target must be D1 or D0")
     images = target._collapsed
-    try:
-        # A display, not tuple(): tuple() of an iterator with no length
-        # hint reaches its size by resizing, which leaves the freed
-        # tuples piling up in CPython's per-size free lists.
-        return TypedPath(target.kind, (
-            *filter(None, map(images.__getitem__, map(id, path.steps))),))
-    except KeyError:
-        pass
-    parity = 1 if target.kind == "D1" else 0
+    while True:
+        try:
+            # A display, not tuple(): tuple() of an iterator with no
+            # length hint reaches its size by resizing, which leaves the
+            # freed tuples piling up in CPython's per-size free lists.
+            return TypedPath(target.kind, (
+                *filter(None, map(images.__getitem__, map(id, path.steps))),))
+        except KeyError:
+            pass
+        # Some step is new to the memo: project each new one and retry.
+        parity = 1 if target.kind == "D1" else 0
 
-    def project(v: Vertex) -> Frac:
-        if isinstance(v, Frac):
-            return v
-        return v.lo if v.lo.den % 2 == parity else v.hi
+        def project(v: Vertex) -> Frac:
+            if isinstance(v, Frac):
+                return v
+            return v.lo if v.lo.den % 2 == parity else v.hi
 
-    keep = target._collapsed_sources
-    steps: list[Step] = []
-    for step in path.steps:
-        key = id(step)
-        if key in images:
-            image = images[key]
-        else:
-            src, dst = project(step.source), project(step.target)
-            if src == dst:
-                image = None
-            else:
-                idx = target._edge_index(src, dst)
-                image = target._steps[2 * idx + (target.edges[idx].tail != src)]
-            images[key] = image
-            keep.append(step)
-        if image is not None:
-            steps.append(image)
-    return TypedPath(target.kind, tuple(steps))
+        for step in path.steps:
+            key = id(step)
+            if key not in images:
+                src, dst = project(step.source), project(step.target)
+                if src == dst:
+                    images[key] = None
+                else:
+                    idx = target._edge_index(src, dst)
+                    images[key] = target._steps[2 * idx + (target.edges[idx].tail != src)]
+                target._collapsed_sources.append(step)
 
 
 class Diagrams:
@@ -716,3 +713,27 @@ class Diagrams:
     @property
     def d0(self) -> DiagramComplex:
         return self.get("D0")
+
+
+def link_paths(link: TwoBridgeLink):
+    """The link's ``Diagrams``, its minimal Dt paths and its minimal
+    t = 1 paths through an odd diagonal (those that push), all from 1/0
+    to p/q: the paths every slope comes from."""
+    diagrams = Diagrams(link)
+    target = link.fraction()
+    dt_paths = minimal_paths(diagrams.dt, INFINITY, target)
+    c_paths = [p for p in minimal_paths(diagrams.d1, INFINITY, target)
+               if p.sums[1] + p.sums[2] > 0]
+    return diagrams, dt_paths, c_paths
+
+
+def not_limits(dt_paths: list[TypedPath], c_paths: list[TypedPath],
+               d1: DiagramComplex) -> list[TypedPath]:
+    """The paths of ``c_paths``, in order, that are the ``collapse`` in
+    ``d1`` of no path of ``dt_paths``: each path is keyed by the ids of
+    its steps (a tuple display, as in ``collapse``), equal exactly when
+    the paths are, and each collapsed Dt path strikes its key off."""
+    unmatched = {(*map(id, p.steps),): p for p in c_paths}
+    for p in dt_paths:
+        unmatched.pop((*map(id, collapse(p, d1).steps),), None)
+    return list(unmatched.values())

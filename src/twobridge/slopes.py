@@ -17,7 +17,8 @@ and beta (t = alpha/beta).  Two independent computations are provided:
   pulled-back longitudes with the train track carried by that edge.
 
 The two must agree exactly; ``oracle_check`` compares them on every
-minimal path of a link.
+minimal path of a link.  The paths and the check that each t = 1 path
+is a limit of Dt paths are ``diagram.link_paths`` and ``not_limits``.
 
 Paths in the t = 1 diagram that use odd diagonals carry more general
 surfaces with one free branching weight n_i in [0, beta] per diagonal;
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import Frac, INFINITY, TwoBridgeLink, linking_number
-from .diagram import Diagrams, TypedPath, collapse, minimal_paths
+from .diagram import TypedPath, link_paths, not_limits
 
 
 class MForm(NamedTuple):
@@ -218,17 +219,6 @@ def s_form_symbolic(path: TypedPath) -> SymbolicM:
     )
 
 
-def _link_paths(link: TwoBridgeLink):
-    """The link's ``Diagrams``, its minimal Dt paths and its minimal
-    t = 1 paths through an odd diagonal, all from 1/0 to p/q."""
-    diagrams = Diagrams(link)
-    target = link.fraction()
-    dt_paths = minimal_paths(diagrams.dt, INFINITY, target)
-    c_paths = [p for p in minimal_paths(diagrams.d1, INFINITY, target)
-               if p.sums[1] + p.sums[2] > 0]
-    return diagrams, dt_paths, c_paths
-
-
 def _one_per_sums(paths: list[TypedPath]):
     """One path for each distinct ``sums`` among paths that share their
     endpoints: ``m_form`` and ``s_form`` read nothing else, so the forms
@@ -249,8 +239,8 @@ class OracleReport(NamedTuple):
 def oracle_check(link: TwoBridgeLink) -> OracleReport:
     """Compare the push and the edgewise computation on every minimal Dt
     path and every minimal t = 1 path through an odd diagonal, the paths
-    ``slope_families`` reads (``_link_paths``)."""
-    _diagrams, dt_paths, c_paths = _link_paths(link)
+    ``slope_families`` reads (``diagram.link_paths``)."""
+    _diagrams, dt_paths, c_paths = link_paths(link)
     bad = []
     for path in dt_paths:
         push, track = m_form(path), m_form_edgewise(path)
@@ -314,16 +304,16 @@ class LinkSlopes:
 def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     """All boundary-slope families of a 2-bridge link.
 
-    Minimal Dt paths (from ``_link_paths``, the paths ``oracle_check``
-    checks) give the t-parameterized families, both branches and their
-    merge when the two constant coefficients agree, plus no-boundary
-    endpoint entries where the mixed coefficient vanishes; minimal t = 1
-    paths through odd diagonals supply the s families.  All output is
-    rebased to the preferred longitudes and deduplicated.
+    Minimal Dt paths (from ``diagram.link_paths``, the paths
+    ``oracle_check`` checks) give the t-parameterized families, both
+    branches and their merge when the two constant coefficients agree,
+    plus no-boundary endpoint entries where the mixed coefficient
+    vanishes; minimal t = 1 paths through odd diagonals supply the s
+    families, and each must be a limit of Dt paths (``not_limits``).
+    All output is rebased to the preferred longitudes and deduplicated.
     """
-    diagrams, dt_paths, c_paths = _link_paths(link)
+    diagrams, dt_paths, c_paths = link_paths(link)
     l = linking_number(link)
-    d1 = diagrams.d1
 
     mraw = sorted({m_form(p) for p in _one_per_sums(dt_paths)})
     # The shift to the preferred longitudes keeps forms distinct and in
@@ -333,17 +323,8 @@ def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     sraw = sorted({s_form(p) for p in _one_per_sums(c_paths)})
     spref = [to_preferred(s, l) for s in sraw]
 
-    # Every t = 1 path through an odd diagonal must be the limit of some
-    # Dt path.  The search and collapse both hand out the complex's one
-    # Step object per traversal, so two of these paths are equal exactly
-    # when their steps are the same objects: a path is keyed by the ids
-    # of its steps, and each collapsed Dt path strikes its key off.  The
-    # keys are tuple displays for the reason given in collapse().
-    unmatched = {(*map(id, p.steps),): p for p in c_paths}
-    for p in dt_paths:
-        unmatched.pop((*map(id, collapse(p, d1).steps),), None)
     diagnostics = [f"t=1 path not a limit of any deformed minimal path: {p}"
-                   for p in unmatched.values()]
+                   for p in not_limits(dt_paths, c_paths, diagrams.d1)]
 
     # Families print T first, then endpoints, then S; within a branch
     # they sort as tuples.  spref is sorted already.

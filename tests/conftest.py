@@ -5,7 +5,7 @@ from typing import Iterator, NamedTuple
 
 import pytest
 
-from twobridge import slopes
+from twobridge import diagram
 from twobridge.arith import (INFINITY, TwoBridgeLink, crossing_number,
                              enumerate_links)
 from twobridge.diagram import Diagrams, TypedPath, minimal_paths
@@ -63,12 +63,13 @@ def families_through_12() -> list[LinkSlopes]:
 
 @pytest.fixture
 def wrong_limits(monkeypatch):
-    """Breaks the limit check of ``slope_families``: every collapsed Dt
-    path loses its first step, so no t = 1 path is matched."""
-    real_collapse = slopes.collapse
+    """Breaks the limit check of ``slope_families`` (``not_limits``):
+    every collapsed Dt path loses its first step, so no t = 1 path is
+    matched."""
+    real_collapse = diagram.collapse
 
     def drop_first_step(path, target):
         down = real_collapse(path, target)
         return TypedPath(down.kind, down.steps[1:])
 
-    monkeypatch.setattr(slopes, "collapse", drop_first_step)
+    monkeypatch.setattr(diagram, "collapse", drop_first_step)

@@ -139,6 +139,18 @@ class TestEnumerateCommand:
         assert out.splitlines() == [
             "1/2\t2\t2^2_1", "1/4\t4\t4^2_1", "3/8\t5\t5^2_1"]
 
+    def test_mirrors_apart(self, capsys):
+        # 3/4 is the mirror image of 1/4: one row by default, its own
+        # row, under the same name, when mirrors are kept apart.
+        rc, out, _ = run(capsys, "enumerate", "--max-crossings", "4")
+        assert rc == 0
+        assert out.splitlines() == ["1/2\t2\t2^2_1", "1/4\t4\t4^2_1"]
+        rc, out, _ = run(capsys, "enumerate", "--max-crossings", "4",
+                         "--no-identify-mirrors")
+        assert rc == 0
+        assert out.splitlines() == [
+            "1/2\t2\t2^2_1", "1/4\t4\t4^2_1", "3/4\t4\t4^2_1"]
+
 
 class TestVerifyCommand:
     def test_small(self, capsys):

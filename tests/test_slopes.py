@@ -102,6 +102,22 @@ class TestMForm:
                 assert (x + y) % 2 == (1 + q) % 2
 
 
+# The links 1/n with n = 2m even; m = 1 is the Hopf link, whose forms
+# differ.
+ONE_OVER_N_MS = [*range(2, 40), 100, 250]
+
+
+class TestOneOverNFamily:
+    @pytest.mark.parametrize("m", ONE_OVER_N_MS)
+    def test_closed_form(self, m):
+        result = slope_families(make_link(1, 2 * m))
+        assert result.mforms_raw == (
+            (-1, 0, -1), (m - 1, -m, m - 1), (m - 1, m, m - 1))
+        assert result.sforms_raw == ()
+        assert result.linking_number == 1 - m
+        assert result.diagnostics == ()
+
+
 class TestTrackContributions:
     # Spot checks of single-edge contributions against hand values.
     def test_a_edge_at_infinity_vanishes(self):
