@@ -46,9 +46,10 @@ no other, so it walks into few dead ends.
 
 The slope algorithms straighten each Dt or D1 path across its cells and
 add per-step terms: a determinant sum and signed push counts.  One fold
-over the steps computes them (``TypedPath.sums``).  The search folds as
-it goes, over the prefixes consecutive paths share, so each path comes
-out with its sums and no path is walked again from 1/0.
+over the steps computes them (``TypedPath.sums``).  What a step adds
+depends only on that step and the one before it, so the search stores
+that weight beside each successor in its table and adds it as it steps:
+each path comes out with its sums and no path is walked again from 1/0.
 
 ``link_paths`` lists the paths every slope comes from; ``not_limits``,
 the t = 1 paths among them that are the ``collapse`` of no Dt path.
@@ -206,31 +207,31 @@ class Step(NamedTuple):
         return self.edge.head if self.sign > 0 else self.edge.tail
 
 
-def _fold(steps, states: list, d1: bool) -> None:
-    """The straightening fold: extend ``states``, whose last entry is the
-    state (k, a, b, num, den) before ``steps``, by the state after each
-    step; ``d1`` says the steps are on D1 rather than Dt or D0.
+def _fold(start: Vertex, steps, d1: bool) -> tuple[int, int, int]:
+    """The straightening fold: the sums (k, a, b) of ``steps`` from
+    ``start``; ``d1`` says the steps are on D1 rather than Dt or D0.
 
     Straightening replaces every edge with a detour (a rectangle side of
     Dt, an odd diagonal of D1) by the two edges around its detour
     vertex.  k is the determinant sum over consecutive rational vertices
-    of the straightened path so far (a pair with 1/0 adds nothing) and
-    num/den its last rational vertex, with den 0 when that is 1/0 or
-    there is none yet.  On Dt, a and b are the signed counts of corner
-    triangles crossed at even vertices (C edges, counted against the
-    grain) and at odd vertices (D edges, with it).  On D1, a and b count
-    the odd diagonals crossed in their positive and in their negative
-    pushing sense.  A diagonal is built from p3 to p2 of its
-    quadrilateral and its positive sense runs from p2, so it is pushed
-    positively exactly when it is traversed backward.  D0 edges have no
-    detour, so there a and b stay 0.
+    of the straightened path (a pair with 1/0 adds nothing).  The fold
+    carries the last rational vertex so far as num/den, with den 0 when
+    that is 1/0 or there is none yet.  On Dt, a and b are the signed
+    counts of corner triangles crossed at even vertices (C edges,
+    counted against the grain) and at odd vertices (D edges, with it).
+    On D1, a and b count the odd diagonals crossed in their positive and
+    in their negative pushing sense.  A diagonal is built from p3 to p2
+    of its quadrilateral and its positive sense runs from p2, so it is
+    pushed positively exactly when it is traversed backward.  D0 edges
+    have no detour, so there a and b stay 0.
 
+    ``minimal_paths`` adds the same terms from per-step weights instead;
     ``tests/oracles.py`` keeps the step-by-step reference for these
     sums: the path straightened into its rational vertices, their
     determinant sum, and the diagonals' senses found from the geometry.
     """
-    k, a, b, pn, pd = states[-1]
-    append = states.append
+    k = a = b = 0
+    pn, pd = start if isinstance(start, Frac) else (0, 0)
     for edge, sign in steps:
         v = edge.detour
         if v is not None:
@@ -253,13 +254,7 @@ def _fold(steps, states: list, d1: bool) -> None:
             if pd and vd:
                 k += pn * vd - vn * pd
             pn, pd = vn, vd
-        append((k, a, b, pn, pd))
-
-
-def _fold_start(start: Vertex) -> tuple[int, int, int, int, int]:
-    if isinstance(start, Frac):
-        return (0, 0, 0, start.num, start.den)
-    return (0, 0, 0, 0, 0)
+    return k, a, b
 
 
 @dataclass(frozen=True)
@@ -268,8 +263,9 @@ class TypedPath:
 
     ``sums`` is the (k, a, b) of the straightening fold (``_fold``) over
     the whole path: what ``m_form``, ``s_form`` and ``s_form_symbolic``
-    read, and (k, 0, 0) on D0.  ``minimal_paths`` fills it in as it
-    finds the path; a path built otherwise folds its steps on first use.
+    read, and (k, 0, 0) on D0.  ``minimal_paths`` fills it in from the
+    weights of the path's steps; a path built otherwise folds its steps
+    on first use.
     """
 
     kind: str                  # 'Dt', 'D1' or 'D0'
@@ -280,9 +276,8 @@ class TypedPath:
     @property
     def sums(self) -> tuple[int, int, int]:
         if self._sums is None:
-            states = [_fold_start(self.start)]
-            _fold(self.steps, states, self.kind == "D1")
-            object.__setattr__(self, "_sums", states[-1][:3])
+            object.__setattr__(self, "_sums", _fold(
+                self.start, self.steps, self.kind == "D1"))
         return self._sums
 
     @property
@@ -576,19 +571,27 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     followed by the next step, which shares no cell with it, and so on
     to ``end``, so every step is live.  Dropping the rest loses no path
     and keeps the order in which the others are found.  ``table[t]``
-    lists the live traversals that may follow t (leaving its head and
+    lists the live traversals u that may follow t (leaving its head and
     sharing no cell with it), filled the first time t is taken: filling
     it up front would cost the square of the degree at a fan vertex such
     as 0/1 in the chain of 1/n.  The successors depend on ``end``, so the
-    table lives for one call.
+    table lives for one call; its last slot holds the traversals that
+    may start a path.
 
-    Consecutive paths share most of their prefix, so the straightening
-    fold (``TypedPath.sums``) runs along the search: ``states[d]`` is
-    the fold state after the first d steps of the last path found, and
-    ``states[:good + 1]`` still hold for the current prefix.  Finding a
-    path folds only the steps beyond ``good`` and raises it to the
-    path's depth; backtracking to depth d lowers it to d at most.  A
-    dead end folds nothing.
+    The straightening fold (``_fold``) adds per-step terms, and its
+    state after a traversal t holds, besides the sums, only the last
+    rational vertex of the straightened path: t's head if rational,
+    else t's detour, else t's tail.  That depends on t alone, so the
+    step u adds the same weight (dk, da, db) whenever it follows t.
+    Each entry of ``table[t]`` is (u, dk, da, db, num, den): the
+    successor, that weight, and the last rational vertex after u (den 0
+    for 1/0 or none), from which u's own entries are filled.  The
+    weights are worked out inline as a list is filled, not by a call
+    per step or per list: on a long chain each is used about once, on
+    the Dt of a Fibonacci-type link about a hundred times.  The search
+    keeps the sums (k, a, b) of the current prefix, adding a step's
+    weight as it steps in and subtracting it as it steps back, and a
+    path's sums are those plus the weight of its last step.
     """
     first, last = cx._ids.get(start), cx._ids.get(end)
     if first is None or last is None or first == last:
@@ -597,48 +600,83 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     kind, out, edge_cells = cx.kind, cx._out, cx.edge_cells
     heads, steps = cx._heads, cx._steps
     live = _live(cx, last)
-    table: list[list[int] | None] = [None] * len(heads)
+    table: list[list | None] = [None] * (len(heads) + 1)
     d1 = kind == "D1"
     path: list[Step] = []
-    ends: list[int] = []                  # vertex id reached by each step
+    taken: list[tuple] = []               # the table entry of each step
     visited = bytearray(len(out))
-    visited[first] = 1
-    pending = [iter([t for t in out[first] if live[t]])]   # untried, per depth
-    states = [_fold_start(start)]
-    good = 0
-    while pending:
-        for t in pending[-1]:
-            nxt = heads[t]
-            if visited[nxt]:
+    pending = []                          # untried successors, per depth
+    k = a = b = 0                         # the sums of the path so far
+    t, nxt = -1, first                    # t = -1: before the first step
+    # The last rational vertex after t, den 0 for 1/0 or none.
+    pn, pd = start if isinstance(start, Frac) else (0, 0)
+    while True:
+        # Enter nxt by t, filling t's successors if t is new.
+        successors = table[t]
+        if successors is None:
+            cells = edge_cells[t >> 1] if t >= 0 else frozenset()
+            table[t] = successors = []
+            for u in out[nxt]:
+                if live[u] and cells.isdisjoint(edge_cells[u >> 1]):
+                    # One step of ``_fold`` from (pn, pd).
+                    edge, sign = steps[u]
+                    qn, qd = pn, pd
+                    dk = da = db = 0
+                    v = edge.detour
+                    if v is not None:
+                        if d1:
+                            if sign < 0:
+                                da = 1
+                            else:
+                                db = 1
+                        elif edge.etype == "C":
+                            da = -sign
+                        else:
+                            db = sign
+                        vn, vd = v
+                        if qd and vd:
+                            dk = qn * vd - vn * qd
+                        qn, qd = vn, vd
+                    v = edge.head if sign > 0 else edge.tail
+                    if isinstance(v, Frac):
+                        vn, vd = v
+                        if qd and vd:
+                            dk += qn * vd - vn * qd
+                        qn, qd = vn, vd
+                    successors.append((u, dk, da, db, qn, qd))
+        visited[nxt] = 1
+        pending.append(iter(successors))
+        # Take the next untried successor that does not end the path,
+        # backtracking past the depths that have none left.
+        while pending:
+            for entry in pending[-1]:
+                t, dk, da, db, pn, pd = entry
+                nxt = heads[t]
+                if visited[nxt]:
+                    continue
+                if nxt == last:
+                    found.append(TypedPath(kind, (*path, steps[t]),
+                                           (k + dk, a + da, b + db)))
+                    continue
+                path.append(steps[t])
+                taken.append(entry)
+                k += dk
+                a += da
+                b += db
+                break
+            else:
+                pending.pop()
+                if taken:
+                    u, dk, da, db, _, _ = taken.pop()
+                    path.pop()
+                    visited[heads[u]] = 0
+                    k -= dk
+                    a -= da
+                    b -= db
                 continue
-            if nxt == last:
-                del states[good + 1:]
-                _fold((*path[good:], steps[t]), states, d1)
-                good = len(path)
-                # The last step is not on the prefix: its state, the
-                # path's sums, comes off again.
-                found.append(TypedPath(kind, (*path, steps[t]), states.pop()[:3]))
-                continue
-            successors = table[t]
-            if successors is None:
-                cells = edge_cells[t >> 1]
-                table[t] = successors = []
-                for u in out[nxt]:
-                    if live[u] and cells.isdisjoint(edge_cells[u >> 1]):
-                        successors.append(u)
-            path.append(steps[t])
-            ends.append(nxt)
-            visited[nxt] = 1
-            pending.append(iter(successors))
             break
         else:
-            pending.pop()
-            if path:
-                path.pop()
-                visited[ends.pop()] = 0
-                if good > len(path):
-                    good = len(path)
-    return found
+            return found
 
 
 def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:

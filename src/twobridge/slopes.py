@@ -9,9 +9,10 @@ and beta (t = alpha/beta).  Two independent computations are provided:
   value is a determinant sum over its rational vertices, and corrects
   for each cell the deformation pushed the path across.  One fold over
   the steps (``TypedPath.sums``) gives the sum and the push counts; the
-  path search runs it over the prefixes its paths share, so ``m_form``,
-  ``s_form`` and ``s_form_symbolic`` start from three integers per
-  path.  The step-by-step reference for that fold lives in the tests
+  path search adds the same terms step by step, from a weight it stores
+  beside each successor, so ``m_form``, ``s_form`` and
+  ``s_form_symbolic`` start from three integers per path.  The
+  step-by-step reference for that fold lives in the tests
   (``tests/oracles.py``).
 * ``m_form_edgewise`` sums, edge by edge, the intersection of the
   pulled-back longitudes with the train track carried by that edge.

@@ -204,8 +204,10 @@ def chain_link(*terms):
     return make_link(value.num, value.den)
 
 
-# [1, ..., 1, 2] (all paths through fans of two), [2, m, 2] and 1/n
-# (long chains with few paths).
+# [1, ..., 1, 2] (all paths through fans of two), [2, m, 2], 1/n and the
+# two-term shapes of the deep-chain benchmark, [n - 3, 3] and [a, n - a]
+# (long chains with few paths, whose steps the search takes about once
+# each).
 @pytest.mark.parametrize("link,counts", [
     (chain_link(*[1] * 18, 2), [828, 257]),
     (chain_link(*[1] * 21, 2), [2293, 607]),
@@ -213,6 +215,9 @@ def chain_link(*terms):
     (chain_link(2, 101, 2), [6, 1]),
     (make_link(1, 24), [3, 0]),
     (make_link(1, 300), [3, 0]),
-], ids=["1^18-2", "1^21-2", "2-40-2", "2-101-2", "1/24", "1/300"])
+    (chain_link(297, 3), [7, 1]),
+    (chain_link(151, 149), [8, 1]),
+], ids=["1^18-2", "1^21-2", "2-40-2", "2-101-2", "1/24", "1/300",
+        "297-3", "151-149"])
 def test_push_matches_edgewise_on_long_chains(link, counts):
     assert check_forms_and_sums(link) == counts

@@ -118,6 +118,23 @@ class TestOneOverNFamily:
         assert result.diagnostics == ()
 
 
+# The links [2, m, 2] = (2m+1)/(4m+4): a long chain of one term between
+# two fans of two, with six Dt paths and one t = 1 path that pushes.
+TWO_M_TWO_MS = [*range(2, 61), 101, 125, 250]
+
+
+class TestTwoMTwoFamily:
+    @pytest.mark.parametrize("m", TWO_M_TWO_MS)
+    def test_closed_form(self, m):
+        result = slope_families(make_link(2 * m + 1, 4 * m + 4))
+        assert result.mforms_raw == tuple(sorted({
+            (-(2 * m + 1), 0, -1), (1, -2, -(2 * m - 1)),
+            (1, -2, 1), (1, 0, 1), (1, 2, 1)}))
+        assert result.sforms_raw == ((-(m + 1), m),)
+        assert result.linking_number == -1
+        assert result.diagnostics == ()
+
+
 class TestTrackContributions:
     # Spot checks of single-edge contributions against hand values.
     def test_a_edge_at_infinity_vanishes(self):
