@@ -35,7 +35,12 @@ Three diagrams are built over a chain:
 
 Each quadrilateral after the first shares exactly one side with the
 chain before it, so the builders number vertices, edges and cells by
-position: only the shared side's vertices and edges already exist.
+position: only the shared side's vertices and edges already exist.  They
+append each new edge to flat per-edge lists of ints and shared values
+and make no object per edge.  The ``Edge`` tuples are made in one
+C-level pass once the complex is complete, and a traversal's ``Step``
+only when a path search or ``collapse`` first uses it; from then on
+that one object stands for the traversal.
 
 An edge path is minimal if no two consecutive edges lie in a common
 cell.  Minimal paths from 1/0 to p/q index the spanning surfaces, and
@@ -59,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .arith import Frac, GMat, INFINITY, TwoBridgeLink, frac_cmp
@@ -82,13 +88,19 @@ class Corner(NamedTuple):
 Vertex = Frac | Corner
 
 
+# NamedTuple's generated ``__new__`` is a Python function that calls
+# tuple.__new__(cls, fields); the hot constructors below call the latter
+# directly and skip that frame.
+_new = tuple.__new__
+
+
 def _point(num: int, den: int) -> Frac:
     """The Frac of a coprime pair, as the columns of a determinant-one
     matrix and their mediants are: only the sign needs normalising."""
     if den > 0:
-        return Frac(num, den)
+        return _new(Frac, (num, den))
     if den < 0:
-        return Frac(-num, -den)
+        return _new(Frac, (-num, -den))
     return INFINITY
 
 
@@ -96,8 +108,8 @@ def _frame(a: int, b: int, c: int, d: int) -> GMat:
     """The GMat of a product of determinant-one matrices: the product
     needs only the sign normalised, not the determinant checked."""
     if c < 0 or (c == 0 and a < 0):
-        return GMat(-a, -b, -c, -d)
-    return GMat(a, b, c, d)
+        return _new(GMat, (-a, -b, -c, -d))
+    return _new(GMat, (a, b, c, d))
 
 
 class Quad(NamedTuple):
@@ -124,11 +136,11 @@ class Quad(NamedTuple):
     @staticmethod
     def of(g: GMat) -> "Quad":
         a, b, c, d = g
-        gr = _frame(a + 2 * b, -a - b, c + 2 * d, -c - d)
-        return Quad(g, _point(a, c), _point(b, d),
-                    _point(a + b, c + d), _point(a + 2 * b, c + 2 * d),
-                    GMat(a, a + b, c, c + d), gr,
-                    GMat(gr.a, gr.a + gr.b, gr.c, gr.c + gr.d))
+        gr = e, f, h, k = _frame(a + 2 * b, -a - b, c + 2 * d, -c - d)
+        return _new(Quad, (g, _point(a, c), _point(b, d),
+                           _point(a + b, c + d), _point(a + 2 * b, c + 2 * d),
+                           _new(GMat, (a, a + b, c, c + d)), gr,
+                           _new(GMat, (e, e + f, h, h + k))))
 
     def vertices(self) -> tuple[Frac, Frac, Frac, Frac]:
         return (self.p1, self.p2, self.p3, self.p4)
@@ -310,29 +322,63 @@ class TypedPath:
 _TYPE_RANK = {"A": 0, "B": 1, "C": 2, "D": 3}
 
 
+class _Shape:
+    """The edges a builder files for each quadrilateral, in filing
+    order: their type letters and the side (numbered as in ``Quad``, -1
+    inside) each lies on.  ``on_side[s]`` lists the edges on side s.
+    ``keep[s]``, for the side s shared with the chain before (None for
+    the first quadrilateral), is (pick, pick2, types): ``pick`` takes
+    the new edges' entries from a tuple with one entry per edge,
+    ``pick2`` from one with two, and ``types`` are their letters."""
+
+    def __init__(self, types: str, sides: tuple[int, ...]):
+        self.types = types
+        self.on_side = {s: [e for e, x in enumerate(sides) if x == s]
+                        for s in range(4)}
+        self.keep = {}
+        for s in (None, 0, 1, 2, 3):
+            kept = [e for e, x in enumerate(sides) if x != s]
+            self.keep[s] = (itemgetter(*kept),
+                            itemgetter(*[i for e in kept for i in (2 * e, 2 * e + 1)]),
+                            [types[e] for e in kept])
+
+
 class DiagramComplex:
     """Vertices, typed edges and 2-cells of one diagram over a chain.
 
     ``_ids`` numbers the vertices in the order they are first seen, so
-    its keys list them by id; ``_index`` maps the (lower, higher) id
-    pair of an edge's endpoints to the edge.  Cell j of quadrilateral i
-    is cell i * (cells per quadrilateral) + j, in the order each builder
-    gives; ``edge_cells[e]`` holds the cells of edge e.
+    its keys list them by id.  Cell j of quadrilateral i is cell
+    i * (cells per quadrilateral) + j, in the order each builder gives.
+    An edge lies in one cell of each quadrilateral it belongs to, so in
+    at most two.  The builders file edge e as entry e of flat per-edge
+    lists of ints and shared values: ``_types`` (its letter), ``_ends``
+    (the ids of its tail at 2*e and head at 2*e + 1), ``_frames``,
+    ``_detours`` and ``_cells`` (its cells at 2*e and 2*e + 1, the same
+    cell twice until a second quadrilateral adds its own).  ``_freeze``
+    makes from them, in C-level passes, the ``Edge`` tuples ``edges``,
+    the frozensets ``edge_cells`` (``edge_cells[e]`` holds the cells of
+    edge e) and ``_index``, which maps tail id * |V| + head id to the
+    edge.
     Traversals are numbered 2*e (edge e tail to head) and 2*e + 1 (head
-    to tail); traversal t leaves vertex ``_ends[t]``, and
-    ``_steps[t]`` and ``_heads[t]`` are its Step and the id of the
-    vertex it reaches.  ``_out[v]`` lists the traversals leaving vertex
-    v in the order the path search tries them.
+    to tail); traversal t leaves vertex ``_ends[t]`` and reaches vertex
+    ``_heads[t]``.  ``_steps[t]`` is its Step: None until a path search
+    or ``collapse`` first uses t (``_step``), then the one Step object
+    of t that every path through t shares.  ``_out[v]`` lists the
+    traversals leaving vertex v in the order the path search tries them.
     """
 
     def __init__(self, kind: str, chain: list[Quad]):
         self.kind = kind
         self.chain = chain
-        self.edges: list[Edge] = []
-        self._edge_cells: list[list[int]] = []
         self._ids: dict[Vertex, int] = {}
-        self._index: dict[tuple[int, int], int] = {}
+        self._types: list[str] = []
         self._ends: list[int] = []
+        self._frames: list[GMat] = []
+        self._detours: list[Frac | None] = []
+        self._cells: list[int] = []
+        # (type, tail id, head id, frame, detour, cell) of each edge
+        # built again on a shared side, checked by _freeze.
+        self._rebuilt: list[tuple] = []
         self._collapsed: dict[int, Step | None] = {}    # see collapse()
         self._collapsed_sources: list[Step] = []
 
@@ -366,66 +412,84 @@ class DiagramComplex:
             raise RuntimeError(f"quadrilateral {quad.g} of {self.kind} shares "
                                f"no side with the chain before it") from None
 
-    def _old_edge(self, edge: Edge) -> int:
-        """The index of the edge already built between edge's endpoints,
-        which must be the same edge."""
-        idx = self._edge_index(edge.tail, edge.head)
-        if self.edges[idx] != edge:
-            raise RuntimeError(
-                f"inconsistent edge rebuild: {self.edges[idx]} vs {edge}")
-        return idx
-
-    def _add_edges(self, shared: int | None, quad_edges) -> None:
-        """File one quadrilateral's edges, each given as (edge, tail id,
-        head id, side, cells): side is the number (as in ``Quad``) of the
-        edge's side, or -1 for an edge inside the quadrilateral.
-        The edges on the side ``shared`` exist already and gain the
-        cells; the others are new."""
-        # No two distinct edges of one diagram join the same vertex pair,
-        # so the pair alone identifies an edge.
-        edges, ends, edge_cells, index = self.edges, self._ends, self._edge_cells, self._index
-        for edge, tail, head, side, cells in quad_edges:
-            if side == shared:
-                edge_cells[self._old_edge(edge)] += cells
-                continue
-            index[(tail, head) if tail < head else (head, tail)] = len(edges)
-            edges.append(edge)
-            ends += (tail, head)
-            edge_cells.append(cells)
+    def _file(self, shape: _Shape, shared: int | None, ends: tuple,
+              frames: tuple, detours: tuple, cells: tuple) -> None:
+        """File one quadrilateral's edges, given in ``shape``'s order:
+        ``ends`` and ``cells`` with two entries per edge (as in
+        ``_ends`` and ``_cells``), the others with one.  The edges on the
+        side ``shared`` exist already and go to ``_rebuilt``; the others
+        are new and are appended."""
+        pick, pick2, types = shape.keep[shared]
+        if shared is not None:
+            for e in shape.on_side[shared]:
+                self._rebuilt.append((shape.types[e], ends[2 * e], ends[2 * e + 1],
+                                      frames[e], detours[e], cells[2 * e]))
+        self._types += types
+        self._ends += pick2(ends)
+        self._frames += pick(frames)
+        self._detours += pick(detours)
+        self._cells += pick2(cells)
 
     def _freeze(self) -> None:
-        self.edge_cells = [frozenset(c) for c in self._edge_cells]
-        ends, edges = self._ends, self.edges
-        self._heads = heads = ends[:]
-        heads[0::2], heads[1::2] = ends[1::2], ends[0::2]
-        # Step(e, sign) is tuple.__new__(Step, (e, sign)); mapping the
-        # latter keeps the loop out of the interpreter.
-        self._steps = steps = [None] * len(ends)
-        steps[0::2] = map(tuple.__new__, repeat(Step), zip(edges, repeat(1)))
-        steps[1::2] = map(tuple.__new__, repeat(Step), zip(edges, repeat(-1)))
+        types, ends, cells = self._types, self._ends, self._cells
+        frames, detours = self._frames, self._detours
+        verts = list(self._ids)
+        n = len(verts)
+        tails, heads = ends[0::2], ends[1::2]
+        # No two distinct edges of one diagram join the same vertex pair,
+        # so the pair alone identifies an edge.
+        self._index = index = dict(zip(
+            map(add, map(mul, tails, repeat(n)), heads), range(len(types))))
+        # An edge built again on a shared side must be the edge filed
+        # there, in the same direction, and in no second quadrilateral
+        # yet; it adds its cell to that edge.
+        for etype, tail, head, frame, detour, cell in self._rebuilt:
+            e = index.get(tail * n + head)
+            if (e is None or cells[2 * e] != cells[2 * e + 1]
+                    or (types[e], frames[e], detours[e]) != (etype, frame, detour)):
+                raise RuntimeError(f"inconsistent edge rebuild: "
+                                   f"{etype}:{verts[tail]}->{verts[head]} is not "
+                                   f"the edge filed between them")
+            cells[2 * e + 1] = cell
+        # Edge(...) is tuple.__new__(Edge, (...)); mapping the latter
+        # keeps the loop out of the interpreter.
+        self.edges = list(map(_new, repeat(Edge), zip(
+            types, map(verts.__getitem__, tails), map(verts.__getitem__, heads),
+            frames, detours)))
+        self.edge_cells = list(map(frozenset, zip(cells[0::2], cells[1::2])))
+        self._heads = reached = ends[:]
+        reached[0::2], reached[1::2] = heads, tails
+        self._steps: list[Step | None] = [None] * len(ends)
         # Vertex order: rationals by value, then midpoints by their two
         # endpoints.
-        verts = list(self._ids)
         rationals = sorted((v for v in verts if isinstance(v, Frac)), key=Frac.key)
         value_rank = {v: i for i, v in enumerate(rationals)}
         corners = sorted((v for v in verts if isinstance(v, Corner)),
                          key=lambda c: (value_rank[c.lo], value_rank[c.hi]))
         self._order = rationals + corners
-        rank = [0] * len(verts)
+        rank = [0] * n
         for r, v in enumerate(self._order):
             rank[self._ids[v]] = r
         # Traversals leave a vertex by edge type, then by the rank of
-        # their end vertex, then forward before backward: one integer
-        # key per traversal.
-        n = len(verts)
-        types = [_TYPE_RANK[e.etype] for e in edges]
-        keys = [((types[t >> 1] * n + rank[h]) << 1) | (t & 1)
-                for t, h in enumerate(heads)]
+        # their end vertex.  No two edges join the same pair, so this
+        # integer key tells apart all traversals leaving one vertex.
+        keys = [0] * len(ends)
+        keys[0::2] = keys[1::2] = list(map(mul, map(_TYPE_RANK.__getitem__, types),
+                                           repeat(n)))
+        keys = list(map(add, keys, map(rank.__getitem__, reached)))
         self._out: list[list[int]] = [[] for _ in verts]
         for t, v in enumerate(ends):
             self._out[v].append(t)
         for out in self._out:
             out.sort(key=keys.__getitem__)
+        del self._types, self._frames, self._detours, self._cells, self._rebuilt
+
+    def _step(self, t: int) -> Step:
+        """Traversal t's Step, made the first time it is asked for."""
+        step = self._steps[t]
+        if step is None:
+            step = self._steps[t] = _new(Step, (self.edges[t >> 1], -1 if t & 1 else 1))
+        return step
 
     # -- queries -----------------------------------------------------
 
@@ -433,9 +497,11 @@ class DiagramComplex:
         return list(self._order)
 
     def _edge_index(self, u: Vertex, v: Vertex) -> int:
+        ids, index = self._ids, self._index
         try:
-            iu, iv = self._ids[u], self._ids[v]
-            return self._index[(iu, iv) if iu < iv else (iv, iu)]
+            iu, iv = ids[u], ids[v]
+            e = index.get(iu * len(ids) + iv)
+            return index[iv * len(ids) + iu] if e is None else e
         except KeyError:
             raise KeyError(f"no edge between {u} and {v}") from None
 
@@ -446,60 +512,65 @@ class DiagramComplex:
         return edge, 1 if edge.tail == u else -1
 
 
+# Each builder files its edges per quadrilateral in this order.  Dt: the
+# A edges on sides 0, 3, 2, 1, the B edges on the same, then the
+# rectangle's sides C (at p1, p4) and D (at p2, p3).  D1 and D0: the
+# sides 0 to 3, then the diagonal.
+_DT = _Shape("AAAABBBBCCDD", (0, 3, 2, 1, 0, 3, 2, 1, -1, -1, -1, -1))
+_D1 = _Shape("AAAAC", (0, 1, 2, 3, -1))
+_D0 = _Shape("BBBBD", (0, 1, 2, 3, -1))
+
+
 def _build_dt(cx: DiagramComplex) -> None:
-    ids, new = cx._ids, cx._new_vertex
+    ids, new, file = cx._ids, cx._new_vertex, cx._file
     for qi, quad in enumerate(cx.chain):
         g, p1, p2, p3, p4, gs, gr, grs = quad
         i1, i2, i3, i4, shared = cx._quad_ids(quad)
-        mids = (Corner.on_side(p1, p2), Corner.on_side(p2, p4),
-                Corner.on_side(p4, p3), Corner.on_side(p3, p1))
-        m12, m24, m43, m31 = mids
+        # The midpoints of sides 0 to 3, as ``Corner.on_side`` orders
+        # them.  A side's frame, normalised with determinant one, carries
+        # 1/0 and 0/1 to its endpoints x/z and y/w.  Here y/w is odd, so
+        # w is not 0, and x/z - y/w is 1/(zw): x/z is below y/w (1/0
+        # above all) exactly when w < 0.
+        mids = (_new(Corner, (p1, p2) if g.d < 0 else (p2, p1)),
+                _new(Corner, (p4, p2) if grs.d < 0 else (p2, p4)),
+                _new(Corner, (p4, p3) if gr.d < 0 else (p3, p4)),
+                _new(Corner, (p1, p3) if gs.d < 0 else (p3, p1)))
         j12, j24, j43, j31 = [ids[m] if s == shared else new(m)
                               for s, m in enumerate(mids)]
         c = 5 * qi       # corners at p1, p4, p2, p3, then the rectangle
-        cx._add_edges(shared, (
-            (Edge("A", p1, m12, g), i1, j12, 0, [c]),
-            (Edge("A", p1, m31, gs), i1, j31, 3, [c]),
-            (Edge("A", p4, m43, gr), i4, j43, 2, [c + 1]),
-            (Edge("A", p4, m24, grs), i4, j24, 1, [c + 1]),
-            (Edge("B", p2, m12, g), i2, j12, 0, [c + 2]),
-            (Edge("B", p3, m31, gs), i3, j31, 3, [c + 3]),
-            (Edge("B", p3, m43, gr), i3, j43, 2, [c + 3]),
-            (Edge("B", p2, m24, grs), i2, j24, 1, [c + 2]),
-            (Edge("C", m31, m12, g, detour=p1), j31, j12, -1, [c, c + 4]),
-            (Edge("C", m24, m43, gr, detour=p4), j24, j43, -1, [c + 1, c + 4]),
-            (Edge("D", m24, m12, g, detour=p2), j24, j12, -1, [c + 2, c + 4]),
-            (Edge("D", m31, m43, gr, detour=p3), j31, j43, -1, [c + 3, c + 4]),
-        ))
+        file(_DT, shared,
+             (i1, j12, i1, j31, i4, j43, i4, j24,
+              i2, j12, i3, j31, i3, j43, i2, j24,
+              j31, j12, j24, j43, j24, j12, j31, j43),
+             (g, gs, gr, grs, g, gs, gr, grs, g, gr, g, gr),
+             (None, None, None, None, None, None, None, None, p1, p4, p2, p3),
+             (c, c, c, c, c + 1, c + 1, c + 1, c + 1,
+              c + 2, c + 2, c + 3, c + 3, c + 3, c + 3, c + 2, c + 2,
+              c, c + 4, c + 1, c + 4, c + 2, c + 4, c + 3, c + 4))
 
 
 def _build_d1(cx: DiagramComplex) -> None:
+    file = cx._file
     for qi, quad in enumerate(cx.chain):
         g, p1, p2, p3, p4, gs, gr, grs = quad
+        a, b, c, d = g
         i1, i2, i3, i4, shared = cx._quad_ids(quad)
-        c = 2 * qi       # triangles at p1 and p4
-        cx._add_edges(shared, (
-            (Edge("A", p1, p2, g), i1, i2, 0, [c]),
-            (Edge("A", p4, p2, grs), i4, i2, 1, [c + 1]),
-            (Edge("A", p4, p3, gr), i4, i3, 2, [c + 1]),
-            (Edge("A", p1, p3, gs), i1, i3, 3, [c]),
-            (Edge("C", p3, p2, _frame(g.a + g.b, g.b, g.c + g.d, g.d),
-                  detour=p1), i3, i2, -1, [c, c + 1]),
-        ))
+        k = 2 * qi       # triangles at p1 and p4
+        file(_D1, shared, (i1, i2, i4, i2, i4, i3, i1, i3, i3, i2),
+             (g, grs, gr, gs, _frame(a + b, b, c + d, d)),
+             (None, None, None, None, p1),
+             (k, k, k + 1, k + 1, k + 1, k + 1, k, k, k, k + 1))
 
 
 def _build_d0(cx: DiagramComplex) -> None:
+    file = cx._file
     for qi, quad in enumerate(cx.chain):
         g, p1, p2, p3, p4, gs, gr, grs = quad
         i1, i2, i3, i4, shared = cx._quad_ids(quad)
         c = 2 * qi       # triangles at p2 and p3
-        cx._add_edges(shared, (
-            (Edge("B", p2, p1, g), i2, i1, 0, [c]),
-            (Edge("B", p2, p4, grs), i2, i4, 1, [c]),
-            (Edge("B", p3, p4, gr), i3, i4, 2, [c + 1]),
-            (Edge("B", p3, p1, gs), i3, i1, 3, [c + 1]),
-            (Edge("D", p1, p4, g), i1, i4, -1, [c, c + 1]),
-        ))
+        file(_D0, shared, (i2, i1, i2, i4, i3, i4, i3, i1, i1, i4),
+             (g, grs, gr, gs, g), (None, None, None, None, None),
+             (c, c, c, c, c + 1, c + 1, c + 1, c + 1, c, c + 1))
 
 
 _BUILDERS = {"Dt": _build_dt, "D1": _build_d1, "D0": _build_d0}
@@ -558,7 +629,7 @@ def _live(cx: DiagramComplex, last: int) -> bytearray:
     return live
 
 
-def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]:
+def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedPath]:
     """All minimal edge paths from start to end, with their sums.
 
     Depth-first search; a step is allowed when the new edge shares no
@@ -576,7 +647,9 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
     it up front would cost the square of the degree at a fan vertex such
     as 0/1 in the chain of 1/n.  The successors depend on ``end``, so the
     table lives for one call; its last slot holds the traversals that
-    may start a path.
+    may start a path.  Filling an entry for u makes u's Step if no
+    search or ``collapse`` has made it yet, so a search makes Steps only
+    for the traversals it may take.
 
     The straightening fold (``_fold``) adds per-step terms, and its
     state after a traversal t holds, besides the sums, only the last
@@ -598,7 +671,7 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
         raise ValueError(f"{start} and {end} are not two vertices of the complex")
     found: list[TypedPath] = []
     kind, out, edge_cells = cx.kind, cx._out, cx.edge_cells
-    heads, steps = cx._heads, cx._steps
+    heads, steps, make_step = cx._heads, cx._steps, cx._step
     live = _live(cx, last)
     table: list[list | None] = [None] * (len(heads) + 1)
     d1 = kind == "D1"
@@ -619,7 +692,7 @@ def minimal_paths(cx: DiagramComplex, start: Frac, end: Frac) -> list[TypedPath]
             for u in out[nxt]:
                 if live[u] and cells.isdisjoint(edge_cells[u >> 1]):
                     # One step of ``_fold`` from (pn, pd).
-                    edge, sign = steps[u]
+                    edge, sign = steps[u] or make_step(u)
                     qn, qd = pn, pd
                     dk = da = db = 0
                     v = edge.detour
@@ -686,12 +759,13 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
     even endpoint in D0; edges whose endpoints merge disappear.  Each
     step's image is remembered on the target, keyed by the identity of
     the source step: ``_collapsed`` maps ``id(step)`` to the image, the
-    target's own Step object ``target._steps[t]``, or to None when the
-    step's endpoints merge.  ``_collapsed_sources`` keeps every step
-    keyed, so no id is reused while the memo lives.  A step shared by
-    many paths (the search hands out one Step per traversal) is
-    projected once, and two collapsed paths are equal exactly when
-    their steps are the same objects.
+    target's own Step object ``target._steps[t]`` (made here if no search
+    of the target has made it), or to None when the step's endpoints
+    merge.  ``_collapsed_sources`` keeps every step keyed, so no id is
+    reused while the memo lives.  A step shared by many paths (the
+    search hands out one Step per traversal) is projected once, and two
+    collapsed paths are equal exactly when their steps are the same
+    objects.
     """
     if path.kind != "Dt":
         raise ValueError("only Dt paths collapse")
@@ -723,7 +797,7 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
                     images[key] = None
                 else:
                     idx = target._edge_index(src, dst)
-                    images[key] = target._steps[2 * idx + (target.edges[idx].tail != src)]
+                    images[key] = target._step(2 * idx + (target.edges[idx].tail != src))
                 target._collapsed_sources.append(step)
 
 

@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twobridge.arith import (ContFrac, Frac, GMat, INFINITY, TwoBridgeLink,
                              enumerate_links, make_link)
-from twobridge.diagram import (Corner, DiagramComplex, Diagrams, Edge, Quad,
-                               Step, TypedPath, _live, build_diagram, collapse,
-                               minimal_paths, quad_chain)
+from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
+                               Edge, Quad, Step, TypedPath, _live,
+                               build_diagram, collapse, minimal_paths,
+                               quad_chain)
 from twobridge.slopes import m_form, m_form_edgewise
 
 from oracles import (ROT, SHIFT, is_minimal, live_reference, sides,
@@ -56,20 +57,31 @@ class TestQuadChain:
             quad_chain(TwoBridgeLink(3, 2))
 
     def test_errors_survive_optimised_mode(self):
-        # The chain, vertex numbering and expansion invariants raise
-        # explicitly, so they still fire when Python strips asserts.
+        # The chain, vertex numbering, edge filing and expansion
+        # invariants raise explicitly, so they still fire when Python
+        # strips asserts.
         code = ("from twobridge.arith import Frac, TwoBridgeLink, cf_positive\n"
-                "from twobridge.diagram import DiagramComplex, quad_chain\n"
+                "from twobridge.diagram import (_BUILDERS, DiagramComplex,\n"
+                "                               build_diagram, quad_chain)\n"
                 "cx = DiagramComplex('D1', [])\n"
                 "cx._new_vertex(Frac(1, 2))\n"
-                "for call in (lambda: cf_positive(TwoBridgeLink(1, 1)),\n"
-                "             lambda: quad_chain(TwoBridgeLink(3, 2)),\n"
-                "             lambda: cx._new_vertex(Frac(1, 2))):\n"
+                "chain = quad_chain(TwoBridgeLink(13, 34))\n"
+                "clash = DiagramComplex('D1', chain)\n"
+                "_BUILDERS['D1'](clash)\n"
+                "clash._rebuilt[0] = ('C',) + clash._rebuilt[0][1:]\n"
+                "for call, text in (\n"
+                "        (lambda: cf_positive(TwoBridgeLink(1, 1)), ''),\n"
+                "        (lambda: quad_chain(TwoBridgeLink(3, 2)), 'no side arc'),\n"
+                "        (lambda: cx._new_vertex(Frac(1, 2)), 'numbered twice'),\n"
+                "        (lambda: build_diagram(chain[:1] + chain[2:], 'D1'),\n"
+                "         'shares no side'),\n"
+                "        (clash._freeze, 'inconsistent edge rebuild')):\n"
                 "    try:\n"
                 "        call()\n"
-                "    except (ValueError, RuntimeError):\n"
-                "        continue\n"
-                "    raise SystemExit('no error raised')\n")
+                "    except (ValueError, RuntimeError) as error:\n"
+                "        if text in str(error):\n"
+                "            continue\n"
+                "    raise SystemExit(f'no error raised: {text}')\n")
         subprocess.run([sys.executable, "-O", "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
@@ -175,20 +187,32 @@ class TestEdgeIndex:
                 is_minimal(cx, path)
 
     def test_rebuilding_an_edge_must_agree(self):
-        # An edge on a side shared with the previous quadrilateral is
-        # built again and must equal the one already there.
-        cx = DiagramComplex("D1", [])
-        g = quad_chain(make_link(1, 2))[0].g
-        tail, head = cx._new_vertex(INFINITY), cx._new_vertex(frac(0, 1))
-        edge = Edge("A", INFINITY, frac(0, 1), g)
-        cx._add_edges(None, ((edge, tail, head, 0, [0]),))
-        cx._add_edges(0, ((edge, tail, head, 0, [1]),))
-        assert cx.edges == [edge] and cx._edge_cells == [[0, 1]]
-        # a second edge on the same pair, of another type or reversed
-        for clash in (Edge("C", INFINITY, frac(0, 1), g),
-                      Edge("A", frac(0, 1), INFINITY, g)):
+        # The edge on a side shared with the previous quadrilateral is
+        # built again, and _freeze checks it against the one filed
+        # there, which gains its cell.
+        chain = quad_chain(make_link(3, 8))
+
+        def filed():
+            cx = DiagramComplex("D1", chain)
+            _BUILDERS["D1"](cx)
+            return cx
+
+        cx = filed()
+        etype, tail, head, frame, detour, cell = cx._rebuilt[0]
+        cx._freeze()
+        verts = list(cx._ids)
+        e = cx._edge_index(verts[tail], verts[head])
+        assert cx.edges[e] == Edge(etype, verts[tail], verts[head], frame, detour)
+        assert cell in cx.edge_cells[e] and len(cx.edge_cells[e]) == 2
+        # the same pair rebuilt with another type, reversed, or framed
+        # by another matrix
+        for clash in (("C", tail, head, frame, detour, cell),
+                      (etype, head, tail, frame, detour, cell),
+                      (etype, tail, head, GMat(1, 0, 0, 1), detour, cell)):
+            cx = filed()
+            cx._rebuilt[0] = clash
             with pytest.raises(RuntimeError, match="inconsistent edge rebuild"):
-                cx._add_edges(0, ((clash, tail, head, 0, [1]),))
+                cx._freeze()
 
     def test_a_vertex_is_numbered_once(self):
         cx = DiagramComplex("Dt", [])
@@ -238,15 +262,19 @@ class TestMinimalPaths:
         # cell, so either way round the triangle, once, is a chain of
         # steps that share no cell with the one before, back at 0/1 and
         # on to 1/1.  Those two walks revisit 0/1 and are not paths.
+        # The edges are filed straight into the per-edge lists, a lone
+        # cell given twice.
         cx = DiagramComplex("D0", [])
         g = quad_chain(make_link(1, 2))[0].g
         v = [INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(1, 1)]
         ids = [cx._new_vertex(x) for x in v]
-        cells = ([0], [1, 5], [2], [3, 5], [4])
-        cx._add_edges(None, [(Edge("B", v[a], v[b], g), ids[a], ids[b], -1, c)
-                             for (a, b), c in zip(
-                                 ((0, 1), (1, 2), (2, 3), (3, 1), (1, 4)),
-                                 cells)])
+        for (a, b), cells in zip(((0, 1), (1, 2), (2, 3), (3, 1), (1, 4)),
+                                 ((0, 0), (1, 5), (2, 2), (3, 5), (4, 4))):
+            cx._types.append("B")
+            cx._ends += (ids[a], ids[b])
+            cx._frames.append(g)
+            cx._detours.append(None)
+            cx._cells += cells
         cx._freeze()
         paths = minimal_paths(cx, INFINITY, frac(1, 1))
         assert [str(p) for p in paths] == ["1/0 [B+] 0/1 [B+] 1/1"]
@@ -378,6 +406,11 @@ def projected(path, target):
     return TypedPath(target.kind, tuple(steps))
 
 
+def traversal(cx, step):
+    """The number of the traversal a step of cx takes."""
+    return 2 * cx._edge_index(step.edge.tail, step.edge.head) + (step.sign < 0)
+
+
 def fresh_copy(path):
     """The path rebuilt from new Step and Edge objects equal to its own."""
     return TypedPath(path.kind, tuple(Step(Edge(*s.edge), s.sign)
@@ -397,12 +430,37 @@ class TestCollapseByIdentity:
             cases.append((d, minimal_paths(d.dt, INFINITY, frac(p, q))))
         for d, paths in cases:
             for target in (d.d1, d.d0):
-                canonical = set(map(id, target._steps))
                 for path in paths:
                     down = collapse(path, target)
                     assert down == projected(path, target), (d.link, str(path))
-                    assert all(id(s) in canonical for s in down.steps)
+                    # each image is the target's one Step of its traversal
+                    assert all(s is target._steps[traversal(target, s)]
+                               for s in down.steps)
                     assert collapse(path, target) == down      # from the memo
+
+    def test_one_step_object_per_traversal(self):
+        # Steps are made on first use, by a search or by collapse, and
+        # whichever comes first, every later use gets the same object.
+        link = make_link(13, 34)
+        end = link.fraction()
+        d = Diagrams(link)
+        assert set(d.dt._steps) == set(d.d1._steps) == {None}
+        dt_paths = minimal_paths(d.dt, INFINITY, end)
+        mid = dt_paths[0].steps[0].target
+        runs = [(d.dt, dt_paths), (d.dt, minimal_paths(d.dt, INFINITY, end)),
+                (d.dt, minimal_paths(d.dt, mid, end))]
+        # D1: collapse before its search; D0: its search before collapse.
+        runs.append((d.d1, [collapse(p, d.d1) for p in dt_paths]))
+        runs.append((d.d1, minimal_paths(d.d1, INFINITY, end)))
+        runs.append((d.d0, minimal_paths(d.d0, INFINITY, end)))
+        runs.append((d.d0, [collapse(p, d.d0) for p in dt_paths]))
+        for cx, paths in runs:
+            assert paths
+            for path in paths:
+                for step in path.steps:
+                    t = traversal(cx, step)
+                    assert step is cx._steps[t]
+                    assert step == Step(cx.edges[t >> 1], -1 if t & 1 else 1)
 
     @pytest.mark.parametrize("kind", ["D1", "D0"])
     @pytest.mark.parametrize("p,q", LONG.values(), ids=LONG.keys())

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from twobridge.arith import Frac, GMat, INFINITY, make_link
+from twobridge.arith import Frac, GMat, INFINITY, TwoBridgeLink, make_link
 from twobridge.diagram import Diagrams, collapse, minimal_paths
 from twobridge.slopes import (MForm, SForm, SlopeFamily, m_form,
                               m_form_edgewise, s_form, s_form_symbolic,
@@ -372,3 +372,33 @@ class TestSlopeFamilies:
         for x, y in result.sforms:
             assert (x + y, x - y) in t_at_one
             assert (x - y, x + y) in t_at_one
+
+
+class TestMirrorSymmetry:
+    """The mirror (q-p)/q of p/q has its own chain, complexes and paths,
+    so unlike push-vs-edgewise this checks the builders and the search
+    against lists they did not make: its forms are the negated forms,
+    (x, y, z) -> (-x, -y, -z), its s forms are (x, y) -> (-x, y), and
+    its linking number is negated."""
+
+    LONG = ((1, 120), (81, 164), (3, 892), (149, 22500), (6765, 10946))
+
+    @staticmethod
+    def assert_mirrored(result):
+        link = result.link
+        mirror = slope_families(TwoBridgeLink(link.q - link.p, link.q))
+        assert mirror.linking_number == -result.linking_number, link
+        for forms, mirrored in ((result.mforms_raw, mirror.mforms_raw),
+                                (result.mforms, mirror.mforms)):
+            assert list(mirrored) == sorted((-x, -y, -z) for x, y, z in forms), link
+        for forms, mirrored in ((result.sforms_raw, mirror.sforms_raw),
+                                (result.sforms, mirror.sforms)):
+            assert list(mirrored) == sorted((-x, y) for x, y in forms), link
+
+    def test_through_12_crossings(self, families_through_12):
+        for result in families_through_12:
+            self.assert_mirrored(result)
+
+    @pytest.mark.parametrize("p,q", LONG, ids=[f"{p}-{q}" for p, q in LONG])
+    def test_long_chains(self, p, q):
+        self.assert_mirrored(slope_families(make_link(p, q)))
