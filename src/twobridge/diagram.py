@@ -36,11 +36,10 @@ Three diagrams are built over a chain:
 Each quadrilateral after the first shares exactly one side with the
 chain before it, so the builders number vertices, edges and cells by
 position: only the shared side's vertices and edges already exist.  They
-append each new edge to flat per-edge lists of ints and shared values
-and make no object per edge.  The ``Edge`` tuples are made in one
-C-level pass once the complex is complete, and a traversal's ``Step``
-only when a path search or ``collapse`` first uses it; from then on
-that one object stands for the traversal.
+append each new edge, its two cells among them, to flat per-edge lists
+of ints and shared values.  An edge's ``Edge`` and a traversal's
+``Step`` are made only when a path search or ``collapse`` first uses
+them; from then on that one object stands for it.
 
 An edge path is minimal if no two consecutive edges lie in a common
 cell.  Minimal paths from 1/0 to p/q index the spanning surfaces, and
@@ -62,12 +61,12 @@ the t = 1 paths among them that are the ``collapse`` of no Dt path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import add, itemgetter, mul
 from typing import NamedTuple
 
-from .arith import Frac, GMat, INFINITY, TwoBridgeLink, frac_cmp
+from .arith import Frac, GMat, INFINITY, TwoBridgeLink
 
 
 class Corner(NamedTuple):
@@ -76,10 +75,6 @@ class Corner(NamedTuple):
 
     lo: Frac
     hi: Frac
-
-    @staticmethod
-    def on_side(u: Frac, v: Frac) -> "Corner":
-        return Corner(u, v) if frac_cmp(u, v) < 0 else Corner(v, u)
 
     def __str__(self) -> str:
         return f"mid({self.lo},{self.hi})"
@@ -269,7 +264,6 @@ def _fold(start: Vertex, steps, d1: bool) -> tuple[int, int, int]:
     return k, a, b
 
 
-@dataclass(frozen=True)
 class TypedPath:
     """A vertex-to-vertex edge path in one of the three diagrams.
 
@@ -277,19 +271,30 @@ class TypedPath:
     the whole path: what ``m_form``, ``s_form`` and ``s_form_symbolic``
     read, and (k, 0, 0) on D0.  ``minimal_paths`` fills it in from the
     weights of the path's steps; a path built otherwise folds its steps
-    on first use.
+    on first use.  ``kind`` and ``steps`` alone make its equality, hash
+    and repr.  It is immutable by convention: a guard on assignment
+    would cost more than the rest of its construction.
     """
 
-    kind: str                  # 'Dt', 'D1' or 'D0'
-    steps: tuple[Step, ...]
-    _sums: tuple[int, int, int] | None = field(default=None, compare=False,
-                                               repr=False)
+    __slots__ = ("kind", "steps", "_sums")
+
+    def __init__(self, kind: str, steps: tuple[Step, ...], _sums=None):
+        self.kind, self.steps, self._sums = kind, steps, _sums
+
+    def __eq__(self, other):
+        return (isinstance(other, TypedPath) and self.kind == other.kind
+                and self.steps == other.steps)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.steps))
+
+    def __repr__(self) -> str:
+        return f"TypedPath(kind={self.kind!r}, steps={self.steps!r})"
 
     @property
     def sums(self) -> tuple[int, int, int]:
         if self._sums is None:
-            object.__setattr__(self, "_sums", _fold(
-                self.start, self.steps, self.kind == "D1"))
+            self._sums = _fold(self.start, self.steps, self.kind == "D1")
         return self._sums
 
     @property
@@ -355,10 +360,10 @@ class DiagramComplex:
     (the ids of its tail at 2*e and head at 2*e + 1), ``_frames``,
     ``_detours`` and ``_cells`` (its cells at 2*e and 2*e + 1, the same
     cell twice until a second quadrilateral adds its own).  ``_freeze``
-    makes from them, in C-level passes, the ``Edge`` tuples ``edges``,
-    the frozensets ``edge_cells`` (``edge_cells[e]`` holds the cells of
-    edge e) and ``_index``, which maps tail id * |V| + head id to the
-    edge.
+    splits the cells into ``_c0`` and ``_c1`` (edge e lies in cells
+    ``_c0[e]`` and ``_c1[e]``) and makes ``_index``, which maps tail id
+    * |V| + head id to the edge.  ``_edges[e]`` is edge e's ``Edge``,
+    None until first used (``_edge``); ``edges`` makes them all, once.
     Traversals are numbered 2*e (edge e tail to head) and 2*e + 1 (head
     to tail); traversal t leaves vertex ``_ends[t]`` and reaches vertex
     ``_heads[t]``.  ``_steps[t]`` is its Step: None until a path search
@@ -433,7 +438,7 @@ class DiagramComplex:
     def _freeze(self) -> None:
         types, ends, cells = self._types, self._ends, self._cells
         frames, detours = self._frames, self._detours
-        verts = list(self._ids)
+        self._verts = verts = list(self._ids)
         n = len(verts)
         tails, heads = ends[0::2], ends[1::2]
         # No two distinct edges of one diagram join the same vertex pair,
@@ -451,12 +456,8 @@ class DiagramComplex:
                                    f"{etype}:{verts[tail]}->{verts[head]} is not "
                                    f"the edge filed between them")
             cells[2 * e + 1] = cell
-        # Edge(...) is tuple.__new__(Edge, (...)); mapping the latter
-        # keeps the loop out of the interpreter.
-        self.edges = list(map(_new, repeat(Edge), zip(
-            types, map(verts.__getitem__, tails), map(verts.__getitem__, heads),
-            frames, detours)))
-        self.edge_cells = list(map(frozenset, zip(cells[0::2], cells[1::2])))
+        self._c0, self._c1 = cells[0::2], cells[1::2]
+        self._edges: list[Edge | None] = [None] * len(types)
         self._heads = reached = ends[:]
         reached[0::2], reached[1::2] = heads, tails
         self._steps: list[Step | None] = [None] * len(ends)
@@ -482,13 +483,32 @@ class DiagramComplex:
             self._out[v].append(t)
         for out in self._out:
             out.sort(key=keys.__getitem__)
-        del self._types, self._frames, self._detours, self._cells, self._rebuilt
+        del self._cells, self._rebuilt
+
+    def _edge(self, e: int) -> Edge:
+        """Edge e's Edge, made the first time it is asked for."""
+        edge = self._edges[e]
+        if edge is None:
+            edge = self._edges[e] = _new(Edge, (
+                self._types[e], self._verts[self._ends[2 * e]],
+                self._verts[self._ends[2 * e + 1]], self._frames[e], self._detours[e]))
+        return edge
+
+    @cached_property
+    def edges(self) -> list[Edge]:
+        # One C-level pass (see ``_new``) that keeps the edges made before.
+        verts, ends = self._verts, self._ends
+        new = map(_new, repeat(Edge), zip(self._types, map(verts.__getitem__, ends[0::2]),
+                                          map(verts.__getitem__, ends[1::2]),
+                                          self._frames, self._detours))
+        self._edges = [made or edge for made, edge in zip(self._edges, new)]
+        return self._edges
 
     def _step(self, t: int) -> Step:
         """Traversal t's Step, made the first time it is asked for."""
         step = self._steps[t]
         if step is None:
-            step = self._steps[t] = _new(Step, (self.edges[t >> 1], -1 if t & 1 else 1))
+            step = self._steps[t] = _new(Step, (self._edge(t >> 1), -1 if t & 1 else 1))
         return step
 
     # -- queries -----------------------------------------------------
@@ -508,7 +528,7 @@ class DiagramComplex:
     def edge_between(self, u: Vertex, v: Vertex) -> tuple[Edge, int]:
         """The unique edge joining u and v, with the sign of the u -> v
         traversal."""
-        edge = self.edges[self._edge_index(u, v)]
+        edge = self._edge(self._edge_index(u, v))
         return edge, 1 if edge.tail == u else -1
 
 
@@ -526,11 +546,11 @@ def _build_dt(cx: DiagramComplex) -> None:
     for qi, quad in enumerate(cx.chain):
         g, p1, p2, p3, p4, gs, gr, grs = quad
         i1, i2, i3, i4, shared = cx._quad_ids(quad)
-        # The midpoints of sides 0 to 3, as ``Corner.on_side`` orders
-        # them.  A side's frame, normalised with determinant one, carries
-        # 1/0 and 0/1 to its endpoints x/z and y/w.  Here y/w is odd, so
-        # w is not 0, and x/z - y/w is 1/(zw): x/z is below y/w (1/0
-        # above all) exactly when w < 0.
+        # The midpoints of sides 0 to 3, each with the lower endpoint of
+        # its side first.  A side's frame, normalised with determinant
+        # one, carries 1/0 and 0/1 to its endpoints x/z and y/w.  Here
+        # y/w is odd, so w is not 0, and x/z - y/w is 1/(zw): x/z is
+        # below y/w (1/0 above all) exactly when w < 0.
         mids = (_new(Corner, (p1, p2) if g.d < 0 else (p2, p1)),
                 _new(Corner, (p4, p2) if grs.d < 0 else (p2, p4)),
                 _new(Corner, (p4, p3) if gr.d < 0 else (p3, p4)),
@@ -602,7 +622,7 @@ def _live(cx: DiagramComplex, last: int) -> bytearray:
     two cells), so it waits through at most three of them, and the pass
     is linear in the number of edges.
     """
-    out, ends, edge_cells = cx._out, cx._ends, cx.edge_cells
+    out, ends, c0, c1 = cx._out, cx._ends, cx._c0, cx._c1
     live = bytearray(len(ends))
     # Traversals whose reverses are live but not yet worked back from.
     work = out[last][:]
@@ -619,10 +639,10 @@ def _live(cx: DiagramComplex, last: int) -> bytearray:
             w = out[v]
         elif not w:
             continue
-        cells = edge_cells[x >> 1]
+        x0, x1 = c0[x >> 1], c1[x >> 1]
         waiting[v] = keep = []
         for t in w:
-            if cells.isdisjoint(edge_cells[t >> 1]):
+            if x0 != c0[t >> 1] != x1 and x0 != c1[t >> 1] != x1:
                 work.append(t)
             else:
                 keep.append(t)
@@ -645,11 +665,11 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     lists the live traversals u that may follow t (leaving its head and
     sharing no cell with it), filled the first time t is taken: filling
     it up front would cost the square of the degree at a fan vertex such
-    as 0/1 in the chain of 1/n.  The successors depend on ``end``, so the
-    table lives for one call; its last slot holds the traversals that
-    may start a path.  Filling an entry for u makes u's Step if no
-    search or ``collapse`` has made it yet, so a search makes Steps only
-    for the traversals it may take.
+    as 0/1 in the chain of 1/n.  The successors depend on ``end``, so
+    the table lives for one call; its last slot holds the traversals
+    that may start a path, whose cells count as -1.  Filling an entry
+    for u makes u's Step and Edge if no search or ``collapse`` has made
+    them yet, so a search makes them only for what it may take.
 
     The straightening fold (``_fold``) adds per-step terms, and its
     state after a traversal t holds, besides the sums, only the last
@@ -670,7 +690,7 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     if first is None or last is None or first == last:
         raise ValueError(f"{start} and {end} are not two vertices of the complex")
     found: list[TypedPath] = []
-    kind, out, edge_cells = cx.kind, cx._out, cx.edge_cells
+    kind, out, c0, c1 = cx.kind, cx._out, cx._c0, cx._c1
     heads, steps, make_step = cx._heads, cx._steps, cx._step
     live = _live(cx, last)
     table: list[list | None] = [None] * (len(heads) + 1)
@@ -687,10 +707,10 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
         # Enter nxt by t, filling t's successors if t is new.
         successors = table[t]
         if successors is None:
-            cells = edge_cells[t >> 1] if t >= 0 else frozenset()
+            x0, x1 = (c0[t >> 1], c1[t >> 1]) if t >= 0 else (-1, -1)
             table[t] = successors = []
             for u in out[nxt]:
-                if live[u] and cells.isdisjoint(edge_cells[u >> 1]):
+                if live[u] and x0 != c0[u >> 1] != x1 and x0 != c1[u >> 1] != x1:
                     # One step of ``_fold`` from (pn, pd).
                     edge, sign = steps[u] or make_step(u)
                     qn, qd = pn, pd
@@ -759,13 +779,13 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
     even endpoint in D0; edges whose endpoints merge disappear.  Each
     step's image is remembered on the target, keyed by the identity of
     the source step: ``_collapsed`` maps ``id(step)`` to the image, the
-    target's own Step object ``target._steps[t]`` (made here if no search
-    of the target has made it), or to None when the step's endpoints
-    merge.  ``_collapsed_sources`` keeps every step keyed, so no id is
-    reused while the memo lives.  A step shared by many paths (the
-    search hands out one Step per traversal) is projected once, and two
-    collapsed paths are equal exactly when their steps are the same
-    objects.
+    target's own Step object ``target._steps[t]`` (made here, with its
+    Edge, if no search of the target has made it), or to None when the
+    step's endpoints merge.  ``_collapsed_sources`` keeps every step
+    keyed, so no id is reused while the memo lives.  A step shared by
+    many paths (the search hands out one Step per traversal) is
+    projected once, and two collapsed paths are equal exactly when their
+    steps are the same objects.
     """
     if path.kind != "Dt":
         raise ValueError("only Dt paths collapse")
@@ -797,7 +817,7 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
                     images[key] = None
                 else:
                     idx = target._edge_index(src, dst)
-                    images[key] = target._step(2 * idx + (target.edges[idx].tail != src))
+                    images[key] = target._step(2 * idx + (target._edge(idx).tail != src))
                 target._collapsed_sources.append(step)
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from twobridge.arith import Frac, GMat
+from twobridge.arith import Frac, GMat, frac_cmp
+from twobridge.diagram import Corner
 
 ROT = GMat.make(1, -1, 2, -1)    # half-turn of the base quadrilateral
 SHIFT = GMat.make(1, 1, 0, 1)    # next frame around the vertex 1/0
@@ -29,11 +30,23 @@ def sides(quad):
     return ((p1, p2), (p2, p4), (p4, p3), (p3, p1))
 
 
+def on_side(u: Frac, v: Frac) -> Corner:
+    """The midpoint of the side {u, v}, its endpoints in increasing
+    order (1/0 above all): the order the Dt builder gives them."""
+    return Corner(u, v) if frac_cmp(u, v) < 0 else Corner(v, u)
+
+
+def edge_cells(cx, e: int) -> frozenset:
+    """The cells of cx that edge e lies in, from the two cell numbers
+    the complex keeps for it (equal when it lies in one)."""
+    return frozenset((cx._c0[e], cx._c1[e]))
+
+
 def is_minimal(cx, path) -> bool:
     """Whether no two consecutive steps of the path share a cell of cx."""
     prev = None
     for step in path.steps:
-        cells = cx.edge_cells[cx._edge_index(step.edge.tail, step.edge.head)]
+        cells = edge_cells(cx, cx._edge_index(step.edge.tail, step.edge.head))
         if prev is not None and prev & cells:
             return False
         prev = cells
@@ -58,7 +71,7 @@ def live_reference(cx) -> dict:
     for v, into in entering.items():
         for t in into:
             for u in leaving[v]:
-                if cx.edge_cells[t >> 1].isdisjoint(cx.edge_cells[u >> 1]):
+                if edge_cells(cx, t >> 1).isdisjoint(edge_cells(cx, u >> 1)):
                     predecessors[u].append(t)
     out = {}
     for end, into in entering.items():

@@ -11,12 +11,17 @@ from twobridge.arith import (ContFrac, Frac, GMat, INFINITY, TwoBridgeLink,
                              enumerate_links, make_link)
 from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
                                Edge, Quad, Step, TypedPath, _live,
-                               build_diagram, collapse, minimal_paths,
-                               quad_chain)
+                               build_diagram, collapse, link_paths,
+                               minimal_paths, not_limits, quad_chain)
 from twobridge.slopes import m_form, m_form_edgewise
 
-from oracles import (ROT, SHIFT, is_minimal, live_reference, sides,
-                     sums_reference)
+from oracles import (ROT, SHIFT, edge_cells, is_minimal, live_reference,
+                     on_side, sides, sums_reference)
+
+
+def all_cells(cx):
+    """The cells of every edge of cx, by edge number."""
+    return [edge_cells(cx, e) for e in range(len(cx._c0))]
 
 
 def frac(p, q):
@@ -117,7 +122,7 @@ class TestBuildDiagram:
         assert len(by_type["C"]) == 1
         diag = by_type["C"][0]
         assert {diag.tail, diag.head} == {frac(0, 1), frac(1, 1)}
-        assert set().union(*cx.edge_cells) == {0, 1}
+        assert set().union(*all_cells(cx)) == {0, 1}
 
     def test_d0_over_hopf(self):
         cx = build_diagram(quad_chain(make_link(1, 2)), "D0")
@@ -128,7 +133,7 @@ class TestBuildDiagram:
         assert len(by_type["D"]) == 1
         diag = by_type["D"][0]
         assert {diag.tail, diag.head} == {INFINITY, frac(1, 2)}
-        assert set().union(*cx.edge_cells) == {0, 1}
+        assert set().union(*all_cells(cx)) == {0, 1}
 
     def test_dt_over_hopf(self):
         cx = build_diagram(quad_chain(make_link(1, 2)), "Dt")
@@ -137,7 +142,7 @@ class TestBuildDiagram:
         # Cells 0-3 are the corner triangles at 1/0, 1/2, 0/1 and 1/1:
         # one at an even vertex reads A, C, A and one at an odd vertex
         # B, D, B.  Cell 4 is the rectangle.
-        in_cell = [[e for e, cells in zip(cx.edges, cx.edge_cells) if cid in cells]
+        in_cell = [[e for e, cells in zip(cx.edges, all_cells(cx)) if cid in cells]
                    for cid in range(5)]
         assert [sorted(e.etype for e in edges) for edges in in_cell] == [
             ["A", "A", "C"], ["A", "A", "C"], ["B", "B", "D"], ["B", "B", "D"],
@@ -203,7 +208,7 @@ class TestEdgeIndex:
         verts = list(cx._ids)
         e = cx._edge_index(verts[tail], verts[head])
         assert cx.edges[e] == Edge(etype, verts[tail], verts[head], frame, detour)
-        assert cell in cx.edge_cells[e] and len(cx.edge_cells[e]) == 2
+        assert cell in edge_cells(cx, e) and len(edge_cells(cx, e)) == 2
         # the same pair rebuilt with another type, reversed, or framed
         # by another matrix
         for clash in (("C", tail, head, frame, detour, cell),
@@ -288,11 +293,14 @@ class TestMinimalPaths:
     def test_live_traversals_match_the_reference(self, paths_through_14):
         # What the search may take depends on its end, so every vertex
         # of every diagram is tried as one: the links through 9
-        # crossings, a fan (1/40) and a long chain of one term ([2, 10, 2]).
+        # crossings, a fan (1/40), a long chain of one term ([2, 10, 2]),
+        # and two deep chains of 50 quadrilaterals, whose fan vertices of
+        # degree about 100 (1/100) and 50 (49/2500 = [51, 49]) put the
+        # most pairs of edges through the test for a shared cell.
         value = ContFrac((0, 2, 10, 2)).value()
         diagrams = [r.diagrams for r in paths_through_14 if r.crossings <= 9]
-        diagrams += [Diagrams(make_link(1, 40)),
-                     Diagrams(make_link(value.num, value.den))]
+        diagrams += [Diagrams(make_link(p, q)) for p, q in (
+            (1, 40), (value.num, value.den), (1, 100), (49, 2500))]
         for d in diagrams:
             for cx in (d.dt, d.d1, d.d0):
                 reference = live_reference(cx)
@@ -346,6 +354,20 @@ class TestPathSums:
         copy = TypedPath("Dt", path.steps)
         assert copy == path and hash(copy) == hash(path)
         assert repr(copy) == repr(path) and "sums" not in repr(path)
+        # The same for search paths of every kind and for collapse
+        # results; a hand-built copy folds the same sums.
+        d = Diagrams(make_link(13, 34))
+        dt_paths = minimal_paths(d.dt, INFINITY, frac(13, 34))
+        paths = [*dt_paths, *(collapse(p, t) for p in dt_paths for t in (d.d1, d.d0))]
+        paths += [*minimal_paths(d.d1, INFINITY, frac(13, 34)),
+                  *minimal_paths(d.d0, INFINITY, frac(13, 34))]
+        assert {p.kind for p in paths} == {"Dt", "D1", "D0"}
+        for path in paths:
+            copy = TypedPath(path.kind, path.steps)
+            assert copy == path and hash(copy) == hash(path)
+            assert repr(copy) == repr(path) and "sums" not in repr(path)
+            assert copy.sums == path.sums
+            assert copy != TypedPath(path.kind, path.steps[:-1])
 
 
 class TestCollapse:
@@ -460,7 +482,30 @@ class TestCollapseByIdentity:
                 for step in path.steps:
                     t = traversal(cx, step)
                     assert step is cx._steps[t]
+                    assert step.edge is cx._edges[t >> 1]
                     assert step == Step(cx.edges[t >> 1], -1 if t & 1 else 1)
+
+    def test_edges_made_with_their_first_step(self):
+        # After link_paths and the limit check, an edge has its Edge
+        # exactly when one of its traversals has a Step, and the two
+        # Steps of an edge hold the same Edge.  Reading ``edges`` makes
+        # the rest, keeps those made before, and is done once.
+        link = make_link(13, 34)
+        d, dt_paths, c_paths = link_paths(link)
+        assert set(d.d0._edges) == {None}
+        not_limits(dt_paths, c_paths, d.d1)
+        for cx in (d.dt, d.d1):
+            made = {e: edge for e, edge in enumerate(cx._edges) if edge is not None}
+            stepped = {t >> 1 for t, step in enumerate(cx._steps) if step is not None}
+            assert set(made) == stepped
+            assert len(made) < len(cx._edges)
+            for t, step in enumerate(cx._steps):
+                if step is not None:
+                    assert step.edge is made[t >> 1]
+            edges = cx.edges
+            assert None not in edges and cx.edges is edges
+            assert all(edges[e] is edge for e, edge in made.items())
+            assert cx._step(2 * len(edges) - 1).edge is edges[-1]
 
     @pytest.mark.parametrize("kind", ["D1", "D0"])
     @pytest.mark.parametrize("p,q", LONG.values(), ids=LONG.keys())
@@ -563,8 +608,8 @@ def reference_complex(chain, kind):
         p1, p2, p3, p4 = quad.vertices()
         g = quad.g
         if kind == "Dt":
-            m12, m24 = Corner.on_side(p1, p2), Corner.on_side(p2, p4)
-            m43, m31 = Corner.on_side(p4, p3), Corner.on_side(p3, p1)
+            m12, m24 = on_side(p1, p2), on_side(p2, p4)
+            m43, m31 = on_side(p4, p3), on_side(p3, p1)
             gs, gr = g * SHIFT, g * ROT
             grs = gr * SHIFT
             a1, a2 = edge(Edge("A", p1, m12, g)), edge(Edge("A", p1, m31, gs))
@@ -625,10 +670,11 @@ def deep_chains():
 
 
 @st.composite
-def links_by_expansion(draw, max_crossings=24):
-    """Links of up to ``max_crossings`` crossings, drawn as positive
+def links_by_expansion(draw, max_crossings=24, min_crossings=2):
+    """Links of ``min_crossings`` to ``max_crossings`` crossings (one
+    more when a last term of 1 is raised to 2), drawn as positive
     expansions; expansions with an odd denominator (knots) are skipped."""
-    remaining = draw(st.integers(2, max_crossings))
+    remaining = draw(st.integers(min_crossings, max_crossings))
     body = []
     while remaining > 0:
         body.append(draw(st.integers(1, remaining)))
@@ -684,10 +730,10 @@ class TestConstructionOracles:
             chain = quad_chain(link)
             for kind in ("Dt", "D1", "D0"):
                 cx = build_diagram(chain, kind)
-                edges, edge_cells, cells = reference_complex(chain, kind)
+                edges, want_cells, cells = reference_complex(chain, kind)
                 assert cx.edges == edges, (link, kind)
-                assert cx.edge_cells == edge_cells, (link, kind)
-                assert set().union(*cx.edge_cells) == set(range(cells)), (link, kind)
+                assert all_cells(cx) == want_cells, (link, kind)
+                assert set().union(*all_cells(cx)) == set(range(cells)), (link, kind)
 
     def test_dt_quads_bring_three_new_midpoints(self):
         for link in enumerate_links(12):

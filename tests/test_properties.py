@@ -6,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 from twobridge.arith import (INFINITY, ContFrac, Frac, TwoBridgeLink,
                              canonical_rep, cf_positive, crossing_number,
                              linking_number, make_link)
-from twobridge.diagram import (Corner, Diagrams, Step, TypedPath,
-                               minimal_paths)
+from twobridge.diagram import Diagrams, Step, TypedPath, minimal_paths
 from twobridge.slopes import (m_form, m_form_edgewise, s_form_symbolic,
                               slope_families)
+
+from oracles import edge_cells, on_side
 
 
 # Links generated through their positive expansions, so the crossing
@@ -144,7 +145,7 @@ def reference_paths(cx, start, end):
             return
         for idx, sign in leaving[vertex]:
             step = Step(cx.edges[idx], sign)
-            cells = cx.edge_cells[idx]
+            cells = edge_cells(cx, idx)
             if step.target in visited or last_cells & cells:
                 continue
             steps.append(step)
@@ -166,7 +167,7 @@ def test_path_search_matches_recursive_reference(link):
     middle = d.chain[len(d.chain) // 2].p3
     cases = [(cx, INFINITY, end) for cx in (d.dt, d.d1, d.d0)
              for end in (target, middle)]
-    cases.append((d.dt, Corner.on_side(INFINITY, Frac(0, 1)), target))
+    cases.append((d.dt, on_side(INFINITY, Frac(0, 1)), target))
     for cx, start, end in cases:
         got = minimal_paths(cx, start, end)
         assert got == reference_paths(cx, start, end), (cx.kind, start, end)

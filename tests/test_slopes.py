@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from twobridge.arith import Frac, GMat, INFINITY, TwoBridgeLink, make_link
 from twobridge.diagram import Diagrams, collapse, minimal_paths
@@ -9,6 +10,7 @@ from twobridge.slopes import (MForm, SForm, SlopeFamily, m_form,
                               slope_families, to_preferred)
 
 from oracles import delta_sum, straighten
+from test_diagram import links_by_expansion
 
 
 def frac(p, q):
@@ -402,3 +404,14 @@ class TestMirrorSymmetry:
     @pytest.mark.parametrize("p,q", LONG, ids=[f"{p}-{q}" for p, q in LONG])
     def test_long_chains(self, p, q):
         self.assert_mirrored(slope_families(make_link(p, q)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(links_by_expansion(min_crossings=13, max_crossings=20))
+    def test_past_12_crossings(self, link):
+        # Bounded: mirror symmetry, and the slope set invariant under
+        # inversion, p -> p^-1 mod q (the rule of
+        # test_slope_set_invariant_under_inversion).
+        result = slope_families(link)
+        self.assert_mirrored(result)
+        partner = TwoBridgeLink(pow(link.p, -1, link.q), link.q)
+        assert set(slope_families(partner).families) == set(result.families), link
