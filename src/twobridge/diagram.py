@@ -61,6 +61,7 @@ the t = 1 paths among them that are the ``collapse`` of no Dt path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import add, itemgetter, mul
@@ -264,6 +265,7 @@ def _fold(start: Vertex, steps, d1: bool) -> tuple[int, int, int]:
     return k, a, b
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class TypedPath:
     """A vertex-to-vertex edge path in one of the three diagrams.
 
@@ -271,25 +273,14 @@ class TypedPath:
     the whole path: what ``m_form``, ``s_form`` and ``s_form_symbolic``
     read, and (k, 0, 0) on D0.  ``minimal_paths`` fills it in from the
     weights of the path's steps; a path built otherwise folds its steps
-    on first use.  ``kind`` and ``steps`` alone make its equality, hash
-    and repr.  It is immutable by convention: a guard on assignment
-    would cost more than the rest of its construction.
+    on first use.  It is immutable by convention: a frozen dataclass
+    costs several times as much to construct.
     """
 
-    __slots__ = ("kind", "steps", "_sums")
-
-    def __init__(self, kind: str, steps: tuple[Step, ...], _sums=None):
-        self.kind, self.steps, self._sums = kind, steps, _sums
-
-    def __eq__(self, other):
-        return (isinstance(other, TypedPath) and self.kind == other.kind
-                and self.steps == other.steps)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.steps))
-
-    def __repr__(self) -> str:
-        return f"TypedPath(kind={self.kind!r}, steps={self.steps!r})"
+    kind: str                  # 'Dt', 'D1' or 'D0'
+    steps: tuple[Step, ...]
+    _sums: tuple[int, int, int] | None = field(default=None, compare=False,
+                                               repr=False)
 
     @property
     def sums(self) -> tuple[int, int, int]:
@@ -496,13 +487,7 @@ class DiagramComplex:
 
     @cached_property
     def edges(self) -> list[Edge]:
-        # One C-level pass (see ``_new``) that keeps the edges made before.
-        verts, ends = self._verts, self._ends
-        new = map(_new, repeat(Edge), zip(self._types, map(verts.__getitem__, ends[0::2]),
-                                          map(verts.__getitem__, ends[1::2]),
-                                          self._frames, self._detours))
-        self._edges = [made or edge for made, edge in zip(self._edges, new)]
-        return self._edges
+        return list(map(self._edge, range(len(self._edges))))
 
     def _step(self, t: int) -> Step:
         """Traversal t's Step, made the first time it is asked for."""

@@ -10,14 +10,16 @@ The sense of a D1 diagonal is found from the geometry, not from the
 traversal sign the fold reads.  Alongside are the frame matrices and
 side list of a quadrilateral, the minimality test of a path and the
 traversals that can lead on to a vertex, which only the construction
-and path checks use.
+and path checks use, and a strategy that draws links by expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from twobridge.arith import Frac, GMat, frac_cmp
+from hypothesis import assume, strategies as st
+
+from twobridge.arith import ContFrac, Frac, GMat, frac_cmp, make_link
 from twobridge.diagram import Corner
 
 ROT = GMat.make(1, -1, 2, -1)    # half-turn of the base quadrilateral
@@ -168,3 +170,19 @@ def sums_reference(path) -> tuple[int, int, int]:
         return (delta_sum(path.rationals()), 0, 0)
     seq, senses = d1_pushes(path)
     return (delta_sum(seq), senses.count(1), senses.count(-1))
+
+
+@st.composite
+def links_by_expansion(draw, max_crossings=24, min_crossings=2):
+    """Links of ``min_crossings`` to ``max_crossings`` crossings (one
+    more when a last term of 1 is raised to 2), drawn as positive
+    expansions; expansions with an odd denominator (knots) are skipped."""
+    remaining = draw(st.integers(min_crossings, max_crossings))
+    body = []
+    while remaining > 0:
+        body.append(draw(st.integers(1, remaining)))
+        remaining -= body[-1]
+    body[-1] = max(body[-1], 2)
+    value = ContFrac((0,) + tuple(body)).value()
+    assume(value.den % 2 == 0)
+    return make_link(value.num, value.den)

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings
 
 from twobridge.arith import (ContFrac, Frac, GMat, INFINITY, TwoBridgeLink,
                              enumerate_links, make_link)
@@ -15,8 +15,8 @@ from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
                                minimal_paths, not_limits, quad_chain)
 from twobridge.slopes import m_form, m_form_edgewise
 
-from oracles import (ROT, SHIFT, edge_cells, is_minimal, live_reference,
-                     on_side, sides, sums_reference)
+from oracles import (ROT, SHIFT, edge_cells, is_minimal, links_by_expansion,
+                     live_reference, on_side, sides, sums_reference)
 
 
 def all_cells(cx):
@@ -667,22 +667,6 @@ def deep_links():
 def deep_chains():
     """(link, chain) for every link of ``deep_links()``, walked once."""
     return [(link, quad_chain(link)) for link in deep_links()]
-
-
-@st.composite
-def links_by_expansion(draw, max_crossings=24, min_crossings=2):
-    """Links of ``min_crossings`` to ``max_crossings`` crossings (one
-    more when a last term of 1 is raised to 2), drawn as positive
-    expansions; expansions with an odd denominator (knots) are skipped."""
-    remaining = draw(st.integers(min_crossings, max_crossings))
-    body = []
-    while remaining > 0:
-        body.append(draw(st.integers(1, remaining)))
-        remaining -= body[-1]
-    body[-1] = max(body[-1], 2)
-    value = ContFrac((0,) + tuple(body)).value()
-    assume(value.den % 2 == 0)
-    return make_link(value.num, value.den)
 
 
 class TestConstructionOracles:

@@ -10,7 +10,7 @@ from twobridge.diagram import Diagrams, Step, TypedPath, minimal_paths
 from twobridge.slopes import (m_form, m_form_edgewise, s_form_symbolic,
                               slope_families)
 
-from oracles import edge_cells, on_side
+from oracles import edge_cells, links_by_expansion, on_side
 
 
 # Links generated through their positive expansions, so the crossing
@@ -111,8 +111,10 @@ def test_family_structure(link):
             assert (x - y, x + y) in slopes_at_one
 
 
-@settings(max_examples=20, deadline=None)
-@given(links(max_crossings=12))
+# Links through 12 crossings, and a bounded sample of 13 to 20.
+@settings(max_examples=45, deadline=None)
+@given(st.one_of(links(max_crossings=12),
+                 links_by_expansion(min_crossings=13, max_crossings=20)))
 def test_slope_set_invariant_under_inversion(link):
     p, q = link
     partner = TwoBridgeLink(pow(p, -1, q), q)
