@@ -115,9 +115,9 @@ def make_link(p: int, q: int) -> TwoBridgeLink:
         p, q = -p, -q
     g = math.gcd(p, q)
     p, q = p // g, q // g
-    p %= q
     if q % 2 == 1:
         raise ValueError(f"q must be even after reduction, got {p}/{q} (a knot)")
+    p %= q
     # gcd(p, q) = 1 with q even forces p odd.
     return TwoBridgeLink(p, q)
 

@@ -37,9 +37,11 @@ Each quadrilateral after the first shares exactly one side with the
 chain before it, so the builders number vertices, edges and cells by
 position: only the shared side's vertices and edges already exist.  They
 append each new edge, its two cells among them, to flat per-edge lists
-of ints and shared values.  An edge's ``Edge`` and a traversal's
-``Step`` are made only when a path search or ``collapse`` first uses
-them; from then on that one object stands for it.
+of ints and shared values.  A path is a tuple of traversal numbers
+(``2*e`` runs edge e forward, ``2*e + 1`` backward): the search,
+``collapse`` and the limit check work on those ints alone, and the
+``Edge`` and ``Step`` objects of a complex are made, all at once, only
+when something displays them.
 
 An edge path is minimal if no two consecutive edges lie in a common
 cell.  Minimal paths from 1/0 to p/q index the spanning surfaces, and
@@ -215,9 +217,9 @@ class Step(NamedTuple):
         return self.edge.head if self.sign > 0 else self.edge.tail
 
 
-def _fold(start: Vertex, steps, d1: bool) -> tuple[int, int, int]:
-    """The straightening fold: the sums (k, a, b) of ``steps`` from
-    ``start``; ``d1`` says the steps are on D1 rather than Dt or D0.
+def _fold(cx: DiagramComplex, trav: tuple[int, ...]) -> tuple[int, int, int]:
+    """The straightening fold: the sums (k, a, b) of the traversals
+    ``trav`` of cx, a path of cx.
 
     Straightening replaces every edge with a detour (a rectangle side of
     Dt, an odd diagonal of D1) by the two edges around its detour
@@ -238,25 +240,27 @@ def _fold(start: Vertex, steps, d1: bool) -> tuple[int, int, int]:
     sums: the path straightened into its rational vertices, their
     determinant sum, and the diagonals' senses found from the geometry.
     """
+    types, detours, verts, heads = cx._types, cx._detours, cx._verts, cx._heads
+    d1 = cx.kind == "D1"
     k = a = b = 0
+    start = verts[cx._ends[trav[0]]]
     pn, pd = start if isinstance(start, Frac) else (0, 0)
-    for edge, sign in steps:
-        v = edge.detour
+    for t in trav:
+        back = t & 1                # the sign of the traversal is 1 - 2*back
+        v = detours[t >> 1]
         if v is not None:
             if d1:
-                if sign < 0:
-                    a += 1
-                else:
-                    b += 1
-            elif edge.etype == "C":
-                a -= sign
+                a += back
+                b += 1 - back
+            elif types[t >> 1] == "C":
+                a += 2 * back - 1
             else:
-                b += sign
+                b += 1 - 2 * back
             vn, vd = v
             if pd and vd:
                 k += pn * vd - vn * pd
             pn, pd = vn, vd
-        v = edge.head if sign > 0 else edge.tail
+        v = verts[heads[t]]
         if isinstance(v, Frac):
             vn, vd = v
             if pd and vd:
@@ -267,7 +271,9 @@ def _fold(start: Vertex, steps, d1: bool) -> tuple[int, int, int]:
 
 @dataclass(slots=True, unsafe_hash=True)
 class TypedPath:
-    """A vertex-to-vertex edge path in one of the three diagrams.
+    """A vertex-to-vertex edge path in the complex ``cx``, one of the
+    three diagrams: the tuple ``trav`` of its traversal numbers, from
+    which every other view is read.  ``steps`` is for display.
 
     ``sums`` is the (k, a, b) of the straightening fold (``_fold``) over
     the whole path: what ``m_form``, ``s_form`` and ``s_form_symbolic``
@@ -277,41 +283,50 @@ class TypedPath:
     costs several times as much to construct.
     """
 
-    kind: str                  # 'Dt', 'D1' or 'D0'
-    steps: tuple[Step, ...]
+    cx: DiagramComplex
+    trav: tuple[int, ...]
     _sums: tuple[int, int, int] | None = field(default=None, compare=False,
                                                repr=False)
 
     @property
+    def kind(self) -> str:
+        return self.cx.kind
+
+    @property
     def sums(self) -> tuple[int, int, int]:
         if self._sums is None:
-            self._sums = _fold(self.start, self.steps, self.kind == "D1")
+            self._sums = _fold(self.cx, self.trav)
         return self._sums
 
     @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(map(self.cx.steps.__getitem__, self.trav))
+
+    @property
     def start(self) -> Vertex:
-        return self.steps[0].source
+        return self.cx._verts[self.cx._ends[self.trav[0]]]
 
     @property
     def end(self) -> Vertex:
-        return self.steps[-1].target
+        return self.cx._verts[self.cx._heads[self.trav[-1]]]
 
     def vertices(self) -> list[Vertex]:
-        out = [self.start]
-        out.extend(step.target for step in self.steps)
-        return out
+        return [self.start, *map(self.cx._verts.__getitem__,
+                                 map(self.cx._heads.__getitem__, self.trav))]
 
     def rationals(self) -> list[Frac]:
         return [v for v in self.vertices() if isinstance(v, Frac)]
 
     def edge_types(self) -> str:
-        return "".join(step.edge.etype for step in self.steps)
+        types = self.cx._types
+        return "".join([types[t >> 1] for t in self.trav])
 
     def __str__(self) -> str:
+        types, verts, heads = self.cx._types, self.cx._verts, self.cx._heads
         bits = [str(self.start)]
-        for step in self.steps:
-            bits.append(f"[{step.edge.etype}{'+' if step.sign > 0 else '-'}]")
-            bits.append(str(step.target))
+        for t in self.trav:
+            bits.append(f"[{types[t >> 1]}{'-' if t & 1 else '+'}]")
+            bits.append(str(verts[heads[t]]))
         return " ".join(bits)
 
 
@@ -353,14 +368,13 @@ class DiagramComplex:
     cell twice until a second quadrilateral adds its own).  ``_freeze``
     splits the cells into ``_c0`` and ``_c1`` (edge e lies in cells
     ``_c0[e]`` and ``_c1[e]``) and makes ``_index``, which maps tail id
-    * |V| + head id to the edge.  ``_edges[e]`` is edge e's ``Edge``,
-    None until first used (``_edge``); ``edges`` makes them all, once.
-    Traversals are numbered 2*e (edge e tail to head) and 2*e + 1 (head
-    to tail); traversal t leaves vertex ``_ends[t]`` and reaches vertex
-    ``_heads[t]``.  ``_steps[t]`` is its Step: None until a path search
-    or ``collapse`` first uses t (``_step``), then the one Step object
-    of t that every path through t shares.  ``_out[v]`` lists the
+    * |V| + head id to the edge.  Traversals are numbered 2*e (edge e
+    tail to head) and 2*e + 1 (head to tail); traversal t leaves vertex
+    ``_ends[t]`` and reaches vertex ``_heads[t]``.  ``_out[v]`` lists the
     traversals leaving vertex v in the order the path search tries them.
+    ``edges[e]`` and ``steps[t]`` are the ``Edge`` of edge e and the
+    ``Step`` of traversal t, made for display on the first read.
+    ``_image`` is the memo of ``collapse`` into this complex.
     """
 
     def __init__(self, kind: str, chain: list[Quad]):
@@ -375,8 +389,7 @@ class DiagramComplex:
         # (type, tail id, head id, frame, detour, cell) of each edge
         # built again on a shared side, checked by _freeze.
         self._rebuilt: list[tuple] = []
-        self._collapsed: dict[int, Step | None] = {}    # see collapse()
-        self._collapsed_sources: list[Step] = []
+        self._image: list[int | None] | None = None
 
     # -- construction ------------------------------------------------
 
@@ -448,10 +461,8 @@ class DiagramComplex:
                                    f"the edge filed between them")
             cells[2 * e + 1] = cell
         self._c0, self._c1 = cells[0::2], cells[1::2]
-        self._edges: list[Edge | None] = [None] * len(types)
         self._heads = reached = ends[:]
         reached[0::2], reached[1::2] = heads, tails
-        self._steps: list[Step | None] = [None] * len(ends)
         # Vertex order: rationals by value, then midpoints by their two
         # endpoints.
         rationals = sorted((v for v in verts if isinstance(v, Frac)), key=Frac.key)
@@ -476,45 +487,49 @@ class DiagramComplex:
             out.sort(key=keys.__getitem__)
         del self._cells, self._rebuilt
 
-    def _edge(self, e: int) -> Edge:
-        """Edge e's Edge, made the first time it is asked for."""
-        edge = self._edges[e]
-        if edge is None:
-            edge = self._edges[e] = _new(Edge, (
-                self._types[e], self._verts[self._ends[2 * e]],
-                self._verts[self._ends[2 * e + 1]], self._frames[e], self._detours[e]))
-        return edge
-
     @cached_property
     def edges(self) -> list[Edge]:
-        return list(map(self._edge, range(len(self._edges))))
+        verts = self._verts
+        return list(map(Edge, self._types, map(verts.__getitem__, self._ends[0::2]),
+                        map(verts.__getitem__, self._ends[1::2]),
+                        self._frames, self._detours))
 
-    def _step(self, t: int) -> Step:
-        """Traversal t's Step, made the first time it is asked for."""
-        step = self._steps[t]
-        if step is None:
-            step = self._steps[t] = _new(Step, (self._edge(t >> 1), -1 if t & 1 else 1))
-        return step
+    @cached_property
+    def steps(self) -> list[Step]:
+        return [Step(edge, sign) for edge in self.edges for sign in (1, -1)]
 
     # -- queries -----------------------------------------------------
 
     def vertices(self) -> list[Vertex]:
         return list(self._order)
 
-    def _edge_index(self, u: Vertex, v: Vertex) -> int:
+    def _traversal(self, u: Vertex, v: Vertex) -> int:
+        """The number of the traversal from u to v."""
         ids, index = self._ids, self._index
         try:
             iu, iv = ids[u], ids[v]
             e = index.get(iu * len(ids) + iv)
-            return index[iv * len(ids) + iu] if e is None else e
+            return 2 * index[iv * len(ids) + iu] + 1 if e is None else 2 * e
         except KeyError:
             raise KeyError(f"no edge between {u} and {v}") from None
 
     def edge_between(self, u: Vertex, v: Vertex) -> tuple[Edge, int]:
         """The unique edge joining u and v, with the sign of the u -> v
         traversal."""
-        edge = self._edge(self._edge_index(u, v))
-        return edge, 1 if edge.tail == u else -1
+        return self.steps[self._traversal(u, v)]
+
+    def path(self, steps) -> TypedPath:
+        """The path of this complex that takes ``steps``, each matched by
+        value; a step whose edge is not an edge of the complex raises
+        ``KeyError``."""
+        trav = []
+        for (etype, tail, head, g, detour), sign in steps:
+            t = self._traversal(tail, head)
+            if t & 1 or (self._types[t >> 1], self._frames[t >> 1],
+                         self._detours[t >> 1]) != (etype, g, detour):
+                raise KeyError(f"no edge {etype}:{tail}->{head} in {self.kind}")
+            trav.append(t if sign > 0 else t + 1)
+        return TypedPath(self, tuple(trav))
 
 
 # Each builder files its edges per quadrilateral in this order.  Dt: the
@@ -637,8 +652,9 @@ def _live(cx: DiagramComplex, last: int) -> bytearray:
 def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedPath]:
     """All minimal edge paths from start to end, with their sums.
 
-    Depth-first search; a step is allowed when the new edge shares no
-    cell with the previous one.  Paths never revisit a vertex.  The
+    Depth-first search over traversal numbers that reads only the
+    complex's int lists and makes no ``Edge`` or ``Step``; a step is
+    allowed when the new edge shares no cell with the previous one.  Paths never revisit a vertex.  The
     search keeps its own stack, so path length is not bounded by the
     interpreter's recursion limit.
 
@@ -652,9 +668,7 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     it up front would cost the square of the degree at a fan vertex such
     as 0/1 in the chain of 1/n.  The successors depend on ``end``, so
     the table lives for one call; its last slot holds the traversals
-    that may start a path, whose cells count as -1.  Filling an entry
-    for u makes u's Step and Edge if no search or ``collapse`` has made
-    them yet, so a search makes them only for what it may take.
+    that may start a path, whose cells count as -1.
 
     The straightening fold (``_fold``) adds per-step terms, and its
     state after a traversal t holds, besides the sums, only the last
@@ -675,12 +689,12 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     if first is None or last is None or first == last:
         raise ValueError(f"{start} and {end} are not two vertices of the complex")
     found: list[TypedPath] = []
-    kind, out, c0, c1 = cx.kind, cx._out, cx._c0, cx._c1
-    heads, steps, make_step = cx._heads, cx._steps, cx._step
+    out, c0, c1 = cx._out, cx._c0, cx._c1
+    types, detours, verts, heads = cx._types, cx._detours, cx._verts, cx._heads
     live = _live(cx, last)
     table: list[list | None] = [None] * (len(heads) + 1)
-    d1 = kind == "D1"
-    path: list[Step] = []
+    d1 = cx.kind == "D1"
+    path: list[int] = []
     taken: list[tuple] = []               # the table entry of each step
     visited = bytearray(len(out))
     pending = []                          # untried successors, per depth
@@ -697,25 +711,22 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
             for u in out[nxt]:
                 if live[u] and x0 != c0[u >> 1] != x1 and x0 != c1[u >> 1] != x1:
                     # One step of ``_fold`` from (pn, pd).
-                    edge, sign = steps[u] or make_step(u)
+                    back = u & 1
                     qn, qd = pn, pd
                     dk = da = db = 0
-                    v = edge.detour
+                    v = detours[u >> 1]
                     if v is not None:
                         if d1:
-                            if sign < 0:
-                                da = 1
-                            else:
-                                db = 1
-                        elif edge.etype == "C":
-                            da = -sign
+                            da, db = back, 1 - back
+                        elif types[u >> 1] == "C":
+                            da = 2 * back - 1
                         else:
-                            db = sign
+                            db = 1 - 2 * back
                         vn, vd = v
                         if qd and vd:
                             dk = qn * vd - vn * qd
                         qn, qd = vn, vd
-                    v = edge.head if sign > 0 else edge.tail
+                    v = verts[heads[u]]
                     if isinstance(v, Frac):
                         vn, vd = v
                         if qd and vd:
@@ -733,10 +744,10 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
                 if visited[nxt]:
                     continue
                 if nxt == last:
-                    found.append(TypedPath(kind, (*path, steps[t]),
+                    found.append(TypedPath(cx, (*path, t),
                                            (k + dk, a + da, b + db)))
                     continue
-                path.append(steps[t])
+                path.append(t)
                 taken.append(entry)
                 k += dk
                 a += da
@@ -758,35 +769,32 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
 
 
 def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
-    """Limit of a Dt path in D1 or D0.
+    """Limit of a Dt path in D1 or D0, a path of ``target``.
 
     Midpoints slide to the odd endpoint of their side in D1 and to the
-    even endpoint in D0; edges whose endpoints merge disappear.  Each
-    step's image is remembered on the target, keyed by the identity of
-    the source step: ``_collapsed`` maps ``id(step)`` to the image, the
-    target's own Step object ``target._steps[t]`` (made here, with its
-    Edge, if no search of the target has made it), or to None when the
-    step's endpoints merge.  ``_collapsed_sources`` keeps every step
-    keyed, so no id is reused while the memo lives.  A step shared by
-    many paths (the search hands out one Step per traversal) is
-    projected once, and two collapsed paths are equal exactly when their
-    steps are the same objects.
+    even endpoint in D0; edges whose endpoints merge disappear.  The
+    image of each Dt traversal is remembered on the target:
+    ``target._image[t]`` is the target traversal that Dt traversal t
+    maps to, -1 when its endpoints merge, or None until a path through
+    t is first collapsed.  The Dt complex must be over the target's
+    chain, whose builder numbers the traversals the same way every
+    time, so one list serves every Dt path of the chain.  Each path
+    then maps through that list to the tuple of its target traversals.
     """
-    if path.kind != "Dt":
+    source = path.cx
+    if source.kind != "Dt":
         raise ValueError("only Dt paths collapse")
     if target.kind not in ("D1", "D0"):
         raise ValueError("collapse target must be D1 or D0")
-    images = target._collapsed
-    while True:
-        try:
-            # A display, not tuple(): tuple() of an iterator with no
-            # length hint reaches its size by resizing, which leaves the
-            # freed tuples piling up in CPython's per-size free lists.
-            return TypedPath(target.kind, (
-                *filter(None, map(images.__getitem__, map(id, path.steps))),))
-        except KeyError:
-            pass
-        # Some step is new to the memo: project each new one and retry.
+    if source.chain is not target.chain and source.chain != target.chain:
+        raise ValueError("a Dt path collapses only into a diagram over its chain")
+    image = target._image
+    if image is None:
+        image = target._image = [None] * len(source._heads)
+    trav = path.trav
+    try:
+        down = [u for t in trav if (u := image[t]) >= 0]
+    except TypeError:               # None >= 0: some image not made yet
         parity = 1 if target.kind == "D1" else 0
 
         def project(v: Vertex) -> Frac:
@@ -794,16 +802,13 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
                 return v
             return v.lo if v.lo.den % 2 == parity else v.hi
 
-        for step in path.steps:
-            key = id(step)
-            if key not in images:
-                src, dst = project(step.source), project(step.target)
-                if src == dst:
-                    images[key] = None
-                else:
-                    idx = target._edge_index(src, dst)
-                    images[key] = target._step(2 * idx + (target._edge(idx).tail != src))
-                target._collapsed_sources.append(step)
+        verts, ends, heads = source._verts, source._ends, source._heads
+        for t in trav:
+            if image[t] is None:
+                src, dst = project(verts[ends[t]]), project(verts[heads[t]])
+                image[t] = -1 if src == dst else target._traversal(src, dst)
+        down = [u for t in trav if (u := image[t]) >= 0]
+    return TypedPath(target, tuple(down))
 
 
 class Diagrams:
@@ -847,10 +852,10 @@ def link_paths(link: TwoBridgeLink):
 def not_limits(dt_paths: list[TypedPath], c_paths: list[TypedPath],
                d1: DiagramComplex) -> list[TypedPath]:
     """The paths of ``c_paths``, in order, that are the ``collapse`` in
-    ``d1`` of no path of ``dt_paths``: each path is keyed by the ids of
-    its steps (a tuple display, as in ``collapse``), equal exactly when
-    the paths are, and each collapsed Dt path strikes its key off."""
-    unmatched = {(*map(id, p.steps),): p for p in c_paths}
+    ``d1`` of no path of ``dt_paths``: each path of d1 is keyed by its
+    tuple of traversal numbers, equal exactly when the paths are, and
+    each collapsed Dt path strikes its key off."""
+    unmatched = {p.trav: p for p in c_paths}
     for p in dt_paths:
-        unmatched.pop((*map(id, collapse(p, d1).steps),), None)
+        unmatched.pop(collapse(p, d1).trav, None)
     return list(unmatched.values())

@@ -151,12 +151,15 @@ def m_form_edgewise(path: TypedPath):
 
     For Dt paths returns an MForm (checking that the two mixed
     coefficients agree).  For D1 paths the odd diagonals keep one free
-    weight each and the result is a SymbolicM.
+    weight each and the result is a SymbolicM.  Each step's type, frame
+    and sign are read from the complex's per-edge lists.
     """
+    types, frames = path.cx._types, path.cx._frames
     if path.kind == "Dt":
         xa = xb = ya = yb = 0
-        for step in path.steps:
-            da, db, ea, eb = _track_contribution(step.edge.etype, step.edge.g, step.sign)
+        for t in path.trav:
+            da, db, ea, eb = _track_contribution(types[t >> 1], frames[t >> 1],
+                                                 -1 if t & 1 else 1)
             xa += da
             xb += db
             ya += ea
@@ -170,13 +173,14 @@ def m_form_edgewise(path: TypedPath):
         b1 = b2 = 0
         n1: list[int] = []
         n2: list[int] = []
-        for step in path.steps:
-            if step.edge.etype == "A":
-                da, db, ea, eb = _track_contribution("A", step.edge.g, step.sign)
+        for t in path.trav:
+            sign = -1 if t & 1 else 1
+            if types[t >> 1] == "A":
+                da, db, ea, eb = _track_contribution("A", frames[t >> 1], sign)
                 b1 += da + db          # alpha = beta at t = 1
                 b2 += ea + eb
             else:
-                c1, w1, c2, w2 = _track_contribution_free(step.edge.g, step.sign)
+                c1, w1, c2, w2 = _track_contribution_free(frames[t >> 1], sign)
                 b1 += c1
                 b2 += c2
                 n1.append(w1)
@@ -211,7 +215,8 @@ def s_form_symbolic(path: TypedPath) -> SymbolicM:
     if path.kind != "D1":
         raise ValueError("s_form takes a D1 path")
     k = path.sums[0]
-    senses = [-step.sign for step in path.steps if step.edge.etype == "C"]
+    types = path.cx._types
+    senses = [1 if t & 1 else -1 for t in path.trav if types[t >> 1] == "C"]
     return SymbolicM(
         b1=k - 2 * sum(senses),
         b2=k,

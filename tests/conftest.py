@@ -70,6 +70,6 @@ def wrong_limits(monkeypatch):
 
     def drop_first_step(path, target):
         down = real_collapse(path, target)
-        return TypedPath(down.kind, down.steps[1:])
+        return TypedPath(target, down.trav[1:])
 
     monkeypatch.setattr(diagram, "collapse", drop_first_step)

@@ -48,7 +48,7 @@ def is_minimal(cx, path) -> bool:
     """Whether no two consecutive steps of the path share a cell of cx."""
     prev = None
     for step in path.steps:
-        cells = edge_cells(cx, cx._edge_index(step.edge.tail, step.edge.head))
+        cells = edge_cells(cx, cx._traversal(step.edge.tail, step.edge.head) >> 1)
         if prev is not None and prev & cells:
             return False
         prev = cells

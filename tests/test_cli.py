@@ -34,6 +34,14 @@ class TestSlopesCommand:
         assert out == ""
         assert "q must be even" in err
 
+    @pytest.mark.parametrize("pq", ["1/1", "7/5"])
+    def test_odd_q_names_the_reduced_fraction(self, capsys, pq):
+        rc, out, err = run(capsys, "slopes", "--pq", pq)
+        assert rc == 2
+        assert out == ""
+        assert err.endswith("error: argument --pq: q must be even after "
+                            f"reduction, got {pq} (a knot)\n")
+
     def test_rejects_garbage(self, capsys):
         rc, out, _ = run(capsys, "slopes", "--pq", "banana")
         assert rc == 2
@@ -262,7 +270,9 @@ class TestDeterminism:
 class TestGoldenOutput:
     # SHA-256 of the output as first released; any change to the engine
     # must reproduce these bytes.  The D1, D0 and 1/120 digests were
-    # recorded later, from the search that walked every dead end.
+    # recorded later, from the search that walked every dead end, and
+    # the 6765/10946 ones from the search that made a Step per
+    # traversal.
     @pytest.mark.parametrize("argv,digest", [
         (("table", "--max-crossings", "12", "--format", "json"),
          "83557b5bb4e0da36d428faca64255a0dfe2a25a165c5fa2ab569839e3ec5266f"),
@@ -274,10 +284,14 @@ class TestGoldenOutput:
          "9fa6b807377e8da792f8b49b2bd5cbf69fda91524d38d582c5e068125c428b84"),
         (("paths", "--pq", "1/120", "--diagram", "dt", "--format", "json"),
          "6475ecd5ba5168474aa5ed6b1856e1b8748bf7562062b6f5cb47335ed9371977"),
+        (("paths", "--pq", "6765/10946", "--diagram", "dt", "--format", "json"),
+         "36dd4725b09babedcc6eeb68a3790ee75a699772486a10e89a267e527e7e0b85"),
+        (("paths", "--pq", "6765/10946", "--diagram", "d1", "--format", "json"),
+         "8af0e7c89fc75dbb2f8b2e807aa21288c681840c3d0fdbbaa407c3917bb723d2"),
         (("surgery", "--kmax", "12"),
          "e6d640b0132c37b5af8b1575801277cf771f5e2219feb175808c0d4ed68ea788"),
     ], ids=["table-12", "paths-89-144", "paths-89-144-d1", "paths-89-144-d0",
-            "paths-1-120", "surgery-12"])
+            "paths-1-120", "paths-6765-10946", "paths-6765-10946-d1", "surgery-12"])
     def test_output_digest(self, capsys, argv, digest):
         rc, out, _ = run(capsys, *argv)
         assert rc == 0

@@ -187,9 +187,8 @@ class TestEdgeIndex:
                 with pytest.raises(KeyError):
                     cx.edge_between(u, w)
             g = cx.edges[0].g
-            path = TypedPath("Dt", (Step(Edge("A", INFINITY, v, g), 1),))
             with pytest.raises(KeyError):
-                is_minimal(cx, path)
+                cx.path([Step(Edge("A", INFINITY, v, g), 1)])
 
     def test_rebuilding_an_edge_must_agree(self):
         # The edge on a side shared with the previous quadrilateral is
@@ -206,7 +205,7 @@ class TestEdgeIndex:
         etype, tail, head, frame, detour, cell = cx._rebuilt[0]
         cx._freeze()
         verts = list(cx._ids)
-        e = cx._edge_index(verts[tail], verts[head])
+        e = cx._traversal(verts[tail], verts[head]) >> 1
         assert cx.edges[e] == Edge(etype, verts[tail], verts[head], frame, detour)
         assert cell in edge_cells(cx, e) and len(edge_cells(cx, e)) == 2
         # the same pair rebuilt with another type, reversed, or framed
@@ -317,7 +316,7 @@ class TestPathSums:
             for paths in (r.dt, r.d1):
                 for path in paths:
                     assert path._sums is not None
-                    assert path.sums == TypedPath(path.kind, path.steps).sums, (
+                    assert path.sums == TypedPath(path.cx, path.trav).sums, (
                         r.link, str(path))
 
     @pytest.mark.parametrize("p,q", [(3, 8), (13, 34), (89, 144), (1, 40), (19, 50)])
@@ -345,17 +344,17 @@ class TestPathSums:
             for path in paths:
                 assert path.start == start
                 assert path.sums == sums_reference(path)
-                assert path.sums == TypedPath("Dt", path.steps).sums
+                assert path.sums == TypedPath(d.dt, path.trav).sums
                 m_form(path)        # parities hold from a midpoint too
 
     def test_sums_stay_out_of_equality_and_repr(self):
         d = Diagrams(make_link(3, 8))
         path = minimal_paths(d.dt, INFINITY, frac(3, 8))[0]
-        copy = TypedPath("Dt", path.steps)
+        copy = d.dt.path(path.steps)
         assert copy == path and hash(copy) == hash(path)
         assert repr(copy) == repr(path) and "sums" not in repr(path)
         # The same for search paths of every kind and for collapse
-        # results; a hand-built copy folds the same sums.
+        # results; a copy rebuilt from the steps folds the same sums.
         d = Diagrams(make_link(13, 34))
         dt_paths = minimal_paths(d.dt, INFINITY, frac(13, 34))
         paths = [*dt_paths, *(collapse(p, t) for p in dt_paths for t in (d.d1, d.d0))]
@@ -363,11 +362,11 @@ class TestPathSums:
                   *minimal_paths(d.d0, INFINITY, frac(13, 34))]
         assert {p.kind for p in paths} == {"Dt", "D1", "D0"}
         for path in paths:
-            copy = TypedPath(path.kind, path.steps)
+            copy = path.cx.path(path.steps)
             assert copy == path and hash(copy) == hash(path)
             assert repr(copy) == repr(path) and "sums" not in repr(path)
-            assert copy.sums == path.sums
-            assert copy != TypedPath(path.kind, path.steps[:-1])
+            assert copy._sums is None and copy.sums == path.sums
+            assert copy != path.cx.path(path.steps[:-1])
 
 
 class TestCollapse:
@@ -425,23 +424,19 @@ def projected(path, target):
         src, dst = project(step.source), project(step.target)
         if src != dst:
             steps.append(Step(*target.edge_between(src, dst)))
-    return TypedPath(target.kind, tuple(steps))
+    return target.path(steps)
 
 
-def traversal(cx, step):
-    """The number of the traversal a step of cx takes."""
-    return 2 * cx._edge_index(step.edge.tail, step.edge.head) + (step.sign < 0)
-
-
-def fresh_copy(path):
-    """The path rebuilt from new Step and Edge objects equal to its own."""
-    return TypedPath(path.kind, tuple(Step(Edge(*s.edge), s.sign)
-                                      for s in path.steps))
+def fresh_copy(path, cx):
+    """The path of cx rebuilt from new Step and Edge objects equal to
+    those of ``path``."""
+    return cx.path([Step(Edge(*s.edge), s.sign) for s in path.steps])
 
 
 class TestCollapseByIdentity:
-    """``collapse`` remembers images by the identity of the source step;
-    its results must still be those of the projection by value."""
+    """``collapse`` maps each Dt traversal, by its number, through a
+    memo on the target; its results must still be those of the
+    projection by value."""
 
     LONG = {"6765-10946": (6765, 10946), "2-40-2": (81, 164)}
 
@@ -455,57 +450,55 @@ class TestCollapseByIdentity:
                 for path in paths:
                     down = collapse(path, target)
                     assert down == projected(path, target), (d.link, str(path))
-                    # each image is the target's one Step of its traversal
-                    assert all(s is target._steps[traversal(target, s)]
-                               for s in down.steps)
+                    # every traversal of the path has its image now
+                    assert None not in [target._image[t] for t in path.trav]
                     assert collapse(path, target) == down      # from the memo
 
+    def test_collapse_of_deep_chains(self):
+        # Long chains of one or two large terms: few paths, each through
+        # many traversals the memo sees once.
+        for link in deep_links()[::29]:
+            d = Diagrams(link)
+            for path in minimal_paths(d.dt, INFINITY, link.fraction()):
+                for target in (d.d1, d.d0):
+                    assert collapse(path, target) == projected(path, target), link
+
     def test_one_step_object_per_traversal(self):
-        # Steps are made on first use, by a search or by collapse, and
-        # whichever comes first, every later use gets the same object.
+        # Displaying a path reads the complex's one Step per traversal,
+        # whether the path came from a search or from collapse.
         link = make_link(13, 34)
         end = link.fraction()
         d = Diagrams(link)
-        assert set(d.dt._steps) == set(d.d1._steps) == {None}
         dt_paths = minimal_paths(d.dt, INFINITY, end)
         mid = dt_paths[0].steps[0].target
-        runs = [(d.dt, dt_paths), (d.dt, minimal_paths(d.dt, INFINITY, end)),
-                (d.dt, minimal_paths(d.dt, mid, end))]
-        # D1: collapse before its search; D0: its search before collapse.
-        runs.append((d.d1, [collapse(p, d.d1) for p in dt_paths]))
-        runs.append((d.d1, minimal_paths(d.d1, INFINITY, end)))
-        runs.append((d.d0, minimal_paths(d.d0, INFINITY, end)))
-        runs.append((d.d0, [collapse(p, d.d0) for p in dt_paths]))
+        runs = [(d.dt, dt_paths), (d.dt, minimal_paths(d.dt, mid, end))]
+        runs += [(t, [collapse(p, t) for p in dt_paths]) for t in (d.d1, d.d0)]
+        runs += [(t, minimal_paths(t, INFINITY, end)) for t in (d.d1, d.d0)]
         for cx, paths in runs:
             assert paths
             for path in paths:
-                for step in path.steps:
-                    t = traversal(cx, step)
-                    assert step is cx._steps[t]
-                    assert step.edge is cx._edges[t >> 1]
+                assert path.cx is cx
+                for t, step in zip(path.trav, path.steps):
+                    assert step is cx.steps[t]
+                    assert step.edge is cx.edges[t >> 1]
                     assert step == Step(cx.edges[t >> 1], -1 if t & 1 else 1)
 
     def test_edges_made_with_their_first_step(self):
-        # After link_paths and the limit check, an edge has its Edge
-        # exactly when one of its traversals has a Step, and the two
-        # Steps of an edge hold the same Edge.  Reading ``edges`` makes
-        # the rest, keeps those made before, and is done once.
-        link = make_link(13, 34)
-        d, dt_paths, c_paths = link_paths(link)
-        assert set(d.d0._edges) == {None}
-        not_limits(dt_paths, c_paths, d.d1)
-        for cx in (d.dt, d.d1):
-            made = {e: edge for e, edge in enumerate(cx._edges) if edge is not None}
-            stepped = {t >> 1 for t, step in enumerate(cx._steps) if step is not None}
-            assert set(made) == stepped
-            assert len(made) < len(cx._edges)
-            for t, step in enumerate(cx._steps):
-                if step is not None:
-                    assert step.edge is made[t >> 1]
-            edges = cx.edges
-            assert None not in edges and cx.edges is edges
-            assert all(edges[e] is edge for e, edge in made.items())
-            assert cx._step(2 * len(edges) - 1).edge is edges[-1]
+        # The search, collapse and the limit check run on traversal
+        # numbers alone: after them no Edge or Step exists.  The first
+        # read of ``steps`` makes ``edges`` too, once, and its Steps hold
+        # those Edges.
+        for link in (make_link(6765, 10946), make_link(1, 120)):
+            d, dt_paths, c_paths = link_paths(link)
+            assert not_limits(dt_paths, c_paths, d.d1) == []
+            for cx in (d.dt, d.d1):
+                assert not {"edges", "steps"} & vars(cx).keys(), (link, cx.kind)
+        cx = d.dt
+        steps = cx.steps
+        edges = cx.edges
+        assert cx.steps is steps and len(steps) == 2 * len(edges)
+        assert all(steps[2 * e].edge is edge is steps[2 * e + 1].edge
+                   for e, edge in enumerate(edges))
 
     @pytest.mark.parametrize("kind", ["D1", "D0"])
     @pytest.mark.parametrize("p,q", LONG.values(), ids=LONG.keys())
@@ -514,17 +507,23 @@ class TestCollapseByIdentity:
         target = d.get(kind)
         paths = minimal_paths(d.dt, INFINITY, frac(p, q))
         expected = [collapse(path, target) for path in paths]
-        # Each copy is freed after its call, so the next copy's steps
-        # may sit at its addresses.
-        assert [collapse(fresh_copy(path), target) for path in paths] == expected
-        # The same once the originals are gone as well.
+        assert [collapse(fresh_copy(path, d.dt), target) for path in paths] == expected
+        # The same once the originals are gone and Dt is built again.
         values = [[(tuple(s.edge), s.sign) for s in path.steps] for path in paths]
         del paths
         del d._built["Dt"]
         gc.collect()
-        copies = [TypedPath("Dt", tuple(Step(Edge(*e), sign) for e, sign in v))
+        copies = [d.dt.path([Step(Edge(*e), sign) for e, sign in v])
                   for v in reversed(values)]
         assert [collapse(copy, target) for copy in copies] == expected[::-1]
+
+    def test_a_path_over_another_chain_is_refused(self):
+        # The memo is indexed by the traversal numbers of one chain.
+        d, other = Diagrams(make_link(7, 16)), Diagrams(make_link(3, 8))
+        path = minimal_paths(other.dt, INFINITY, frac(3, 8))[0]
+        for target in (d.d1, d.d0):
+            with pytest.raises(ValueError, match="over its chain"):
+                collapse(path, target)
 
 
 class TestPathConfinement:

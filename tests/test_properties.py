@@ -143,7 +143,7 @@ def reference_paths(cx, start, end):
 
     def walk(vertex, visited, last_cells):
         if vertex == end:
-            found.append(TypedPath(cx.kind, tuple(steps)))
+            found.append(cx.path(steps))
             return
         for idx, sign in leaving[vertex]:
             step = Step(cx.edges[idx], sign)
@@ -184,7 +184,7 @@ def check_forms_and_sums(link):
     for cx in (d.dt, d.d1):
         paths = minimal_paths(cx, INFINITY, link.fraction())
         for path in paths:
-            assert path.sums == TypedPath(path.kind, path.steps).sums, str(path)
+            assert path.sums == TypedPath(cx, path.trav).sums, str(path)
         if cx.kind == "Dt":
             for path in paths:
                 assert m_form(path) == m_form_edgewise(path), str(path)

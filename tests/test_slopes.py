@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from twobridge.arith import Frac, GMat, INFINITY, TwoBridgeLink, make_link
-from twobridge.diagram import Diagrams, collapse, minimal_paths
+from twobridge.diagram import (Diagrams, collapse, link_paths, minimal_paths,
+                               not_limits)
 from twobridge.slopes import (MForm, SForm, SlopeFamily, m_form,
                               m_form_edgewise, s_form, s_form_symbolic,
                               slope_families, to_preferred)
@@ -204,15 +205,27 @@ class TestTrackContributions:
 class TestLimitCheck:
     def test_membership_by_steps_matches_vertices(self, paths_through_12):
         # slope_families tests each t = 1 path for being a limit by its
-        # steps; by its vertex sequence the answer must be the same.
+        # traversal numbers; by its vertex sequence the answer must be
+        # the same.
         for r in paths_through_12:
             d1 = r.diagrams.d1
-            by_steps = {collapse(p, d1).steps for p in r.dt}
+            by_steps = {collapse(p, d1).trav for p in r.dt}
             by_vertices = {tuple(collapse(p, d1).vertices()) for p in r.dt}
             assert len(by_steps) == len(by_vertices), r.link
             for path in r.d1:
-                assert (path.steps in by_steps) == (
+                assert (path.trav in by_steps) == (
                     tuple(path.vertices()) in by_vertices), (r.link, str(path))
+
+    @settings(max_examples=25, deadline=None)
+    @given(links_by_expansion(min_crossings=13, max_crossings=20))
+    def test_every_limit_found_past_12_crossings(self, link):
+        # Compared by vertex sequence, which does not depend on how the
+        # complexes number their traversals.
+        d, dt, c_paths = link_paths(link)
+        assert not_limits(dt, c_paths, d.d1) == []
+        limits = {tuple(collapse(p, d.d1).vertices()) for p in dt}
+        for path in c_paths:
+            assert tuple(path.vertices()) in limits, (link, str(path))
 
     def test_a_wrong_limit_is_reported(self, wrong_limits):
         link = make_link(13, 34)
