@@ -144,7 +144,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_paths(args) -> int:
     link = args.pq
-    cx = Diagrams(link).get({"dt": "Dt", "d1": "D1", "d0": "D0"}[args.diagram])
+    cx = getattr(Diagrams(link), args.diagram)
     paths = minimal_paths(cx, INFINITY, link.fraction())
     if args.format == "json":
         payload = {

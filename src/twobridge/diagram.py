@@ -51,11 +51,12 @@ marks the traversals that can still lead on to it, and the search takes
 no other, so it walks into few dead ends.
 
 The slope algorithms straighten each Dt or D1 path across its cells and
-add per-step terms: a determinant sum and signed push counts.  One fold
-over the steps computes them (``TypedPath.sums``).  What a step adds
-depends only on that step and the one before it, so the search stores
-that weight beside each successor in its table and adds it as it steps:
-each path comes out with its sums and no path is walked again from 1/0.
+add per-step terms: a determinant sum and signed push counts.  One
+function, the straightening step (``_stepper``), says what a traversal
+adds, given the last rational vertex before it.  The search stores its
+result beside each successor in its table and adds it as it steps, so
+each path comes out with its sums and no path is walked again from 1/0;
+``TypedPath.sums`` folds the same step over a path built otherwise.
 
 ``link_paths`` lists the paths every slope comes from; ``not_limits``,
 the t = 1 paths among them that are the ``collapse`` of no Dt path.
@@ -217,55 +218,72 @@ class Step(NamedTuple):
         return self.edge.head if self.sign > 0 else self.edge.tail
 
 
-def _fold(cx: DiagramComplex, trav: tuple[int, ...]) -> tuple[int, int, int]:
-    """The straightening fold: the sums (k, a, b) of the traversals
-    ``trav`` of cx, a path of cx.
+def _stepper(cx: DiagramComplex):
+    """The straightening step of cx: ``step(u, pn, pd)`` gives what
+    traversal u adds to the sums (k, a, b) of a path whose last rational
+    vertex so far is pn/pd (pd 0 when that is 1/0 or there is none yet),
+    as (u, dk, da, db, qn, qd), with qn/qd the last rational vertex
+    after u.
 
     Straightening replaces every edge with a detour (a rectangle side of
     Dt, an odd diagonal of D1) by the two edges around its detour
     vertex.  k is the determinant sum over consecutive rational vertices
-    of the straightened path (a pair with 1/0 adds nothing).  The fold
-    carries the last rational vertex so far as num/den, with den 0 when
-    that is 1/0 or there is none yet.  On Dt, a and b are the signed
-    counts of corner triangles crossed at even vertices (C edges,
-    counted against the grain) and at odd vertices (D edges, with it).
-    On D1, a and b count the odd diagonals crossed in their positive and
-    in their negative pushing sense.  A diagonal is built from p3 to p2
-    of its quadrilateral and its positive sense runs from p2, so it is
-    pushed positively exactly when it is traversed backward.  D0 edges
-    have no detour, so there a and b stay 0.
+    of the straightened path (a pair with 1/0 adds nothing).  On Dt, a
+    and b are the signed counts of corner triangles crossed at even
+    vertices (C edges, counted against the grain) and at odd vertices (D
+    edges, with it).  On D1, a and b count the odd diagonals crossed in
+    their positive and in their negative pushing sense.  A diagonal is
+    built from p3 to p2 of its quadrilateral and its positive sense runs
+    from p2, so it is pushed positively exactly when it is traversed
+    backward.  D0 edges have no detour, so there a and b stay 0.
 
-    ``minimal_paths`` adds the same terms from per-step weights instead;
-    ``tests/oracles.py`` keeps the step-by-step reference for these
-    sums: the path straightened into its rational vertices, their
-    determinant sum, and the diagonals' senses found from the geometry.
+    ``step`` reads the complex's lists from its closure, not from cx on
+    every call.  ``tests/oracles.py`` keeps the step-by-step reference
+    for these sums: the path straightened into its rational vertices,
+    their determinant sum, and the diagonals' senses found from the
+    geometry.
     """
     types, detours, verts, heads = cx._types, cx._detours, cx._verts, cx._heads
     d1 = cx.kind == "D1"
-    k = a = b = 0
-    start = verts[cx._ends[trav[0]]]
-    pn, pd = start if isinstance(start, Frac) else (0, 0)
-    for t in trav:
-        back = t & 1                # the sign of the traversal is 1 - 2*back
-        v = detours[t >> 1]
+
+    def step(u: int, pn: int, pd: int) -> tuple[int, int, int, int, int, int]:
+        back = u & 1                # the sign of the traversal is 1 - 2*back
+        dk = da = db = 0
+        v = detours[u >> 1]
         if v is not None:
             if d1:
-                a += back
-                b += 1 - back
-            elif types[t >> 1] == "C":
-                a += 2 * back - 1
+                da, db = back, 1 - back
+            elif types[u >> 1] == "C":
+                da = 2 * back - 1
             else:
-                b += 1 - 2 * back
+                db = 1 - 2 * back
             vn, vd = v
             if pd and vd:
-                k += pn * vd - vn * pd
+                dk = pn * vd - vn * pd
             pn, pd = vn, vd
-        v = verts[heads[t]]
+        v = verts[heads[u]]
         if isinstance(v, Frac):
             vn, vd = v
             if pd and vd:
-                k += pn * vd - vn * pd
+                dk += pn * vd - vn * pd
             pn, pd = vn, vd
+        return u, dk, da, db, pn, pd
+
+    return step
+
+
+def _fold(cx: DiagramComplex, trav: tuple[int, ...]) -> tuple[int, int, int]:
+    """The sums (k, a, b) of the traversals ``trav``, a path of cx: the
+    straightening step folded over them from the path's start."""
+    step = _stepper(cx)
+    k = a = b = 0
+    start = cx._verts[cx._ends[trav[0]]]
+    pn, pd = start if isinstance(start, Frac) else (0, 0)
+    for t in trav:
+        _, dk, da, db, pn, pd = step(t, pn, pd)
+        k += dk
+        a += da
+        b += db
     return k, a, b
 
 
@@ -275,12 +293,13 @@ class TypedPath:
     three diagrams: the tuple ``trav`` of its traversal numbers, from
     which every other view is read.  ``steps`` is for display.
 
-    ``sums`` is the (k, a, b) of the straightening fold (``_fold``) over
-    the whole path: what ``m_form``, ``s_form`` and ``s_form_symbolic``
-    read, and (k, 0, 0) on D0.  ``minimal_paths`` fills it in from the
-    weights of the path's steps; a path built otherwise folds its steps
-    on first use.  It is immutable by convention: a frozen dataclass
-    costs several times as much to construct.
+    ``sums`` is the (k, a, b) that the straightening step (``_stepper``)
+    adds up over the whole path: what ``m_form``, ``s_form`` and
+    ``s_form_symbolic`` read, and (k, 0, 0) on D0.  ``minimal_paths``
+    fills it in as it finds the path; a path built otherwise folds the
+    step over its traversals on first use (``_fold``).  It is immutable
+    by convention: a frozen dataclass costs several times as much to
+    construct.
     """
 
     cx: DiagramComplex
@@ -654,9 +673,9 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
 
     Depth-first search over traversal numbers that reads only the
     complex's int lists and makes no ``Edge`` or ``Step``; a step is
-    allowed when the new edge shares no cell with the previous one.  Paths never revisit a vertex.  The
-    search keeps its own stack, so path length is not bounded by the
-    interpreter's recursion limit.
+    allowed when the new edge shares no cell with the previous one.
+    Paths never revisit a vertex.  The search keeps its own stack, so
+    path length is not bounded by the interpreter's recursion limit.
 
     The search takes only traversals that ``_live`` marks as leading on
     to ``end``.  The prune is exact: every step of a path to ``end`` is
@@ -670,30 +689,32 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     the table lives for one call; its last slot holds the traversals
     that may start a path, whose cells count as -1.
 
-    The straightening fold (``_fold``) adds per-step terms, and its
-    state after a traversal t holds, besides the sums, only the last
-    rational vertex of the straightened path: t's head if rational,
-    else t's detour, else t's tail.  That depends on t alone, so the
-    step u adds the same weight (dk, da, db) whenever it follows t.
-    Each entry of ``table[t]`` is (u, dk, da, db, num, den): the
-    successor, that weight, and the last rational vertex after u (den 0
-    for 1/0 or none), from which u's own entries are filled.  The
-    weights are worked out inline as a list is filled, not by a call
-    per step or per list: on a long chain each is used about once, on
-    the Dt of a Fibonacci-type link about a hundred times.  The search
+    The straightening step (``_stepper``) of u depends on u and the last
+    rational vertex of the straightened path before it, and after a
+    traversal t that vertex is fixed by t alone: t's head if rational,
+    else t's detour, else t's tail.  So u adds the same terms
+    (dk, da, db) whenever it follows t, and each entry of ``table[t]``
+    is the step's result (u, dk, da, db, num, den): the successor, its
+    terms, and the last rational vertex after u (den 0 for 1/0 or
+    none), from which u's own entries are filled.  The step runs once
+    per entry: on a long chain each entry is used about once, on the Dt
+    of a Fibonacci-type link about a hundred times.  That call is the
+    price of keeping one definition of the step: measured on Python 3.11
+    with 2 CPUs, about 0.4 us per entry against the same terms written
+    out in the fill, some 10% of the search on long chains and 1-3% of a
+    whole pass of the benchmark's workloads.  The search
     keeps the sums (k, a, b) of the current prefix, adding a step's
-    weight as it steps in and subtracting it as it steps back, and a
-    path's sums are those plus the weight of its last step.
+    terms as it steps in and subtracting them as it steps back, and a
+    path's sums are those plus the terms of its last step.
     """
     first, last = cx._ids.get(start), cx._ids.get(end)
     if first is None or last is None or first == last:
         raise ValueError(f"{start} and {end} are not two vertices of the complex")
     found: list[TypedPath] = []
-    out, c0, c1 = cx._out, cx._c0, cx._c1
-    types, detours, verts, heads = cx._types, cx._detours, cx._verts, cx._heads
+    out, c0, c1, heads = cx._out, cx._c0, cx._c1, cx._heads
     live = _live(cx, last)
+    step = _stepper(cx)
     table: list[list | None] = [None] * (len(heads) + 1)
-    d1 = cx.kind == "D1"
     path: list[int] = []
     taken: list[tuple] = []               # the table entry of each step
     visited = bytearray(len(out))
@@ -707,32 +728,9 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
         successors = table[t]
         if successors is None:
             x0, x1 = (c0[t >> 1], c1[t >> 1]) if t >= 0 else (-1, -1)
-            table[t] = successors = []
-            for u in out[nxt]:
-                if live[u] and x0 != c0[u >> 1] != x1 and x0 != c1[u >> 1] != x1:
-                    # One step of ``_fold`` from (pn, pd).
-                    back = u & 1
-                    qn, qd = pn, pd
-                    dk = da = db = 0
-                    v = detours[u >> 1]
-                    if v is not None:
-                        if d1:
-                            da, db = back, 1 - back
-                        elif types[u >> 1] == "C":
-                            da = 2 * back - 1
-                        else:
-                            db = 1 - 2 * back
-                        vn, vd = v
-                        if qd and vd:
-                            dk = qn * vd - vn * qd
-                        qn, qd = vn, vd
-                    v = verts[heads[u]]
-                    if isinstance(v, Frac):
-                        vn, vd = v
-                        if qd and vd:
-                            dk += qn * vd - vn * qd
-                        qn, qd = vn, vd
-                    successors.append((u, dk, da, db, qn, qd))
+            table[t] = successors = [
+                step(u, pn, pd) for u in out[nxt]
+                if live[u] and x0 != c0[u >> 1] != x1 and x0 != c1[u >> 1] != x1]
         visited[nxt] = 1
         pending.append(iter(successors))
         # Take the next untried successor that does not end the path,
@@ -817,24 +815,18 @@ class Diagrams:
     def __init__(self, link: TwoBridgeLink):
         self.link = link
         self.chain = quad_chain(link)
-        self._built: dict[str, DiagramComplex] = {}
 
-    def get(self, kind: str) -> DiagramComplex:
-        if kind not in self._built:
-            self._built[kind] = build_diagram(self.chain, kind)
-        return self._built[kind]
-
-    @property
+    @cached_property
     def dt(self) -> DiagramComplex:
-        return self.get("Dt")
+        return build_diagram(self.chain, "Dt")
 
-    @property
+    @cached_property
     def d1(self) -> DiagramComplex:
-        return self.get("D1")
+        return build_diagram(self.chain, "D1")
 
-    @property
+    @cached_property
     def d0(self) -> DiagramComplex:
-        return self.get("D0")
+        return build_diagram(self.chain, "D0")
 
 
 def link_paths(link: TwoBridgeLink):

@@ -7,13 +7,13 @@ and beta (t = alpha/beta).  Two independent computations are provided:
 
 * ``m_form`` deforms the path to one made of side halves only, whose
   value is a determinant sum over its rational vertices, and corrects
-  for each cell the deformation pushed the path across.  One fold over
-  the steps (``TypedPath.sums``) gives the sum and the push counts; the
-  path search adds the same terms step by step, from a weight it stores
-  beside each successor, so ``m_form``, ``s_form`` and
-  ``s_form_symbolic`` start from three integers per path.  The
-  step-by-step reference for that fold lives in the tests
-  (``tests/oracles.py``).
+  for each cell the deformation pushed the path across.  One function,
+  the straightening step (``diagram._stepper``), says what a traversal
+  adds to the sum and the push counts.  The path search adds it up as
+  it steps and ``TypedPath.sums`` folds it over a path built otherwise,
+  so ``m_form``, ``s_form`` and ``s_form_symbolic`` start from three
+  integers per path.  The step-by-step reference for those sums lives
+  in the tests (``tests/oracles.py``).
 * ``m_form_edgewise`` sums, edge by edge, the intersection of the
   pulled-back longitudes with the train track carried by that edge.
 
@@ -211,7 +211,7 @@ def s_form_symbolic(path: TypedPath) -> SymbolicM:
     """The same push computation kept with one free weight per diagonal,
     for comparison against the edgewise sum.  The determinant sum is
     ``path.sums[0]``; a diagonal is pushed in its positive sense (+1)
-    exactly when it is traversed backward (see ``diagram._fold``)."""
+    exactly when it is traversed backward (see ``diagram._stepper``)."""
     if path.kind != "D1":
         raise ValueError("s_form takes a D1 path")
     k = path.sums[0]
@@ -223,13 +223,6 @@ def s_form_symbolic(path: TypedPath) -> SymbolicM:
         n1=tuple(2 * s for s in senses),
         n2=tuple(-2 * s for s in senses),
     )
-
-
-def _one_per_sums(paths: list[TypedPath]):
-    """One path for each distinct ``sums`` among paths that share their
-    endpoints: ``m_form`` and ``s_form`` read nothing else, so the forms
-    of these paths are the forms of all of them."""
-    return {p.sums: p for p in paths}.values()
 
 
 class OracleReport(NamedTuple):
@@ -321,12 +314,14 @@ def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     diagrams, dt_paths, c_paths = link_paths(link)
     l = linking_number(link)
 
-    mraw = sorted({m_form(p) for p in _one_per_sums(dt_paths)})
+    # One path for each distinct ``sums``: m_form and s_form read nothing
+    # else, so the forms of these paths are the forms of all of them.
+    mraw = sorted({m_form(p) for p in {p.sums: p for p in dt_paths}.values()})
     # The shift to the preferred longitudes keeps forms distinct and in
     # order.
     mpref = [to_preferred(m, l) for m in mraw]
 
-    sraw = sorted({s_form(p) for p in _one_per_sums(c_paths)})
+    sraw = sorted({s_form(p) for p in {p.sums: p for p in c_paths}.values()})
     spref = [to_preferred(s, l) for s in sraw]
 
     diagnostics = [f"t=1 path not a limit of any deformed minimal path: {p}"

@@ -1,16 +1,17 @@
 """Step-by-step references for what the engine computes in one pass.
 
-The engine gets the straightening sums of a path from one fold over its
-steps (``twobridge.diagram._fold``), whose per-step terms the path
-search adds from weights stored beside each successor in its table.
-The references here take one path at a time and follow the paper:
-straighten the path into its rational vertices, sum the determinants
-over them and count the cells it was pushed across.
-The sense of a D1 diagonal is found from the geometry, not from the
-traversal sign the fold reads.  Alongside are the frame matrices and
-side list of a quadrilateral, the minimality test of a path and the
-traversals that can lead on to a vertex, which only the construction
-and path checks use, and a strategy that draws links by expansion.
+The engine gets the straightening sums of a path from one function that
+says what a traversal adds (``twobridge.diagram._stepper``): the path
+search adds it up as it steps, and ``TypedPath.sums`` folds it over a
+path built otherwise.  The references here take one path at a time
+and follow the paper: straighten the path into its rational vertices,
+sum the determinants over them and count the cells it was pushed
+across.  The sense of a D1 diagonal is found from the geometry, not
+from the traversal sign the step reads.  Alongside are the frame
+matrices and side list of a quadrilateral, the minimality test of a
+path and the traversals that can lead on to a vertex, which only the
+construction and path checks use, and a strategy that draws links by
+expansion.
 """
 
 from __future__ import annotations

@@ -208,7 +208,7 @@ class TestPathsCommand:
     def json_oracle(pq, diagram):
         """The JSON dump as first written: ``json.dumps`` of the payload."""
         link = make_link(*map(int, pq.split("/")))
-        cx = Diagrams(link).get({"dt": "Dt", "d1": "D1", "d0": "D0"}[diagram])
+        cx = getattr(Diagrams(link), diagram)
         paths = minimal_paths(cx, INFINITY, link.fraction())
         payload = {
             "link": {"p": link.p, "q": link.q},

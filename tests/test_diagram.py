@@ -329,13 +329,14 @@ class TestPathSums:
     def test_d1_sums_equal_the_push_reference_through_14_crossings(
             self, paths_through_14):
         # The reference finds each diagonal's sense from the geometry,
-        # the fold from the traversal sign.
+        # the straightening step from the traversal sign.
         for r in paths_through_14:
             for path in r.d1:
                 assert path.sums == sums_reference(path), (r.link, str(path))
 
     def test_paths_from_a_midpoint(self):
-        # The fold starts with no rational vertex, as straightening does.
+        # The search and the fold start with no rational vertex, as
+        # straightening does.
         d = Diagrams(make_link(13, 34))
         starts = [v for v in d.dt.vertices() if isinstance(v, Corner)]
         for start in starts[:6]:
@@ -346,6 +347,19 @@ class TestPathSums:
                 assert path.sums == sums_reference(path)
                 assert path.sums == TypedPath(d.dt, path.trav).sums
                 m_form(path)        # parities hold from a midpoint too
+
+    def test_paths_from_a_finite_start(self, paths_through_14):
+        # From a rational start the first step has a determinant term,
+        # which no search from 1/0 or from a midpoint reaches.
+        diagrams = [r.diagrams for r in paths_through_14 if r.crossings <= 10]
+        diagrams += [Diagrams(make_link(1, 40)), Diagrams(make_link(19, 50))]
+        for d in diagrams:
+            start = d.chain[len(d.chain) // 2].p3
+            for cx in (d.dt, d.d1, d.d0):
+                for path in minimal_paths(cx, start, d.link.fraction()):
+                    assert path.start == start
+                    assert path.sums == sums_reference(path), (d.link, str(path))
+                    assert path.sums == TypedPath(cx, path.trav).sums
 
     def test_sums_stay_out_of_equality_and_repr(self):
         d = Diagrams(make_link(3, 8))
@@ -504,14 +518,14 @@ class TestCollapseByIdentity:
     @pytest.mark.parametrize("p,q", LONG.values(), ids=LONG.keys())
     def test_fresh_copies_collapse_equal(self, p, q, kind):
         d = Diagrams(make_link(p, q))
-        target = d.get(kind)
+        target = getattr(d, kind.lower())
         paths = minimal_paths(d.dt, INFINITY, frac(p, q))
         expected = [collapse(path, target) for path in paths]
         assert [collapse(fresh_copy(path, d.dt), target) for path in paths] == expected
         # The same once the originals are gone and Dt is built again.
         values = [[(tuple(s.edge), s.sign) for s in path.steps] for path in paths]
         del paths
-        del d._built["Dt"]
+        del d.dt
         gc.collect()
         copies = [d.dt.path([Step(Edge(*e), sign) for e, sign in v])
                   for v in reversed(values)]
@@ -735,11 +749,11 @@ class TestConstructionOracles:
 
 
 class TestDiagonalSense:
-    """The fold counts a D1 diagonal as pushed in its positive sense
-    exactly when the diagonal is traversed backward.  That holds because
-    every diagonal runs from p3 to p2 of its quadrilateral, and p2 is
-    the second column of its frame, where the push reference starts the
-    positive sense."""
+    """The straightening step counts a D1 diagonal as pushed in its
+    positive sense exactly when the diagonal is traversed backward.
+    That holds because every diagonal runs from p3 to p2 of its
+    quadrilateral, and p2 is the second column of its frame, where the
+    push reference starts the positive sense."""
 
     @staticmethod
     def check(chain, cx):
