@@ -155,8 +155,8 @@ def _cmd_paths(args) -> int:
                        "head": str(e.head), "matrix": str(e.g)}
                       for e in cx.edges],
             "paths": [{"vertices": [str(v) for v in p.vertices()],
-                       "edges": [f"{s.edge.etype}{'+' if s.sign > 0 else '-'}"
-                                 for s in p.steps]}
+                       "edges": [f"{etype}{'-' if t & 1 else '+'}"
+                                 for etype, t in zip(p.edge_types(), p.trav)]}
                       for p in paths],
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")

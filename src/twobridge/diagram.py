@@ -38,10 +38,9 @@ chain before it, so the builders number vertices, edges and cells by
 position: only the shared side's vertices and edges already exist.  They
 append each new edge, its two cells among them, to flat per-edge lists
 of ints and shared values.  A path is a tuple of traversal numbers
-(``2*e`` runs edge e forward, ``2*e + 1`` backward): the search,
-``collapse`` and the limit check work on those ints alone, and the
-``Edge`` and ``Step`` objects of a complex are made, all at once, only
-when something displays them.
+(``2*e`` runs edge e forward, ``2*e + 1`` backward), and every view of
+it is read from those ints; the ``Edge`` objects of a complex are made,
+all at once, only when something displays them.
 
 An edge path is minimal if no two consecutive edges lie in a common
 cell.  Minimal paths from 1/0 to p/q index the spanning surfaces, and
@@ -203,21 +202,6 @@ class Edge(NamedTuple):
         return f"{self.etype}:{self.tail}->{self.head}"
 
 
-class Step(NamedTuple):
-    """One traversed edge of a path."""
-
-    edge: Edge
-    sign: int
-
-    @property
-    def source(self) -> Vertex:
-        return self.edge.tail if self.sign > 0 else self.edge.head
-
-    @property
-    def target(self) -> Vertex:
-        return self.edge.head if self.sign > 0 else self.edge.tail
-
-
 def _stepper(cx: DiagramComplex):
     """The straightening step of cx: ``step(u, pn, pd)`` gives what
     traversal u adds to the sums (k, a, b) of a path whose last rational
@@ -291,7 +275,7 @@ def _fold(cx: DiagramComplex, trav: tuple[int, ...]) -> tuple[int, int, int]:
 class TypedPath:
     """A vertex-to-vertex edge path in the complex ``cx``, one of the
     three diagrams: the tuple ``trav`` of its traversal numbers, from
-    which every other view is read.  ``steps`` is for display.
+    which every other view is read.
 
     ``sums`` is the (k, a, b) that the straightening step (``_stepper``)
     adds up over the whole path: what ``m_form``, ``s_form`` and
@@ -316,10 +300,6 @@ class TypedPath:
         if self._sums is None:
             self._sums = _fold(self.cx, self.trav)
         return self._sums
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return tuple(map(self.cx.steps.__getitem__, self.trav))
 
     @property
     def start(self) -> Vertex:
@@ -391,8 +371,8 @@ class DiagramComplex:
     tail to head) and 2*e + 1 (head to tail); traversal t leaves vertex
     ``_ends[t]`` and reaches vertex ``_heads[t]``.  ``_out[v]`` lists the
     traversals leaving vertex v in the order the path search tries them.
-    ``edges[e]`` and ``steps[t]`` are the ``Edge`` of edge e and the
-    ``Step`` of traversal t, made for display on the first read.
+    ``edges[e]`` is the ``Edge`` of edge e, made for display on the
+    first read.
     ``_image`` is the memo of ``collapse`` into this complex.
     """
 
@@ -513,10 +493,6 @@ class DiagramComplex:
                         map(verts.__getitem__, self._ends[1::2]),
                         self._frames, self._detours))
 
-    @cached_property
-    def steps(self) -> list[Step]:
-        return [Step(edge, sign) for edge in self.edges for sign in (1, -1)]
-
     # -- queries -----------------------------------------------------
 
     def vertices(self) -> list[Vertex]:
@@ -531,24 +507,6 @@ class DiagramComplex:
             return 2 * index[iv * len(ids) + iu] + 1 if e is None else 2 * e
         except KeyError:
             raise KeyError(f"no edge between {u} and {v}") from None
-
-    def edge_between(self, u: Vertex, v: Vertex) -> tuple[Edge, int]:
-        """The unique edge joining u and v, with the sign of the u -> v
-        traversal."""
-        return self.steps[self._traversal(u, v)]
-
-    def path(self, steps) -> TypedPath:
-        """The path of this complex that takes ``steps``, each matched by
-        value; a step whose edge is not an edge of the complex raises
-        ``KeyError``."""
-        trav = []
-        for (etype, tail, head, g, detour), sign in steps:
-            t = self._traversal(tail, head)
-            if t & 1 or (self._types[t >> 1], self._frames[t >> 1],
-                         self._detours[t >> 1]) != (etype, g, detour):
-                raise KeyError(f"no edge {etype}:{tail}->{head} in {self.kind}")
-            trav.append(t if sign > 0 else t + 1)
-        return TypedPath(self, tuple(trav))
 
 
 # Each builder files its edges per quadrilateral in this order.  Dt: the
@@ -672,8 +630,8 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     """All minimal edge paths from start to end, with their sums.
 
     Depth-first search over traversal numbers that reads only the
-    complex's int lists and makes no ``Edge`` or ``Step``; a step is
-    allowed when the new edge shares no cell with the previous one.
+    complex's int lists and makes no ``Edge``; a step is allowed when
+    the new edge shares no cell with the previous one.
     Paths never revisit a vertex.  The search keeps its own stack, so
     path length is not bounded by the interpreter's recursion limit.
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import Frac, INFINITY, TwoBridgeLink, linking_number
-from .diagram import TypedPath, link_paths, not_limits
+from .diagram import TypedPath, _stepper, link_paths, not_limits
 
 
 class MForm(NamedTuple):
@@ -210,13 +210,15 @@ def s_form(path: TypedPath) -> SForm:
 def s_form_symbolic(path: TypedPath) -> SymbolicM:
     """The same push computation kept with one free weight per diagonal,
     for comparison against the edgewise sum.  The determinant sum is
-    ``path.sums[0]``; a diagonal is pushed in its positive sense (+1)
-    exactly when it is traversed backward (see ``diagram._stepper``)."""
+    ``path.sums[0]``; each diagonal's sense, +1 when it is pushed
+    positively, is the da - db of its straightening step
+    (``diagram._stepper``), which the vertex before it does not change."""
     if path.kind != "D1":
         raise ValueError("s_form takes a D1 path")
     k = path.sums[0]
-    types = path.cx._types
-    senses = [1 if t & 1 else -1 for t in path.trav if types[t >> 1] == "C"]
+    step, types = _stepper(path.cx), path.cx._types
+    senses = [da - db for _, _, da, db, _, _ in
+              (step(t, 0, 0) for t in path.trav if types[t >> 1] == "C")]
     return SymbolicM(
         b1=k - 2 * sum(senses),
         b2=k,

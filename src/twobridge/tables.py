@@ -91,6 +91,8 @@ class TableReport(NamedTuple):
 def verify_corpus(max_crossings: int = 10) -> TableReport:
     """Recompute every corpus link up to the bound and diff the canonical
     text of its presentation families against the stored rows."""
+    if max_crossings < 2:
+        raise ValueError("a link diagram needs at least 2 crossings")
     entries = []
     for row in load_corpus():
         if row.crossings > max_crossings:

@@ -45,11 +45,24 @@ def edge_cells(cx, e: int) -> frozenset:
     return frozenset((cx._c0[e], cx._c1[e]))
 
 
+def traversed(path):
+    """Each step of the path as (edge, sign, source, target): traversal
+    t runs ``cx.edges[t >> 1]`` forward (sign +1) when t is even."""
+    edges = path.cx.edges
+    for t in path.trav:
+        edge = edges[t >> 1]
+        if t & 1:
+            yield edge, -1, edge.head, edge.tail
+        else:
+            yield edge, 1, edge.tail, edge.head
+
+
 def is_minimal(cx, path) -> bool:
-    """Whether no two consecutive steps of the path share a cell of cx."""
+    """Whether no two consecutive steps of the path, a path of cx, share
+    a cell of cx."""
     prev = None
-    for step in path.steps:
-        cells = edge_cells(cx, cx._traversal(step.edge.tail, step.edge.head) >> 1)
+    for t in path.trav:
+        cells = edge_cells(cx, t >> 1)
         if prev is not None and prev & cells:
             return False
         prev = cells
@@ -124,19 +137,18 @@ def straighten(path) -> tuple[list[Frac], PushLedger]:
         raise ValueError("only Dt paths are straightened")
     ledger = PushLedger()
     seq: list = [path.start]
-    for step in path.steps:
-        etype = step.edge.etype
-        if etype in ("A", "B"):
-            seq.append(step.target)
+    for edge, sign, _, target in traversed(path):
+        if edge.etype in ("A", "B"):
+            seq.append(target)
             continue
         # Boundary of the corner triangle runs against a C edge and with
         # a D edge, so the crossing sense differs by edge type.
-        if etype == "C":
-            ledger.n0 -= step.sign
+        if edge.etype == "C":
+            ledger.n0 -= sign
         else:
-            ledger.n1 += step.sign
-        seq.append(step.edge.detour)
-        seq.append(step.target)
+            ledger.n1 += sign
+        seq.append(edge.detour)
+        seq.append(target)
     rationals = [v for v in seq if isinstance(v, Frac)]
     return rationals, ledger
 
@@ -150,13 +162,13 @@ def d1_pushes(path) -> tuple[list[Frac], list[int]]:
         raise ValueError("s_form takes a D1 path")
     seq: list[Frac] = [path.start]
     senses: list[int] = []
-    for step in path.steps:
-        if step.edge.etype == "A":
-            seq.append(step.target)
+    for edge, _, source, target in traversed(path):
+        if edge.etype == "A":
+            seq.append(target)
             continue
-        senses.append(1 if step.source == step.edge.g.col2() else -1)
-        seq.append(step.edge.detour)
-        seq.append(step.target)
+        senses.append(1 if source == edge.g.col2() else -1)
+        seq.append(edge.detour)
+        seq.append(target)
     return seq, senses
 
 

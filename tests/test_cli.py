@@ -218,8 +218,8 @@ class TestPathsCommand:
                        "head": str(e.head), "matrix": str(e.g)}
                       for e in cx.edges],
             "paths": [{"vertices": [str(v) for v in p.vertices()],
-                       "edges": [f"{s.edge.etype}{'+' if s.sign > 0 else '-'}"
-                                 for s in p.steps]}
+                       "edges": [f"{cx.edges[t >> 1].etype}{'-' if t & 1 else '+'}"
+                                 for t in p.trav]}
                       for p in paths],
         }
         return json.dumps(payload, indent=2) + "\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from twobridge.arith import (ContFrac, Frac, GMat, INFINITY, TwoBridgeLink,
                              enumerate_links, make_link)
 from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
-                               Edge, Quad, Step, TypedPath, _live,
+                               Edge, Quad, TypedPath, _live,
                                build_diagram, collapse, link_paths,
                                minimal_paths, not_limits, quad_chain)
 from twobridge.slopes import m_form, m_form_edgewise
@@ -171,12 +171,14 @@ class TestBuildDiagram:
 
 class TestEdgeIndex:
     def test_edge_between_both_directions(self):
+        # Edge e is traversed as 2*e from its tail and 2*e + 1 from its
+        # head; two vertices that no edge joins have no traversal.
         cx = build_diagram(quad_chain(make_link(3, 8)), "D1")
-        for e in cx.edges:
-            assert cx.edge_between(e.tail, e.head) == (e, 1)
-            assert cx.edge_between(e.head, e.tail) == (e, -1)
-        with pytest.raises(KeyError):
-            cx.edge_between(INFINITY, frac(3, 8))
+        for e, edge in enumerate(cx.edges):
+            assert cx._traversal(edge.tail, edge.head) == 2 * e
+            assert cx._traversal(edge.head, edge.tail) == 2 * e + 1
+        with pytest.raises(KeyError, match="no edge between"):
+            cx._traversal(INFINITY, frac(3, 8))
 
     def test_vertex_outside_the_complex(self):
         cx = build_diagram(quad_chain(make_link(3, 8)), "Dt")
@@ -185,10 +187,7 @@ class TestEdgeIndex:
             assert v not in cx.vertices()
             for u, w in ((INFINITY, v), (v, INFINITY)):
                 with pytest.raises(KeyError):
-                    cx.edge_between(u, w)
-            g = cx.edges[0].g
-            with pytest.raises(KeyError):
-                cx.path([Step(Edge("A", INFINITY, v, g), 1)])
+                    cx._traversal(u, w)
 
     def test_rebuilding_an_edge_must_agree(self):
         # The edge on a side shared with the previous quadrilateral is
@@ -255,7 +254,7 @@ class TestMinimalPaths:
         link = make_link(value.num, value.den)
         d = Diagrams(link)
         paths = minimal_paths(d.dt, INFINITY, link.fraction())
-        assert max(len(p.steps) for p in paths) > sys.getrecursionlimit()
+        assert max(len(p.trav) for p in paths) > sys.getrecursionlimit()
         for path in paths:
             assert is_minimal(d.dt, path)
             assert m_form(path) == m_form_edgewise(path)
@@ -364,11 +363,11 @@ class TestPathSums:
     def test_sums_stay_out_of_equality_and_repr(self):
         d = Diagrams(make_link(3, 8))
         path = minimal_paths(d.dt, INFINITY, frac(3, 8))[0]
-        copy = d.dt.path(path.steps)
+        copy = fresh_copy(path.vertices(), d.dt)
         assert copy == path and hash(copy) == hash(path)
         assert repr(copy) == repr(path) and "sums" not in repr(path)
         # The same for search paths of every kind and for collapse
-        # results; a copy rebuilt from the steps folds the same sums.
+        # results; a copy rebuilt from the vertices folds the same sums.
         d = Diagrams(make_link(13, 34))
         dt_paths = minimal_paths(d.dt, INFINITY, frac(13, 34))
         paths = [*dt_paths, *(collapse(p, t) for p in dt_paths for t in (d.d1, d.d0))]
@@ -376,11 +375,11 @@ class TestPathSums:
                   *minimal_paths(d.d0, INFINITY, frac(13, 34))]
         assert {p.kind for p in paths} == {"Dt", "D1", "D0"}
         for path in paths:
-            copy = path.cx.path(path.steps)
+            copy = fresh_copy(path.vertices(), path.cx)
             assert copy == path and hash(copy) == hash(path)
             assert repr(copy) == repr(path) and "sums" not in repr(path)
             assert copy._sums is None and copy.sums == path.sums
-            assert copy != path.cx.path(path.steps[:-1])
+            assert copy != TypedPath(path.cx, path.trav[:-1])
 
 
 class TestCollapse:
@@ -424,8 +423,8 @@ class TestCollapse:
 
 
 def projected(path, target):
-    """``collapse`` by value: every step's endpoints projected and the
-    joining edge looked up, with no memo."""
+    """``collapse`` by value: every vertex projected, and each step
+    between two distinct images looked up by that pair, with no memo."""
     parity = 1 if target.kind == "D1" else 0
 
     def project(v):
@@ -433,18 +432,23 @@ def projected(path, target):
             return v
         return v.lo if v.lo.den % 2 == parity else v.hi
 
-    steps = []
-    for step in path.steps:
-        src, dst = project(step.source), project(step.target)
-        if src != dst:
-            steps.append(Step(*target.edge_between(src, dst)))
-    return target.path(steps)
+    verts = [project(v) for v in path.vertices()]
+    return TypedPath(target, tuple(target._traversal(u, v)
+                                   for u, v in zip(verts, verts[1:]) if u != v))
 
 
-def fresh_copy(path, cx):
-    """The path of cx rebuilt from new Step and Edge objects equal to
-    those of ``path``."""
-    return cx.path([Step(Edge(*s.edge), s.sign) for s in path.steps])
+def copy_vertex(v):
+    """A new vertex object equal to v."""
+    if isinstance(v, Frac):
+        return Frac(v.num, v.den)
+    return Corner(copy_vertex(v.lo), copy_vertex(v.hi))
+
+
+def fresh_copy(vertices, cx):
+    """The path of cx through ``vertices``, looked up pair by pair from
+    new vertex objects equal to them."""
+    verts = [copy_vertex(v) for v in vertices]
+    return TypedPath(cx, tuple(map(cx._traversal, verts, verts[1:])))
 
 
 class TestCollapseByIdentity:
@@ -477,42 +481,18 @@ class TestCollapseByIdentity:
                 for target in (d.d1, d.d0):
                     assert collapse(path, target) == projected(path, target), link
 
-    def test_one_step_object_per_traversal(self):
-        # Displaying a path reads the complex's one Step per traversal,
-        # whether the path came from a search or from collapse.
-        link = make_link(13, 34)
-        end = link.fraction()
-        d = Diagrams(link)
-        dt_paths = minimal_paths(d.dt, INFINITY, end)
-        mid = dt_paths[0].steps[0].target
-        runs = [(d.dt, dt_paths), (d.dt, minimal_paths(d.dt, mid, end))]
-        runs += [(t, [collapse(p, t) for p in dt_paths]) for t in (d.d1, d.d0)]
-        runs += [(t, minimal_paths(t, INFINITY, end)) for t in (d.d1, d.d0)]
-        for cx, paths in runs:
-            assert paths
-            for path in paths:
-                assert path.cx is cx
-                for t, step in zip(path.trav, path.steps):
-                    assert step is cx.steps[t]
-                    assert step.edge is cx.edges[t >> 1]
-                    assert step == Step(cx.edges[t >> 1], -1 if t & 1 else 1)
-
     def test_edges_made_with_their_first_step(self):
         # The search, collapse and the limit check run on traversal
-        # numbers alone: after them no Edge or Step exists.  The first
-        # read of ``steps`` makes ``edges`` too, once, and its Steps hold
-        # those Edges.
+        # numbers alone: after them no Edge exists.  The first read of
+        # ``edges`` makes them all, once.
         for link in (make_link(6765, 10946), make_link(1, 120)):
             d, dt_paths, c_paths = link_paths(link)
             assert not_limits(dt_paths, c_paths, d.d1) == []
             for cx in (d.dt, d.d1):
-                assert not {"edges", "steps"} & vars(cx).keys(), (link, cx.kind)
+                assert "edges" not in vars(cx), (link, cx.kind)
         cx = d.dt
-        steps = cx.steps
         edges = cx.edges
-        assert cx.steps is steps and len(steps) == 2 * len(edges)
-        assert all(steps[2 * e].edge is edge is steps[2 * e + 1].edge
-                   for e, edge in enumerate(edges))
+        assert cx.edges is edges and 2 * len(edges) == len(cx._heads)
 
     @pytest.mark.parametrize("kind", ["D1", "D0"])
     @pytest.mark.parametrize("p,q", LONG.values(), ids=LONG.keys())
@@ -521,14 +501,14 @@ class TestCollapseByIdentity:
         target = getattr(d, kind.lower())
         paths = minimal_paths(d.dt, INFINITY, frac(p, q))
         expected = [collapse(path, target) for path in paths]
-        assert [collapse(fresh_copy(path, d.dt), target) for path in paths] == expected
+        copies = [fresh_copy(path.vertices(), d.dt) for path in paths]
+        assert [collapse(copy, target) for copy in copies] == expected
         # The same once the originals are gone and Dt is built again.
-        values = [[(tuple(s.edge), s.sign) for s in path.steps] for path in paths]
+        values = [path.vertices() for path in paths]
         del paths
         del d.dt
         gc.collect()
-        copies = [d.dt.path([Step(Edge(*e), sign) for e, sign in v])
-                  for v in reversed(values)]
+        copies = [fresh_copy(v, d.dt) for v in reversed(values)]
         assert [collapse(copy, target) for copy in copies] == expected[::-1]
 
     def test_a_path_over_another_chain_is_refused(self):

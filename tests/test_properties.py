@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from twobridge.arith import (INFINITY, ContFrac, Frac, TwoBridgeLink,
                              canonical_rep, cf_positive, crossing_number,
                              linking_number, make_link)
-from twobridge.diagram import Diagrams, Step, TypedPath, minimal_paths
+from twobridge.diagram import Diagrams, TypedPath, minimal_paths
 from twobridge.slopes import (m_form, m_form_edgewise, s_form_symbolic,
                               slope_families)
 
@@ -124,7 +124,8 @@ def test_slope_set_invariant_under_inversion(link):
 def reference_paths(cx, start, end):
     """Minimal paths by plain recursion over the edge list: from each
     vertex, edges are tried by type, then far endpoint (rationals by
-    value, then midpoints by their endpoints), then sign."""
+    value, then midpoints by their endpoints); no two edges join the
+    same pair.  Each path is collected as its traversal numbers."""
     def vertex_key(v):
         if isinstance(v, Frac):
             return (0, v.key(), v.key())
@@ -132,27 +133,25 @@ def reference_paths(cx, start, end):
 
     leaving = {}
     for idx, edge in enumerate(cx.edges):
-        leaving.setdefault(edge.tail, []).append((idx, 1))
-        leaving.setdefault(edge.head, []).append((idx, -1))
+        leaving.setdefault(edge.tail, []).append((2 * idx, edge.head))
+        leaving.setdefault(edge.head, []).append((2 * idx + 1, edge.tail))
     for items in leaving.values():
         items.sort(key=lambda item: (
-            "ABCD".index(cx.edges[item[0]].etype),
-            vertex_key(Step(cx.edges[item[0]], item[1]).target), item[1]))
+            "ABCD".index(cx.edges[item[0] >> 1].etype), vertex_key(item[1])))
 
-    found, steps = [], []
+    found, trav = [], []
 
     def walk(vertex, visited, last_cells):
         if vertex == end:
-            found.append(cx.path(steps))
+            found.append(TypedPath(cx, tuple(trav)))
             return
-        for idx, sign in leaving[vertex]:
-            step = Step(cx.edges[idx], sign)
-            cells = edge_cells(cx, idx)
-            if step.target in visited or last_cells & cells:
+        for t, target in leaving[vertex]:
+            cells = edge_cells(cx, t >> 1)
+            if target in visited or last_cells & cells:
                 continue
-            steps.append(step)
-            walk(step.target, visited | {step.target}, cells)
-            steps.pop()
+            trav.append(t)
+            walk(target, visited | {target}, cells)
+            trav.pop()
 
     walk(start, frozenset({start}), frozenset())
     return found

@@ -10,7 +10,7 @@ from twobridge.slopes import (MForm, SForm, SlopeFamily, m_form,
                               m_form_edgewise, s_form, s_form_symbolic,
                               slope_families, to_preferred)
 
-from oracles import delta_sum, links_by_expansion, straighten
+from oracles import d1_pushes, delta_sum, links_by_expansion, straighten
 
 
 def frac(p, q):
@@ -324,6 +324,23 @@ class TestSForm:
         for p, q in [(3, 8), (7, 16), (5, 18), (13, 34), (23, 62)]:
             for path in d1_c_paths(make_link(p, q)):
                 assert s_form_symbolic(path) == m_form_edgewise(path)
+
+    def test_symbolic_form_adds_up_to_the_sums_through_12(self, paths_through_12):
+        # s_form_symbolic reads each diagonal's sense from the same
+        # straightening step as the sums (k, a, b), so its terms add up
+        # to them; the senses are also those the geometry gives.
+        count = 0
+        for r in paths_through_12:
+            for path in r.d1:
+                k, a, b = path.sums
+                if a + b == 0:
+                    continue
+                m = s_form_symbolic(path)
+                assert (m.b2, m.b1, len(m.n1), sum(m.n1)) == (
+                    k, k - 2 * (a - b), a + b, 2 * (a - b)), (r.link, str(path))
+                assert m.n1 == tuple(2 * s for s in d1_pushes(path)[1]), str(path)
+                count += 1
+        assert count == 959
 
 
 class TestToPreferred:

@@ -48,6 +48,13 @@ class TestCorpus:
         report = verify_corpus(8)
         assert report.ok and report.total == 17
 
+    @pytest.mark.parametrize("bound", [1, 0, -5])
+    def test_verify_below_two_crossings_is_an_error(self, bound):
+        # No link has fewer than 2 crossings, so such a bound would
+        # check nothing and report "0/0 match".
+        with pytest.raises(ValueError, match="at least 2 crossings"):
+            verify_corpus(bound)
+
     def test_verify_is_pure(self):
         assert verify_corpus(5) == verify_corpus(5)
 
