@@ -3,10 +3,12 @@
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 when a verification or equivalence check fails, 2 on usage errors, 3
 on an internal error (a bug), reported as one line on stderr, and 141,
-silently, when the reader closes stdout before the output or the help is
-written.  Each flag value is checked by its argparse type, integers as
-ASCII digits with an optional sign: a bad one gets argparse's usage line
-and ``error: argument ...``.
+silently, when the reader closes stdout before the output is written.
+The help gets the same 141 when stdout is buffered; unbuffered, argparse
+drops its failed write itself and the help exits 0, silently.  Each flag
+value is checked by its argparse type, integers as ASCII digits with an
+optional sign: a bad one gets argparse's usage line and ``error:
+argument ...``.
 """
 
 from __future__ import annotations

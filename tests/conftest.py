@@ -11,6 +11,8 @@ from twobridge.arith import (INFINITY, TwoBridgeLink, crossing_number,
 from twobridge.diagram import Diagrams, TypedPath, minimal_paths
 from twobridge.slopes import LinkSlopes, slope_families
 
+from oracles import deep_links
+
 
 class LinkPaths(NamedTuple):
     """One link, its diagrams and its minimal Dt and D1 paths from 1/0."""
@@ -59,6 +61,17 @@ def families_through_12() -> list[LinkSlopes]:
     """``slope_families`` of every link through 12 crossings, in the
     order of ``enumerate_links(12)``, for the checks that read them."""
     return [slope_families(link) for link in enumerate_links(12)]
+
+
+@pytest.fixture(scope="session")
+def deep_chains() -> Iterator[list[Diagrams]]:
+    """``Diagrams`` of every link of ``deep_links()``, in its order, each
+    chain walked once.  The chains (about 210,000 objects) go to the
+    collector's permanent generation, as in ``paths_through_14``."""
+    out = [Diagrams(link) for link in deep_links()]
+    gc.freeze()
+    yield out
+    gc.unfreeze()
 
 
 @pytest.fixture

@@ -10,18 +10,23 @@ across.  The sense of a D1 diagonal is found from the geometry, not
 from the traversal sign the step reads.  Alongside are the frame
 matrices and side list of a quadrilateral, the minimality test of a
 path and the traversals that can lead on to a vertex, which only the
-construction and path checks use, and a strategy that draws links by
-expansion.
+construction and path checks use, and the links the tests draw or
+walk: the one conversion of an expansion into a link, the strategy
+that draws links by expansion, and the deep chains.  Last come the
+small helpers more than one test module reads.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from hypothesis import assume, strategies as st
+from hypothesis import strategies as st
 
-from twobridge.arith import ContFrac, Frac, GMat, frac_cmp, make_link
-from twobridge.diagram import Corner
+from twobridge.arith import (INFINITY, ContFrac, Frac, GMat, TwoBridgeLink,
+                             frac_cmp, make_link)
+from twobridge.diagram import Corner, Diagrams, minimal_paths
+from twobridge.slopes import MForm
 
 ROT = GMat.make(1, -1, 2, -1)    # half-turn of the base quadrilateral
 SHIFT = GMat.make(1, 1, 0, 1)    # next frame around the vertex 1/0
@@ -185,17 +190,67 @@ def sums_reference(path) -> tuple[int, int, int]:
     return (delta_sum(seq), senses.count(1), senses.count(-1))
 
 
+def link_of(*terms):
+    """The link 1/(t1 + 1/(t2 + ...)) of the expansion [terms]; a
+    ValueError when its denominator is odd (a knot)."""
+    value = ContFrac((0,) + terms).value()
+    return make_link(value.num, value.den)
+
+
 @st.composite
-def links_by_expansion(draw, max_crossings=24, min_crossings=2):
-    """Links of ``min_crossings`` to ``max_crossings`` crossings (one
-    more when a last term of 1 is raised to 2), drawn as positive
-    expansions; expansions with an odd denominator (knots) are skipped."""
+def links(draw, min_crossings=2, max_crossings=14):
+    """Links drawn as positive expansions whose terms sum to
+    ``min_crossings`` to ``max_crossings``, a last term of 1 raised to 2.
+    An odd denominator is repaired, so no draw is thrown away: bumping the
+    last term (one more crossing) works when the second-to-last continuant
+    is odd, appending a 2 (two more) when it is even."""
     remaining = draw(st.integers(min_crossings, max_crossings))
     body = []
     while remaining > 0:
         body.append(draw(st.integers(1, remaining)))
         remaining -= body[-1]
     body[-1] = max(body[-1], 2)
-    value = ContFrac((0,) + tuple(body)).value()
-    assume(value.den % 2 == 0)
-    return make_link(value.num, value.den)
+    for terms in (body, body[:-1] + [body[-1] + 1], body + [2]):
+        try:
+            return link_of(*terms)
+        except ValueError:
+            continue
+    raise AssertionError("parity repair failed")
+
+
+def fractions_of_type(link):
+    """Every fraction p/q naming the link type of ``link``: its inverse,
+    its mirror and the mirror's inverse, in increasing order."""
+    p, q = link
+    return [TwoBridgeLink(x, q)
+            for x in sorted({p, pow(p, -1, q), q - p, pow(q - p, -1, q)})]
+
+
+def deep_links():
+    """1/n, 3/(3n-8), [a, n-a] with a odd near n/2 and [2, n, 2] for n
+    from 100 to 500, under every fraction naming their link type."""
+    out = []
+    for n in range(100, 501, 40):
+        a = n // 2 | 1
+        for body in ((n,), (n - 3, 3), (a, n - a), (2, n, 2)):
+            out.extend(fractions_of_type(link_of(*body)))
+    return out
+
+
+frac = Frac.make
+
+
+def dt_paths(link):
+    """The minimal Dt paths of the link from 1/0 to p/q."""
+    return minimal_paths(Diagrams(link).dt, INFINITY, link.fraction())
+
+
+def expected_surgery_mforms(k):
+    """The intersection forms of the minimal Dt paths of the surgery
+    link (4k-1)/8k, with their multiplicities, in the blackboard
+    framing."""
+    forms = [MForm(1, 2, 1), MForm(1, 0, 1), MForm(1, 0, 1),
+             MForm(1, -2, 3 - 4 * k), MForm(1 - 4 * k, 0, -1)]
+    if k > 1:
+        forms.append(MForm(1, -2, 1))
+    return Counter(forms)

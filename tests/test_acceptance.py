@@ -9,12 +9,12 @@ the per-criterion lines.
 import time
 from collections import Counter
 
-from twobridge.arith import (INFINITY, crossing_number, enumerate_links,
-                             linking_number, make_link, TwoBridgeLink)
-from twobridge.diagram import Diagrams, minimal_paths
-from twobridge.slopes import (MForm, SForm, m_form, oracle_check,
-                              slope_families)
+from twobridge.arith import (crossing_number, enumerate_links, linking_number,
+                             make_link, TwoBridgeLink)
+from twobridge.slopes import SForm, m_form, oracle_check, slope_families
 from twobridge.tables import verify_corpus
+
+from oracles import dt_paths, expected_surgery_mforms
 
 
 def _timed(fn):
@@ -50,14 +50,8 @@ def test_criterion_3_surgery_family():
         assert result.link == link
 
         # Intersection forms, blackboard framing, one per minimal path.
-        d = Diagrams(link)
-        got = Counter(m_form(p) for p in
-                      minimal_paths(d.dt, INFINITY, link.fraction()))
-        expected = Counter([MForm(1, 2, 1), MForm(1, 0, 1), MForm(1, 0, 1),
-                            MForm(1, -2, 3 - 4 * k), MForm(1 - 4 * k, 0, -1)])
-        if k > 1:
-            expected[MForm(1, -2, 1)] += 1
-        assert got == expected
+        got = Counter(m_form(p) for p in dt_paths(link))
+        assert got == expected_surgery_mforms(k)
 
         # The s family, after the framing shift.
         assert result.sforms == (SForm(-2 * k - 1, 2 * k - 1),)
@@ -85,10 +79,8 @@ def test_criterion_3_surgery_family():
 
 
 def test_criterion_4_path_census():
-    d38 = Diagrams(make_link(3, 8))
-    assert len(minimal_paths(d38.dt, INFINITY, make_link(3, 8).fraction())) == 5
-    d716 = Diagrams(make_link(7, 16))
-    assert len(minimal_paths(d716.dt, INFINITY, make_link(7, 16).fraction())) == 6
+    assert len(dt_paths(make_link(3, 8))) == 5
+    assert len(dt_paths(make_link(7, 16))) == 6
     _report(4, "exactly 5 minimal paths for 3/8 and 6 for 7/16")
 
 

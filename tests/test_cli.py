@@ -271,8 +271,8 @@ class TestGoldenOutput:
     # SHA-256 of the output as first released; any change to the engine
     # must reproduce these bytes.  The D1, D0 and 1/120 digests were
     # recorded later, from the search that walked every dead end, and
-    # the 6765/10946 ones from the search that made a Step per
-    # traversal.
+    # the 6765/10946 ones from the search before a path was its
+    # traversal numbers.
     @pytest.mark.parametrize("argv,digest", [
         (("table", "--max-crossings", "12", "--format", "json"),
          "83557b5bb4e0da36d428faca64255a0dfe2a25a165c5fa2ab569839e3ec5266f"),
@@ -316,35 +316,38 @@ class TestInternalError:
 
 
 class TestClosedStdout:
+    # One start per exit path, as (unbuffered, argv, exit code), named on
+    # its right.  The enumeration writes 17,434 bytes, over twice
+    # io.DEFAULT_BUFFER_SIZE.  Unbuffered, argparse drops its failed help
+    # write itself and exits as after any help: that code is not checked.
+    RUNS = ((False, ["enumerate", "--max-crossings", "15"], 141),  # partway
+            (False, ["table", "--max-crossings", "4"], 141),   # main's flush
+            (False, ["census", "--max-crossings", "4"], 141),  # flush=True
+            (False, ["--help"], 141),                          # help
+            (True, ["table", "--max-crossings", "4"], 141),    # first write
+            (True, ["slopes", "--help"], None))                # help
+
     def test_exit_141_and_nothing_on_stderr(self):
         # A reader that stops early, as `| head` does, is not a bug.  The
         # read end is closed before the child writes, so the first write
         # to the pipe fails: at once when unbuffered, else at a flush.
         src = os.path.dirname(os.path.dirname(twobridge.__file__))
-        runs = []
-        for unbuffered in (None, "1"):
-            env = dict(os.environ, PYTHONPATH=src)
-            env.pop("PYTHONUNBUFFERED", None)
-            if unbuffered:
-                env["PYTHONUNBUFFERED"] = unbuffered
-            for argv in (["enumerate", "--max-crossings", "16"],
-                         ["table", "--max-crossings", "4"],
-                         ["census", "--max-crossings", "4"],
-                         ["--help"], ["slopes", "--help"]):
-                read_end, write_end = os.pipe()
-                os.close(read_end)
-                child = subprocess.Popen(
-                    [sys.executable, "-m", "twobridge", *argv], env=env,
-                    stdout=write_end, stderr=subprocess.PIPE)
-                os.close(write_end)
-                runs.append((unbuffered, argv, child))
-        for unbuffered, argv, child in runs:
+        children = []
+        for unbuffered, argv, _ in self.RUNS:
+            # An empty PYTHONUNBUFFERED leaves stdout buffered.
+            env = dict(os.environ, PYTHONPATH=src,
+                       PYTHONUNBUFFERED="1" if unbuffered else "")
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            children.append(subprocess.Popen(
+                [sys.executable, "-m", "twobridge", *argv], env=env,
+                stdout=write_end, stderr=subprocess.PIPE))
+            os.close(write_end)
+        for (unbuffered, argv, code), child in zip(self.RUNS, children):
             _, err = child.communicate(timeout=60)
             assert err == b"", (unbuffered, argv)
-            # Unbuffered, argparse drops its failed help write itself and
-            # exits as after any help.
-            if not (unbuffered and argv[-1] == "--help"):
-                assert child.returncode == 141, (unbuffered, argv)
+            if code is not None:
+                assert child.returncode == code, (unbuffered, argv)
 
 
 class TestUsage:

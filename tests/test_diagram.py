@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from twobridge.arith import (ContFrac, Frac, GMat, INFINITY, TwoBridgeLink,
+from twobridge.arith import (Frac, GMat, INFINITY, TwoBridgeLink,
                              enumerate_links, make_link)
 from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
                                Edge, Quad, TypedPath, _live,
@@ -15,17 +15,14 @@ from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
                                minimal_paths, not_limits, quad_chain)
 from twobridge.slopes import m_form, m_form_edgewise
 
-from oracles import (ROT, SHIFT, edge_cells, is_minimal, links_by_expansion,
-                     live_reference, on_side, sides, sums_reference)
+from oracles import (ROT, SHIFT, dt_paths, edge_cells, frac, fractions_of_type,
+                     is_minimal, link_of, links, live_reference, on_side,
+                     sides, sums_reference)
 
 
 def all_cells(cx):
     """The cells of every edge of cx, by edge number."""
     return [edge_cells(cx, e) for e in range(len(cx._c0))]
-
-
-def frac(p, q):
-    return Frac.make(p, q)
 
 
 class TestQuadChain:
@@ -93,10 +90,9 @@ class TestQuadChain:
     def test_stored_vertices_match_the_frame(self, paths_through_14):
         # Quad.of skips the gcd; the frame's columns and mediants are
         # primitive, so Frac.make must give the same vertices.
-        deep = [ContFrac((0, 2, m, 2)).value() for m in (1, 50, 340)]
         chains = [(r.link, r.diagrams.chain) for r in paths_through_14]
         for link in [make_link(1, n) for n in (2, 30, 400)] + [
-                make_link(v.num, v.den) for v in deep]:
+                link_of(2, m, 2) for m in (1, 50, 340)]:
             chains.append((link, quad_chain(link)))
         for link, chain in chains:
             for quad in chain:
@@ -170,7 +166,7 @@ class TestBuildDiagram:
 
 
 class TestEdgeIndex:
-    def test_edge_between_both_directions(self):
+    def test_traversal_numbers_both_directions(self):
         # Edge e is traversed as 2*e from its tail and 2*e + 1 from its
         # head; two vertices that no edge joins have no traversal.
         cx = build_diagram(quad_chain(make_link(3, 8)), "D1")
@@ -226,12 +222,10 @@ class TestEdgeIndex:
 
 class TestMinimalPaths:
     def test_census_whitehead(self):
-        d = Diagrams(make_link(3, 8))
-        assert len(minimal_paths(d.dt, INFINITY, frac(3, 8))) == 5
+        assert len(dt_paths(make_link(3, 8))) == 5
 
     def test_census_second_surgery_link(self):
-        d = Diagrams(make_link(7, 16))
-        assert len(minimal_paths(d.dt, INFINITY, frac(7, 16))) == 6
+        assert len(dt_paths(make_link(7, 16))) == 6
 
     def test_d1_hopf_has_two_paths(self):
         d = Diagrams(make_link(1, 2))
@@ -250,8 +244,7 @@ class TestMinimalPaths:
 
     def test_paths_longer_than_the_recursion_limit(self):
         # [2, m, 2] with m = 340: 344 crossings, paths of over 1000 steps.
-        value = ContFrac((0, 2, 340, 2)).value()
-        link = make_link(value.num, value.den)
+        link = link_of(2, 340, 2)
         d = Diagrams(link)
         paths = minimal_paths(d.dt, INFINITY, link.fraction())
         assert max(len(p.trav) for p in paths) > sys.getrecursionlimit()
@@ -295,10 +288,10 @@ class TestMinimalPaths:
         # and two deep chains of 50 quadrilaterals, whose fan vertices of
         # degree about 100 (1/100) and 50 (49/2500 = [51, 49]) put the
         # most pairs of edges through the test for a shared cell.
-        value = ContFrac((0, 2, 10, 2)).value()
         diagrams = [r.diagrams for r in paths_through_14 if r.crossings <= 9]
-        diagrams += [Diagrams(make_link(p, q)) for p, q in (
-            (1, 40), (value.num, value.den), (1, 100), (49, 2500))]
+        diagrams += [Diagrams(link) for link in (
+            make_link(1, 40), link_of(2, 10, 2), make_link(1, 100),
+            make_link(49, 2500))]
         for d in diagrams:
             for cx in (d.dt, d.d1, d.d0):
                 reference = live_reference(cx)
@@ -451,7 +444,7 @@ def fresh_copy(vertices, cx):
     return TypedPath(cx, tuple(map(cx._traversal, verts, verts[1:])))
 
 
-class TestCollapseByIdentity:
+class TestCollapseByTraversal:
     """``collapse`` maps each Dt traversal, by its number, through a
     memo on the target; its results must still be those of the
     projection by value."""
@@ -472,16 +465,15 @@ class TestCollapseByIdentity:
                     assert None not in [target._image[t] for t in path.trav]
                     assert collapse(path, target) == down      # from the memo
 
-    def test_collapse_of_deep_chains(self):
+    def test_collapse_of_deep_chains(self, deep_chains):
         # Long chains of one or two large terms: few paths, each through
         # many traversals the memo sees once.
-        for link in deep_links()[::29]:
-            d = Diagrams(link)
-            for path in minimal_paths(d.dt, INFINITY, link.fraction()):
+        for d in deep_chains[::29]:
+            for path in minimal_paths(d.dt, INFINITY, d.link.fraction()):
                 for target in (d.d1, d.d0):
-                    assert collapse(path, target) == projected(path, target), link
+                    assert collapse(path, target) == projected(path, target), d.link
 
-    def test_edges_made_with_their_first_step(self):
+    def test_edges_made_on_first_read(self):
         # The search, collapse and the limit check run on traversal
         # numbers alone: after them no Edge exists.  The first read of
         # ``edges`` makes them all, once.
@@ -518,6 +510,13 @@ class TestCollapseByIdentity:
         for target in (d.d1, d.d0):
             with pytest.raises(ValueError, match="over its chain"):
                 collapse(path, target)
+        # Over a chain walked again for the same link, equal but not the
+        # same list, paths collapse as within one Diagrams.
+        d = Diagrams(make_link(13, 34))
+        d1 = build_diagram(quad_chain(d.link), "D1")
+        assert d1.chain is not d.chain
+        for path in minimal_paths(d.dt, INFINITY, frac(13, 34)):
+            assert collapse(path, d1).trav == collapse(path, d.d1).trav
 
 
 class TestPathConfinement:
@@ -638,83 +637,57 @@ def reference_complex(chain, kind):
     return edges, [frozenset(c) for c in edge_cells], cells
 
 
-def fractions_of_type(link):
-    p, q = link
-    return [TwoBridgeLink(x, q)
-            for x in sorted({p, pow(p, -1, q), q - p, pow(q - p, -1, q)})]
-
-
-def deep_links():
-    """1/n, 3/(3n-8), [a, n-a] with a odd near n/2 and [2, n, 2] for n
-    from 100 to 500, under every fraction naming their link type."""
-    out = []
-    for n in range(100, 501, 40):
-        a = n // 2 | 1
-        for body in ((n,), (n - 3, 3), (a, n - a), (2, n, 2)):
-            value = ContFrac((0,) + body).value()
-            out.extend(fractions_of_type(make_link(value.num, value.den)))
-    return out
-
-
-@pytest.fixture(scope="module")
-def deep_chains():
-    """(link, chain) for every link of ``deep_links()``, walked once."""
-    return [(link, quad_chain(link)) for link in deep_links()]
-
-
 class TestConstructionOracles:
     def test_walk_matches_reference_through_16_crossings(self):
         for link in enumerate_links(16):
             assert quad_chain(link) == reference_chain(link), link
 
     def test_walk_matches_reference_on_deep_chains(self, deep_chains):
-        for link, chain in deep_chains:
-            assert chain == reference_chain(link), link
+        for d in deep_chains:
+            assert d.chain == reference_chain(d.link), d.link
 
     @settings(max_examples=60, deadline=None)
-    @given(links_by_expansion())
+    @given(links(max_crossings=24))
     def test_walk_matches_reference_on_random_links(self, link):
         for variant in fractions_of_type(link):
             assert quad_chain(variant) == reference_chain(variant)
 
     def test_each_quad_brings_two_new_rationals(self, paths_through_14, deep_chains):
-        chains = [(r.link, r.diagrams.chain) for r in paths_through_14]
-        for link, chain in chains + deep_chains[::4]:
-            seen = set(chain[0].vertices())
-            for prev, quad in zip(chain, chain[1:]):
+        for d in [r.diagrams for r in paths_through_14] + deep_chains[::4]:
+            seen = set(d.chain[0].vertices())
+            for prev, quad in zip(d.chain, d.chain[1:]):
                 verts = set(quad.vertices())
                 shared = verts & seen
-                assert len(shared) == 2 and shared <= set(prev.vertices()), link
-                assert shared in [set(s) for s in sides(quad)], link
-                assert shared in [set(s) for s in sides(prev)], link
+                assert len(shared) == 2 and shared <= set(prev.vertices()), d.link
+                assert shared in [set(s) for s in sides(quad)], d.link
+                assert shared in [set(s) for s in sides(prev)], d.link
                 seen |= verts
 
     def test_side_frames(self, paths_through_14, deep_chains):
-        chains = [r.diagrams.chain for r in paths_through_14]
-        for chain in chains + [chain for _, chain in deep_chains[::4]]:
-            for quad in chain:
+        for d in [r.diagrams for r in paths_through_14] + deep_chains[::4]:
+            for quad in d.chain:
                 p1, p2, p3, p4 = quad.vertices()
                 assert quad.g == side_matrix(p1, p2)
                 assert quad.gs == side_matrix(p3, p1) == quad.g * SHIFT
                 assert quad.gr == side_matrix(p4, p3) == quad.g * ROT
                 assert quad.grs == side_matrix(p2, p4) == quad.g * ROT * SHIFT
 
-    def test_complexes_match_reference(self):
+    def test_complexes_match_reference(self, paths_through_12):
         # Same edges in the same order, same edge cells, edge by edge,
         # and every cell of the reference numbered.
-        links = enumerate_links(12) + [make_link(1, 120), make_link(119, 240)]
-        for link in links:
-            chain = quad_chain(link)
+        diagrams = [r.diagrams for r in paths_through_12] + [
+            Diagrams(make_link(1, 120)), Diagrams(make_link(119, 240))]
+        for d in diagrams:
             for kind in ("Dt", "D1", "D0"):
-                cx = build_diagram(chain, kind)
-                edges, want_cells, cells = reference_complex(chain, kind)
-                assert cx.edges == edges, (link, kind)
-                assert all_cells(cx) == want_cells, (link, kind)
-                assert set().union(*all_cells(cx)) == set(range(cells)), (link, kind)
+                cx = getattr(d, kind.lower())
+                edges, want_cells, cells = reference_complex(d.chain, kind)
+                assert cx.edges == edges, (d.link, kind)
+                assert all_cells(cx) == want_cells, (d.link, kind)
+                assert set().union(*all_cells(cx)) == set(range(cells)), (d.link, kind)
 
-    def test_dt_quads_bring_three_new_midpoints(self):
-        for link in enumerate_links(12):
-            cx = build_diagram(quad_chain(link), "Dt")
+    def test_dt_quads_bring_three_new_midpoints(self, paths_through_12):
+        for r in paths_through_12:
+            cx = r.diagrams.dt
             corners = [v for v in cx.vertices() if isinstance(v, Corner)]
             assert len(corners) == 4 + 3 * (len(cx.chain) - 1)
 
@@ -748,5 +721,5 @@ class TestDiagonalSense:
             self.check(r.diagrams.chain, r.diagrams.d1)
 
     def test_deep_chains(self, deep_chains):
-        for _, chain in deep_chains:
-            self.check(chain, build_diagram(chain, "D1"))
+        for d in deep_chains:
+            self.check(d.chain, build_diagram(d.chain, "D1"))

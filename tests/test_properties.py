@@ -3,37 +3,14 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twobridge.arith import (INFINITY, ContFrac, Frac, TwoBridgeLink,
-                             canonical_rep, cf_positive, crossing_number,
-                             linking_number, make_link)
+from twobridge.arith import (INFINITY, Frac, TwoBridgeLink, canonical_rep,
+                             cf_positive, crossing_number, linking_number,
+                             make_link)
 from twobridge.diagram import Diagrams, TypedPath, minimal_paths
 from twobridge.slopes import (m_form, m_form_edgewise, s_form_symbolic,
                               slope_families)
 
-from oracles import edge_cells, links_by_expansion, on_side
-
-
-# Links generated through their positive expansions, so the crossing
-# number is controlled directly.  When the drawn expansion gives an odd
-# denominator, one of two repairs always fixes the parity: bumping the
-# last term (works when the second-to-last continuant is odd) or
-# appending a term (works when it is even).
-@st.composite
-def links(draw, max_crossings=14):
-    n = draw(st.integers(2, max_crossings))
-    body = []
-    remaining = n
-    while remaining > 0:
-        a = draw(st.integers(1, remaining))
-        body.append(a)
-        remaining -= a
-    if body[-1] < 2:
-        body[-1] += 1
-    for candidate in (body, body[:-1] + [body[-1] + 1], body + [2]):
-        frac = ContFrac((0,) + tuple(candidate)).value()
-        if frac.den % 2 == 0:
-            return make_link(frac.num, frac.den)
-    raise AssertionError("parity repair failed")
+from oracles import edge_cells, link_of, links, on_side
 
 
 @given(links())
@@ -114,7 +91,7 @@ def test_family_structure(link):
 # Links through 12 crossings, and a bounded sample of 13 to 20.
 @settings(max_examples=45, deadline=None)
 @given(st.one_of(links(max_crossings=12),
-                 links_by_expansion(min_crossings=13, max_crossings=20)))
+                 links(min_crossings=13, max_crossings=20)))
 def test_slope_set_invariant_under_inversion(link):
     p, q = link
     partner = TwoBridgeLink(pow(p, -1, q), q)
@@ -201,24 +178,19 @@ def test_push_matches_edgewise_past_twelve_crossings(link):
     check_forms_and_sums(link)
 
 
-def chain_link(*terms):
-    value = ContFrac((0,) + terms).value()
-    return make_link(value.num, value.den)
-
-
 # [1, ..., 1, 2] (all paths through fans of two), [2, m, 2], 1/n and the
 # two-term shapes of the deep-chain benchmark, [n - 3, 3] and [a, n - a]
 # (long chains with few paths, whose steps the search takes about once
 # each).
 @pytest.mark.parametrize("link,counts", [
-    (chain_link(*[1] * 18, 2), [828, 257]),
-    (chain_link(*[1] * 21, 2), [2293, 607]),
-    (chain_link(2, 40, 2), [6, 1]),
-    (chain_link(2, 101, 2), [6, 1]),
+    (link_of(*[1] * 18, 2), [828, 257]),
+    (link_of(*[1] * 21, 2), [2293, 607]),
+    (link_of(2, 40, 2), [6, 1]),
+    (link_of(2, 101, 2), [6, 1]),
     (make_link(1, 24), [3, 0]),
     (make_link(1, 300), [3, 0]),
-    (chain_link(297, 3), [7, 1]),
-    (chain_link(151, 149), [8, 1]),
+    (link_of(297, 3), [7, 1]),
+    (link_of(151, 149), [8, 1]),
 ], ids=["1^18-2", "1^21-2", "2-40-2", "2-101-2", "1/24", "1/300",
         "297-3", "151-149"])
 def test_push_matches_edgewise_on_long_chains(link, counts):

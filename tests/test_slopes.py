@@ -3,31 +3,20 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from twobridge.arith import Frac, GMat, INFINITY, TwoBridgeLink, make_link
+from twobridge.arith import GMat, INFINITY, TwoBridgeLink, make_link
 from twobridge.diagram import (Diagrams, collapse, link_paths, minimal_paths,
                                not_limits)
-from twobridge.slopes import (MForm, SForm, SlopeFamily, m_form,
+from twobridge.slopes import (MForm, SForm, SlopeFamily, _track_contribution,
+                              _track_contribution_free, m_form,
                               m_form_edgewise, s_form, s_form_symbolic,
                               slope_families, to_preferred)
 
-from oracles import d1_pushes, delta_sum, links_by_expansion, straighten
-
-
-def frac(p, q):
-    return Frac.make(p, q)
-
-
-def surgery_link(k):
-    return make_link(4 * k - 1, 8 * k)
+from oracles import (d1_pushes, delta_sum, dt_paths, expected_surgery_mforms,
+                     frac, links, straighten)
 
 
 # The paper's worked example: 2k + 3 crossings, so k = 125 has 253.
 SURGERY_KS = [*range(1, 13), 60, 125]
-
-
-def dt_paths(link):
-    d = Diagrams(link)
-    return minimal_paths(d.dt, INFINITY, link.fraction())
 
 
 def d1_c_paths(link):
@@ -53,20 +42,10 @@ class TestDeltaSum:
         assert delta_sum([INFINITY, frac(0, 1)]) == 0
 
 
-# Expected intersection forms for the surgery family at parameter k, in
-# the blackboard framing.
-def expected_surgery_mforms(k):
-    forms = [MForm(1, 2, 1), MForm(1, 0, 1), MForm(1, 0, 1),
-             MForm(1, -2, 3 - 4 * k), MForm(1 - 4 * k, 0, -1)]
-    if k > 1:
-        forms.append(MForm(1, -2, 1))
-    return Counter(forms)
-
-
 class TestMForm:
     @pytest.mark.parametrize("k", SURGERY_KS)
     def test_surgery_family_forms(self, k):
-        got = Counter(m_form(p) for p in dt_paths(surgery_link(k)))
+        got = Counter(m_form(p) for p in dt_paths(make_link(4 * k - 1, 8 * k)))
         assert got == expected_surgery_mforms(k)
 
     def test_straighten_ledger_bounded_by_crossings(self):
@@ -140,27 +119,22 @@ class TestTwoMTwoFamily:
 class TestTrackContributions:
     # Spot checks of single-edge contributions against hand values.
     def test_a_edge_at_infinity_vanishes(self):
-        from twobridge.slopes import _track_contribution
         assert _track_contribution("A", GMat.make(1, 0, 0, 1), 1) == (0, 0, 0, 0)
 
     def test_c_edge_in_unit_interval(self):
-        from twobridge.slopes import _track_contribution
         # -d/c = 3/4 lies in (0, 1): contributes (-2 beta, 0)
         g = GMat.make(1, -1, 4, -3)
         assert _track_contribution("C", g, 1) == (0, -2, 0, 0)
 
     def test_c_edge_otherwise(self):
-        from twobridge.slopes import _track_contribution
         assert _track_contribution("C", GMat.make(1, 0, 0, 1), 1) == (0, 0, 0, 2)
 
     def test_d_edge_cases(self):
-        from twobridge.slopes import _track_contribution
         assert _track_contribution("D", GMat.make(1, 0, 0, 1), 1) == (0, 0, 1, -1)
         assert _track_contribution("D", GMat.make(1, -1, 2, -1), 1) == (0, 0, 1, -1)
         assert _track_contribution("D", GMat.make(1, 0, 2, 1), 1) == (-1, 1, 1, -1)
 
     def test_free_weight_edge(self):
-        from twobridge.slopes import _track_contribution_free
         # -d/c = -1/3 < 0: (2(beta - n), 2n)
         assert _track_contribution_free(GMat.make(1, 0, 3, 1), 1) == (2, -2, 0, 2)
         # -d/c = 5/3 > 0: (-2n, 2(n - beta))
@@ -193,7 +167,6 @@ class TestTrackContributions:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_every_case_and_sign(self, sign):
-        from twobridge.slopes import _track_contribution, _track_contribution_free
         for etype, g, value in self.CASES:
             assert _track_contribution(etype, g, sign) == tuple(
                 sign * t for t in value), (etype, g)
@@ -203,21 +176,21 @@ class TestTrackContributions:
 
 
 class TestLimitCheck:
-    def test_membership_by_steps_matches_vertices(self, paths_through_12):
+    def test_membership_by_traversals_matches_vertices(self, paths_through_12):
         # slope_families tests each t = 1 path for being a limit by its
         # traversal numbers; by its vertex sequence the answer must be
         # the same.
         for r in paths_through_12:
             d1 = r.diagrams.d1
-            by_steps = {collapse(p, d1).trav for p in r.dt}
+            by_trav = {collapse(p, d1).trav for p in r.dt}
             by_vertices = {tuple(collapse(p, d1).vertices()) for p in r.dt}
-            assert len(by_steps) == len(by_vertices), r.link
+            assert len(by_trav) == len(by_vertices), r.link
             for path in r.d1:
-                assert (path.trav in by_steps) == (
+                assert (path.trav in by_trav) == (
                     tuple(path.vertices()) in by_vertices), (r.link, str(path))
 
     @settings(max_examples=25, deadline=None)
-    @given(links_by_expansion(min_crossings=13, max_crossings=20))
+    @given(links(min_crossings=13, max_crossings=20))
     def test_every_limit_found_past_12_crossings(self, link):
         # Compared by vertex sequence, which does not depend on how the
         # complexes number their traversals.
@@ -237,7 +210,7 @@ class TestLimitCheck:
 
 class TestAgainstEveryPath:
     """slope_families evaluates the forms once per distinct sums and
-    probes the limits by step identity; both must give what every path
+    probes the limits by traversal numbers; both must give what every path
     gives."""
 
     @staticmethod
@@ -305,7 +278,7 @@ class TestFamilyAssembly:
 class TestSForm:
     @pytest.mark.parametrize("k", SURGERY_KS)
     def test_surgery_family_s_form(self, k):
-        paths = d1_c_paths(surgery_link(k))
+        paths = d1_c_paths(make_link(4 * k - 1, 8 * k))
         assert len(paths) == 1
         assert s_form(paths[0]) == SForm(-2 * k, 2 * k - 1)
 
@@ -435,6 +408,6 @@ class TestMirrorSymmetry:
         self.assert_mirrored(slope_families(make_link(p, q)))
 
     @settings(max_examples=25, deadline=None)
-    @given(links_by_expansion(min_crossings=13, max_crossings=20))
+    @given(links(min_crossings=13, max_crossings=20))
     def test_past_12_crossings(self, link):
         self.assert_mirrored(slope_families(link))

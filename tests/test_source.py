@@ -1,4 +1,4 @@
-"""Checks on the engine's source text."""
+"""Checks on the source text of the engine and of the tests."""
 
 import ast
 from pathlib import Path
@@ -6,13 +6,30 @@ from pathlib import Path
 import twobridge
 
 SOURCES = sorted(Path(twobridge.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def nodes(paths):
+    """(file name, node) for every syntax tree node of the files."""
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
 
 
 def test_engine_has_no_assert_statements():
     # Invariants raise, so they still hold under ``python -O``, which
     # strips every ``assert``.
-    found = [f"{path.name}:{node.lineno}"
-             for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    found = [f"{name}:{node.lineno}" for name, node in nodes(SOURCES)
              if isinstance(node, ast.Assert)]
     assert SOURCES and found == []
+
+
+def test_no_test_module_imports_another():
+    # Shared helpers live in oracles.py and conftest.py, so that no test
+    # module runs or depends on the module-level code of another.
+    found = [f"{name}:{node.lineno}" for name, node in nodes(TESTS)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for module in ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                            else [alias.name for alias in node.names])
+             if module.rpartition(".")[2].startswith("test_")]
+    assert TESTS and found == []

@@ -3,12 +3,13 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from test_properties import links
 from twobridge.arith import make_link, rolfsen_name
 from twobridge.corpus_data import CORPUS
 from twobridge.slopes import slope_families
 from twobridge.tables import (emit, load_corpus, render_families, render_key,
                               verify_corpus)
+
+from oracles import links
 
 
 class TestFamilyNotation:
