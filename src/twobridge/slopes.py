@@ -214,7 +214,7 @@ def s_form_symbolic(path: TypedPath) -> SymbolicM:
     positively, is the da - db of its straightening step
     (``diagram._stepper``), which the vertex before it does not change."""
     if path.kind != "D1":
-        raise ValueError("s_form takes a D1 path")
+        raise ValueError("s_form_symbolic takes a D1 path")
     k = path.sums[0]
     step, types = _stepper(path.cx), path.cx._types
     senses = [da - db for _, _, da, db, _, _ in

@@ -139,7 +139,7 @@ def straighten(path) -> tuple[list[Frac], PushLedger]:
     straightened path.
     """
     if path.kind != "Dt":
-        raise ValueError("only Dt paths are straightened")
+        raise ValueError("straighten takes a Dt path")
     ledger = PushLedger()
     seq: list = [path.start]
     for edge, sign, _, target in traversed(path):
@@ -164,7 +164,7 @@ def d1_pushes(path) -> tuple[list[Frac], list[int]]:
     step leaves the quadrilateral's p2, which is the second column of
     the diagonal's frame, and -1 when it arrives there."""
     if path.kind != "D1":
-        raise ValueError("s_form takes a D1 path")
+        raise ValueError("d1_pushes takes a D1 path")
     seq: list[Frac] = [path.start]
     senses: list[int] = []
     for edge, _, source, target in traversed(path):

@@ -106,11 +106,15 @@ def test_criterion_5_dual_algorithm_equivalence():
 def test_criterion_6_parity_suite(families_through_12):
     checked = 0
     for result in families_through_12:
+        parity = (1 + result.link.q) % 2
         for x, y, z in result.mforms_raw:
             assert (x - z) % 2 == 0
-            assert (x + y) % 2 == (1 + result.link.q) % 2
-            checked += 1
-    _report(6, f"both parities hold for {checked} intersection forms "
+            assert (x + y) % 2 == parity
+        # an s form has a diagonal to push, so y >= 1
+        for x, y in result.sforms_raw:
+            assert y >= 1 and (x + y) % 2 == parity
+        checked += len(result.mforms_raw) + len(result.sforms_raw)
+    _report(6, f"the parities hold for {checked} intersection and s forms "
                f"through 12 crossings")
 
 

@@ -7,11 +7,9 @@ import sys
 import pytest
 
 import twobridge
-from twobridge.arith import (INFINITY, crossing_number, enumerate_links,
-                             make_link)
+from twobridge.arith import crossing_number, enumerate_links
 from twobridge.cli import main
 from twobridge.corpus_data import CORPUS
-from twobridge.diagram import Diagrams, minimal_paths
 from twobridge.slopes import oracle_check, slope_families
 from twobridge.tables import verify_corpus
 
@@ -204,33 +202,6 @@ class TestPathsCommand:
         assert rc == 0
         assert "D0" in out
 
-    @staticmethod
-    def json_oracle(pq, diagram):
-        """The JSON dump as first written: ``json.dumps`` of the payload."""
-        link = make_link(*map(int, pq.split("/")))
-        cx = getattr(Diagrams(link), diagram)
-        paths = minimal_paths(cx, INFINITY, link.fraction())
-        payload = {
-            "link": {"p": link.p, "q": link.q},
-            "diagram": cx.kind,
-            "vertices": [str(v) for v in cx.vertices()],
-            "edges": [{"type": e.etype, "tail": str(e.tail),
-                       "head": str(e.head), "matrix": str(e.g)}
-                      for e in cx.edges],
-            "paths": [{"vertices": [str(v) for v in p.vertices()],
-                       "edges": [f"{cx.edges[t >> 1].etype}{'-' if t & 1 else '+'}"
-                                 for t in p.trav]}
-                      for p in paths],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-    @pytest.mark.parametrize("pq", ["1/2", "3/8", "13/34", "1/40", "19/50"])
-    @pytest.mark.parametrize("diagram", ["dt", "d1", "d0"])
-    def test_json_dump_matches_json_dumps(self, capsys, pq, diagram):
-        rc, out, _ = run(capsys, "paths", "--pq", pq, "--diagram", diagram,
-                         "--format", "json")
-        assert rc == 0
-        assert out == self.json_oracle(pq, diagram)
 
 
 class TestOracleCheckCommand:

@@ -15,7 +15,7 @@ from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
                                minimal_paths, not_limits, quad_chain)
 from twobridge.slopes import m_form, m_form_edgewise
 
-from oracles import (ROT, SHIFT, dt_paths, edge_cells, frac, fractions_of_type,
+from oracles import (ROT, SHIFT, edge_cells, frac, fractions_of_type,
                      is_minimal, link_of, links, live_reference, on_side,
                      sides, sums_reference)
 
@@ -44,15 +44,6 @@ class TestQuadChain:
         for p, q in [(2, 5), (3, 7), (4, 9), (7, 16)]:
             assert frac(p, q) in all_verts
         assert len(chain) == 5
-
-    def test_adjacent_quads_share_a_side(self):
-        chain = quad_chain(make_link(13, 34))
-        for a, b in zip(chain, chain[1:]):
-            shared = set(a.vertices()) & set(b.vertices())
-            assert len(shared) == 2
-            # and the shared pair really is a side of both
-            assert tuple(sorted(shared, key=Frac.key)) in {
-                tuple(sorted(s, key=Frac.key)) for s in sides(a)}
 
     def test_target_outside_the_unit_interval_is_an_error(self):
         with pytest.raises(RuntimeError, match="no side arc"):
@@ -221,12 +212,6 @@ class TestEdgeIndex:
 
 
 class TestMinimalPaths:
-    def test_census_whitehead(self):
-        assert len(dt_paths(make_link(3, 8))) == 5
-
-    def test_census_second_surgery_link(self):
-        assert len(dt_paths(make_link(7, 16))) == 6
-
     def test_d1_hopf_has_two_paths(self):
         d = Diagrams(make_link(1, 2))
         paths = minimal_paths(d.d1, INFINITY, frac(1, 2))
@@ -646,8 +631,9 @@ class TestConstructionOracles:
         for d in deep_chains:
             assert d.chain == reference_chain(d.link), d.link
 
+    # Past the 16 crossings walked above.
     @settings(max_examples=60, deadline=None)
-    @given(links(max_crossings=24))
+    @given(links(min_crossings=17, max_crossings=24))
     def test_walk_matches_reference_on_random_links(self, link):
         for variant in fractions_of_type(link):
             assert quad_chain(variant) == reference_chain(variant)

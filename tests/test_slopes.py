@@ -1,15 +1,17 @@
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from twobridge.arith import GMat, INFINITY, TwoBridgeLink, make_link
-from twobridge.diagram import (Diagrams, collapse, link_paths, minimal_paths,
-                               not_limits)
+from twobridge.diagram import (Diagrams, build_diagram, collapse, link_paths,
+                               minimal_paths, not_limits)
 from twobridge.slopes import (MForm, SForm, SlopeFamily, _track_contribution,
                               _track_contribution_free, m_form,
                               m_form_edgewise, s_form, s_form_symbolic,
                               slope_families, to_preferred)
+from twobridge.tables import render_key
 
 from oracles import (d1_pushes, delta_sum, dt_paths, expected_surgery_mforms,
                      frac, links, straighten)
@@ -70,18 +72,6 @@ class TestMForm:
                 assert m_form(path) == MForm(k - n1, n1 - 2 * n4,
                                              k - n1 - 2 * n0 + 4 * n4)
 
-    def test_agrees_with_edgewise_sum(self):
-        for p, q in [(3, 8), (7, 16), (5, 12), (13, 34), (11, 40)]:
-            for path in dt_paths(make_link(p, q)):
-                assert m_form(path) == m_form_edgewise(path)
-
-    def test_parities(self):
-        for p, q in [(3, 8), (5, 18), (19, 50)]:
-            for path in dt_paths(make_link(p, q)):
-                x, y, z = m_form(path)
-                assert (x - z) % 2 == 0
-                assert (x + y) % 2 == (1 + q) % 2
-
 
 # The links 1/n with n = 2m even; m = 1 is the Hopf link, whose forms
 # differ.
@@ -117,29 +107,6 @@ class TestTwoMTwoFamily:
 
 
 class TestTrackContributions:
-    # Spot checks of single-edge contributions against hand values.
-    def test_a_edge_at_infinity_vanishes(self):
-        assert _track_contribution("A", GMat.make(1, 0, 0, 1), 1) == (0, 0, 0, 0)
-
-    def test_c_edge_in_unit_interval(self):
-        # -d/c = 3/4 lies in (0, 1): contributes (-2 beta, 0)
-        g = GMat.make(1, -1, 4, -3)
-        assert _track_contribution("C", g, 1) == (0, -2, 0, 0)
-
-    def test_c_edge_otherwise(self):
-        assert _track_contribution("C", GMat.make(1, 0, 0, 1), 1) == (0, 0, 0, 2)
-
-    def test_d_edge_cases(self):
-        assert _track_contribution("D", GMat.make(1, 0, 0, 1), 1) == (0, 0, 1, -1)
-        assert _track_contribution("D", GMat.make(1, -1, 2, -1), 1) == (0, 0, 1, -1)
-        assert _track_contribution("D", GMat.make(1, 0, 2, 1), 1) == (-1, 1, 1, -1)
-
-    def test_free_weight_edge(self):
-        # -d/c = -1/3 < 0: (2(beta - n), 2n)
-        assert _track_contribution_free(GMat.make(1, 0, 3, 1), 1) == (2, -2, 0, 2)
-        # -d/c = 5/3 > 0: (-2n, 2(n - beta))
-        assert _track_contribution_free(GMat.make(1, -2, 3, -5), 1) == (0, -2, -2, 2)
-
     # One matrix per case of each edge class, with the value at sign +1;
     # the contribution at sign -1 must be the negation, as the former
     # formula tuple(sign * t for t in value) gave.
@@ -293,11 +260,6 @@ class TestSForm:
             if "C" not in path.edge_types():
                 assert s_form(path) == SForm(delta_sum(path.rationals()), 0)
 
-    def test_symbolic_identity_with_edgewise_sum(self):
-        for p, q in [(3, 8), (7, 16), (5, 18), (13, 34), (23, 62)]:
-            for path in d1_c_paths(make_link(p, q)):
-                assert s_form_symbolic(path) == m_form_edgewise(path)
-
     def test_symbolic_form_adds_up_to_the_sums_through_12(self, paths_through_12):
         # s_form_symbolic reads each diagonal's sense from the same
         # straightening step as the sums (k, a, b), so its terms add up
@@ -327,55 +289,10 @@ class TestToPreferred:
 
 
 class TestSlopeFamilies:
-    def test_hopf(self):
-        result = slope_families(make_link(1, 2))
-        assert result.presentation() == {("T", 0, 1, 0), ("T", 0, -1, 0)}
-        # both families are merged over the whole t range
-        assert all(f.domain == ("0", "inf") for f in result.families)
-
-    def test_whitehead_presentation(self):
-        result = slope_families(make_link(3, 8))
-        assert result.presentation() == {
-            ("T", -4, 0, -2), ("T", 0, 0, 0), ("T", 0, -2, -2),
-            ("T", 0, 2, 0), ("S", -3, 1)}
-
-    def test_whitehead_lower_branches_and_endpoints(self):
-        fams = slope_families(make_link(3, 8)).families
-        assert SlopeFamily("T", (-2, 0, -4), ("0", "1")) in fams
-        assert SlopeFamily("endpoint", (-4,), ("inf", "inf"), "second") in fams
-        assert SlopeFamily("endpoint", (-4,), ("0", "0"), "first") in fams
-        assert SlopeFamily("endpoint", (0,), ("inf", "inf"), "second") in fams
-
-    def test_merged_iff_symmetric(self):
-        for f in slope_families(make_link(11, 40)).families:
-            if f.branch != "T":
-                continue
-            x, y, z = f.coeffs
-            if f.domain == ("0", "inf"):
-                assert x == z
-            else:
-                assert x != z
-
-    def test_deduplication(self):
-        # Two paths of the surgery link share one form; the family
-        # appears once.
-        result = slope_families(make_link(3, 8))
-        assert len(result.mforms) == 4
-        assert len(result.mforms_raw) == 4
-
     def test_repeat_runs_identical(self):
         a = slope_families(make_link(13, 44))
         b = slope_families(make_link(13, 44))
         assert a == b
-
-    def test_s_endpoints_meet_t_families(self):
-        # Each s family evaluated at s = 1 and s = -1 is a t = 1 value
-        # of some t family of the same link.
-        result = slope_families(make_link(3, 8))
-        t_at_one = {(x + y, y + z) for x, y, z in result.mforms}
-        for x, y in result.sforms:
-            assert (x + y, x - y) in t_at_one
-            assert (x - y, x + y) in t_at_one
 
 
 class TestMirrorSymmetry:
@@ -411,3 +328,40 @@ class TestMirrorSymmetry:
     @given(links(min_crossings=13, max_crossings=20))
     def test_past_12_crossings(self, link):
         self.assert_mirrored(slope_families(link))
+
+
+@pytest.fixture(scope="module")
+def path_of_kind():
+    """One minimal path of 3/8 in each of its diagrams, by kind."""
+    d = Diagrams(make_link(3, 8))
+    return {cx.kind: minimal_paths(cx, INFINITY, frac(3, 8))[0]
+            for cx in (d.dt, d.d1, d.d0)}
+
+
+# Each call hands a function a path or value it does not take.
+GUARDS = {
+    "m_form": (lambda p: m_form(p["D1"]), ValueError, "only Dt paths are straightened"),
+    "track_contribution": (lambda p: _track_contribution("E", GMat.make(1, 0, 0, 1), 1),
+                           ValueError, "unknown edge type 'E'"),
+    "m_form_edgewise": (lambda p: m_form_edgewise(p["D0"]), ValueError,
+                        "edgewise computation handles Dt and D1 paths"),
+    "s_form": (lambda p: s_form(p["Dt"]), ValueError, "s_form takes a D1 path"),
+    "s_form_symbolic": (lambda p: s_form_symbolic(p["Dt"]), ValueError,
+                        "s_form_symbolic takes a D1 path"),
+    "to_preferred": (lambda p: to_preferred((1, 0, 1), 0), TypeError,
+                     "cannot rebase (1, 0, 1)"),
+    "build_diagram": (lambda p: build_diagram(p["Dt"].cx.chain, "D2"), ValueError,
+                      "unknown diagram kind 'D2'"),
+    "collapse-source": (lambda p: collapse(p["D1"], p["D0"].cx), ValueError,
+                        "only Dt paths collapse"),
+    "collapse-target": (lambda p: collapse(p["Dt"], p["Dt"].cx), ValueError,
+                        "collapse target must be D1 or D0"),
+    "render_key": (lambda p: render_key(("X", 0)), ValueError, "cannot render ('X', 0)"),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_wrong_kind_or_type_is_refused(path_of_kind, name):
+    call, error, text = GUARDS[name]
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call(path_of_kind)

@@ -45,10 +45,6 @@ class TestCorpus:
         assert report.ok and report.total == 1
         assert report.summary() == "1/1 match"
 
-    def test_verify_through_eight(self):
-        report = verify_corpus(8)
-        assert report.ok and report.total == 17
-
     @pytest.mark.parametrize("bound", [1, 0, -5])
     def test_verify_below_two_crossings_is_an_error(self, bound):
         # No link has fewer than 2 crossings, so such a bound would
@@ -184,8 +180,9 @@ class TestJsonMatchesOracle:
         assert emit([result], "json") == json_oracle([result])
 
 
+# Past the links through 12 crossings checked above.
 @settings(max_examples=25, deadline=None)
-@given(links(max_crossings=20))
+@given(links(min_crossings=13, max_crossings=20))
 def test_json_matches_oracle_on_drawn_links(link):
     result = slope_families(link)
     assert emit([result], "json") == json_oracle([result])
