@@ -47,15 +47,18 @@ cell.  Minimal paths from 1/0 to p/q index the spanning surfaces, and
 every one of them stays inside the chain, so a depth-first search over
 the chain complex enumerates them all.  A backward pass from p/q first
 marks the traversals that can still lead on to it, and the search takes
-no other, so it walks into few dead ends.
+no other, so it walks into few dead ends.  Most of its steps have no
+choice to make, so it moves over forced runs of them, one move per run
+where a plain search makes one per edge, and keeps each run it builds.
 
 The slope algorithms straighten each Dt or D1 path across its cells and
 add per-step terms: a determinant sum and signed push counts.  One
 function, the straightening step (``_stepper``), says what a traversal
-adds, given the last rational vertex before it.  The search stores its
-result beside each successor in its table and adds it as it steps, so
-each path comes out with its sums and no path is walked again from 1/0;
-``TypedPath.sums`` folds the same step over a path built otherwise.
+adds, given the last rational vertex before it.  The search stores the
+step's terms summed over each run beside the run and adds them as it
+moves, so each path comes out with its sums and no path is walked again
+from 1/0; ``TypedPath.sums`` folds the same step over a path built
+otherwise.
 
 ``link_paths`` lists the paths every slope comes from; ``not_limits``,
 the t = 1 paths among them that are the ``collapse`` of no Dt path.
@@ -632,38 +635,44 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     Depth-first search over traversal numbers that reads only the
     complex's int lists and makes no ``Edge``; a step is allowed when
     the new edge shares no cell with the previous one.
-    Paths never revisit a vertex.  The search keeps its own stack, so
-    path length is not bounded by the interpreter's recursion limit.
+    Paths never revisit a vertex.  The search keeps its own stack, and
+    builds its runs (below) in a loop, so path length is not bounded by
+    the interpreter's recursion limit.
 
     The search takes only traversals that ``_live`` marks as leading on
     to ``end``.  The prune is exact: every step of a path to ``end`` is
     followed by the next step, which shares no cell with it, and so on
     to ``end``, so every step is live.  Dropping the rest loses no path
-    and keeps the order in which the others are found.  ``table[t]``
-    lists the live traversals u that may follow t (leaving its head and
-    sharing no cell with it), filled the first time t is taken: filling
-    it up front would cost the square of the degree at a fan vertex such
-    as 0/1 in the chain of 1/n.  The successors depend on ``end``, so
-    the table lives for one call; its last slot holds the traversals
-    that may start a path, whose cells count as -1.
+    and keeps the order in which the others are found.  ``nexts[t]``
+    lists the live traversals that may follow t (leaving its head and
+    sharing no cell with it), filled the first time it is needed:
+    filling it up front would cost the square of the degree at a fan
+    vertex such as 0/1 in the chain of 1/n.  Its last slot holds the
+    traversals that may start a path.
+
+    Most traversals have exactly one that may follow them, so the search
+    moves over forced runs, not single steps.  The run from u takes u,
+    then the one traversal that may follow it, and so on; it stops at
+    ``end``, at a traversal with a choice to make, or before a head it
+    already holds.  A path that takes u takes the rest of the run: its
+    steps are live, and it ends only at ``end``.  So one test that no
+    head of the run is on the path so far, and one move, stand for the
+    run's steps one by one.
 
     The straightening step (``_stepper``) of u depends on u and the last
     rational vertex of the straightened path before it, and after a
     traversal t that vertex is fixed by t alone: t's head if rational,
-    else t's detour, else t's tail.  So u adds the same terms
-    (dk, da, db) whenever it follows t, and each entry of ``table[t]``
-    is the step's result (u, dk, da, db, num, den): the successor, its
-    terms, and the last rational vertex after u (den 0 for 1/0 or
-    none), from which u's own entries are filled.  The step runs once
-    per entry: on a long chain each entry is used about once, on the Dt
-    of a Fibonacci-type link about a hundred times.  That call is the
-    price of keeping one definition of the step: measured on Python 3.11
-    with 2 CPUs, about 0.4 us per entry against the same terms written
-    out in the fill, some 10% of the search on long chains and 1-3% of a
-    whole pass of the benchmark's workloads.  The search
-    keeps the sums (k, a, b) of the current prefix, adding a step's
-    terms as it steps in and subtracting them as it steps back, and a
-    path's sums are those plus the terms of its last step.
+    else t's detour, else t's tail.  So a run adds the same terms
+    (dk, da, db) whenever it follows t.  ``table[t]`` lists the runs
+    that may follow t, built the first time t is reached, each as
+    (traversals, heads, dk, da, db, last, num, den, done): its
+    traversals and the set of their heads, its terms, its last traversal
+    and the last rational vertex after that (den 0 for 1/0 or none),
+    from which the runs that follow are built, and whether it reaches
+    ``end``.  The search keeps the sums (k, a, b) of the current prefix,
+    adding a run's terms as it moves in and subtracting them as it
+    moves back, and a path's sums are those plus the terms of its last
+    run.  Both tables depend on ``end``, so they live for one call.
     """
     first, last = cx._ids.get(start), cx._ids.get(end)
     if first is None or last is None or first == last:
@@ -672,38 +681,62 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     out, c0, c1, heads = cx._out, cx._c0, cx._c1, cx._heads
     live = _live(cx, last)
     step = _stepper(cx)
-    table: list[list | None] = [None] * (len(heads) + 1)
+    nexts: list[list[int] | None] = [None] * (len(heads) + 1)
+    nexts[-1] = [u for u in out[first] if live[u]]
+    table: list[list[tuple] | None] = [None] * (len(heads) + 1)
+
+    def runs(t: int, pn: int, pd: int) -> list[tuple]:
+        # The run builder stopped at t short of ``end``, so it filled
+        # nexts[t] (t = -1: filled above).
+        entries = []
+        for u in nexts[t]:
+            _, k, a, b, qn, qd = step(u, pn, pd)
+            run, held, v = [u], {heads[u]}, u
+            while heads[v] != last:
+                after = nexts[v]
+                if after is None:
+                    x0, x1 = c0[v >> 1], c1[v >> 1]
+                    nexts[v] = after = [
+                        w for w in out[heads[v]] if live[w]
+                        and x0 != c0[w >> 1] != x1 and x0 != c1[w >> 1] != x1]
+                if len(after) != 1 or heads[after[0]] in held:
+                    break
+                v = after[0]
+                _, dk, da, db, qn, qd = step(v, qn, qd)
+                k += dk
+                a += da
+                b += db
+                run.append(v)
+                held.add(heads[v])
+            entries.append((tuple(run), held, k, a, b, v, qn, qd, heads[v] == last))
+        return entries
+
     path: list[int] = []
-    taken: list[tuple] = []               # the table entry of each step
-    visited = bytearray(len(out))
-    pending = []                          # untried successors, per depth
+    taken: list[tuple] = []               # the table entry of each move
+    visited = {first}
+    pending = []                          # untried runs, per depth
     k = a = b = 0                         # the sums of the path so far
-    t, nxt = -1, first                    # t = -1: before the first step
+    t = -1                                # -1: before the first move
     # The last rational vertex after t, den 0 for 1/0 or none.
     pn, pd = start if isinstance(start, Frac) else (0, 0)
     while True:
-        # Enter nxt by t, filling t's successors if t is new.
-        successors = table[t]
-        if successors is None:
-            x0, x1 = (c0[t >> 1], c1[t >> 1]) if t >= 0 else (-1, -1)
-            table[t] = successors = [
-                step(u, pn, pd) for u in out[nxt]
-                if live[u] and x0 != c0[u >> 1] != x1 and x0 != c1[u >> 1] != x1]
-        visited[nxt] = 1
-        pending.append(iter(successors))
-        # Take the next untried successor that does not end the path,
-        # backtracking past the depths that have none left.
+        entries = table[t]
+        if entries is None:
+            table[t] = entries = runs(t, pn, pd)
+        pending.append(iter(entries))
+        # Move into the next untried run that keeps off the path and does
+        # not end it, backtracking past the depths that have none left.
         while pending:
             for entry in pending[-1]:
-                t, dk, da, db, pn, pd = entry
-                nxt = heads[t]
-                if visited[nxt]:
+                run, held, dk, da, db, t, pn, pd, done = entry
+                if not visited.isdisjoint(held):
                     continue
-                if nxt == last:
-                    found.append(TypedPath(cx, (*path, t),
+                if done:
+                    found.append(TypedPath(cx, (*path, *run),
                                            (k + dk, a + da, b + db)))
                     continue
-                path.append(t)
+                path += run
+                visited |= held
                 taken.append(entry)
                 k += dk
                 a += da
@@ -712,9 +745,9 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
             else:
                 pending.pop()
                 if taken:
-                    u, dk, da, db, _, _ = taken.pop()
-                    path.pop()
-                    visited[heads[u]] = 0
+                    run, held, dk, da, db, _, _, _, _ = taken.pop()
+                    del path[-len(run):]
+                    visited -= held
                     k -= dk
                     a -= da
                     b -= db

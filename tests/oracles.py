@@ -2,18 +2,19 @@
 
 The engine gets the straightening sums of a path from one function that
 says what a traversal adds (``twobridge.diagram._stepper``): the path
-search adds it up as it steps, and ``TypedPath.sums`` folds it over a
+search adds it up as it goes, and ``TypedPath.sums`` folds it over a
 path built otherwise.  The references here take one path at a time
 and follow the paper: straighten the path into its rational vertices,
 sum the determinants over them and count the cells it was pushed
 across.  The sense of a D1 diagonal is found from the geometry, not
 from the traversal sign the step reads.  Alongside are the frame
 matrices and side list of a quadrilateral, the minimality test of a
-path and the traversals that can lead on to a vertex, which only the
-construction and path checks use, and the links the tests draw or
-walk: the one conversion of an expansion into a link, the strategy
-that draws links by expansion, and the deep chains.  Last come the
-small helpers more than one test module reads.
+path, the traversals that can lead on to a vertex and the minimal
+paths found by plain recursion, which only the construction and path
+checks use, and the links the tests draw or walk: the one conversion
+of an expansion into a link, the strategy that draws links by
+expansion, and the deep chains.  Last come the small helpers more
+than one test module reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from twobridge.arith import (INFINITY, ContFrac, Frac, GMat, TwoBridgeLink,
                              frac_cmp, make_link)
-from twobridge.diagram import Corner, Diagrams, minimal_paths
+from twobridge.diagram import Corner, Diagrams, TypedPath, minimal_paths
 from twobridge.slopes import MForm
 
 ROT = GMat.make(1, -1, 2, -1)    # half-turn of the base quadrilateral
@@ -104,6 +105,42 @@ def live_reference(cx) -> dict:
                     live.add(t)
                     todo.append(t)
     return out
+
+
+def reference_paths(cx, start, end):
+    """Minimal paths by plain recursion over the edge list: from each
+    vertex, edges are tried by type, then far endpoint (rationals by
+    value, then midpoints by their endpoints); no two edges join the
+    same pair.  Each path is collected as its traversal numbers."""
+    def vertex_key(v):
+        if isinstance(v, Frac):
+            return (0, v.key(), v.key())
+        return (1, v.lo.key(), v.hi.key())
+
+    leaving = {}
+    for idx, edge in enumerate(cx.edges):
+        leaving.setdefault(edge.tail, []).append((2 * idx, edge.head))
+        leaving.setdefault(edge.head, []).append((2 * idx + 1, edge.tail))
+    for items in leaving.values():
+        items.sort(key=lambda item: (
+            "ABCD".index(cx.edges[item[0] >> 1].etype), vertex_key(item[1])))
+
+    found, trav = [], []
+
+    def walk(vertex, visited, last_cells):
+        if vertex == end:
+            found.append(TypedPath(cx, tuple(trav)))
+            return
+        for t, target in leaving[vertex]:
+            cells = edge_cells(cx, t >> 1)
+            if target in visited or last_cells & cells:
+                continue
+            trav.append(t)
+            walk(target, visited | {target}, cells)
+            trav.pop()
+
+    walk(start, frozenset({start}), frozenset())
+    return found
 
 
 @dataclass

@@ -3,9 +3,10 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twobridge.arith import (Frac, GMat, TwoBridgeLink, canonical_rep,
-                             cf_positive, crossing_number, enumerate_links,
-                             linking_number, make_link, rolfsen_name)
+from twobridge.arith import (ContFrac, Frac, GMat, TwoBridgeLink,
+                             canonical_rep, cf_positive, crossing_number,
+                             enumerate_links, linking_number, make_link,
+                             rolfsen_name)
 
 
 class TestMakeLink:
@@ -60,6 +61,9 @@ class TestContinuedFractions:
         cf = cf_positive(make_link(p, q))
         assert cf.terms == terms
         assert cf.value() == Frac(p, q)
+
+    def test_text_is_the_bracketed_terms(self):
+        assert str(ContFrac((0, 2, 3))) == "[0,2,3]"
 
     def test_round_trip_all_links(self):
         for link in enumerate_links(12):

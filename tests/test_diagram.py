@@ -17,7 +17,7 @@ from twobridge.slopes import m_form, m_form_edgewise
 
 from oracles import (ROT, SHIFT, edge_cells, frac, fractions_of_type,
                      is_minimal, link_of, links, live_reference, on_side,
-                     sides, sums_reference)
+                     reference_paths, sides, sums_reference)
 
 
 def all_cells(cx):
@@ -131,6 +131,7 @@ class TestBuildDiagram:
         # B, D, B.  Cell 4 is the rectangle.
         in_cell = [[e for e, cells in zip(cx.edges, all_cells(cx)) if cid in cells]
                    for cid in range(5)]
+        assert str(cx.edges[0]) == "A:1/0->mid(0/1,1/0)"
         assert [sorted(e.etype for e in edges) for edges in in_cell] == [
             ["A", "A", "C"], ["A", "A", "C"], ["B", "B", "D"], ["B", "B", "D"],
             ["C", "C", "D", "D"]]
@@ -211,6 +212,23 @@ class TestEdgeIndex:
             cx._new_vertex(frac(1, 2))
 
 
+def hand_built_d0(vertices, edges):
+    """A D0 complex whose B edges are filed straight into the per-edge
+    lists: ((i, j), cells) runs from vertices[i] to vertices[j] and lies
+    in the two cells given (a lone cell given twice)."""
+    cx = DiagramComplex("D0", [])
+    g = quad_chain(make_link(1, 2))[0].g
+    ids = [cx._new_vertex(v) for v in vertices]
+    for (i, j), cells in edges:
+        cx._types.append("B")
+        cx._ends += (ids[i], ids[j])
+        cx._frames.append(g)
+        cx._detours.append(None)
+        cx._cells += cells
+    cx._freeze()
+    return cx
+
+
 class TestMinimalPaths:
     def test_d1_hopf_has_two_paths(self):
         d = Diagrams(make_link(1, 2))
@@ -243,22 +261,28 @@ class TestMinimalPaths:
         # cell, so either way round the triangle, once, is a chain of
         # steps that share no cell with the one before, back at 0/1 and
         # on to 1/1.  Those two walks revisit 0/1 and are not paths.
-        # The edges are filed straight into the per-edge lists, a lone
-        # cell given twice.
-        cx = DiagramComplex("D0", [])
-        g = quad_chain(make_link(1, 2))[0].g
-        v = [INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(1, 1)]
-        ids = [cx._new_vertex(x) for x in v]
-        for (a, b), cells in zip(((0, 1), (1, 2), (2, 3), (3, 1), (1, 4)),
-                                 ((0, 0), (1, 5), (2, 2), (3, 5), (4, 4))):
-            cx._types.append("B")
-            cx._ends += (ids[a], ids[b])
-            cx._frames.append(g)
-            cx._detours.append(None)
-            cx._cells += cells
-        cx._freeze()
+        cx = hand_built_d0([INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(1, 1)],
+                           [((0, 1), (0, 0)), ((1, 2), (1, 5)), ((2, 3), (2, 2)),
+                            ((3, 1), (3, 5)), ((1, 4), (4, 4))])
         paths = minimal_paths(cx, INFINITY, frac(1, 1))
         assert [str(p) for p in paths] == ["1/0 [B+] 0/1 [B+] 1/1"]
+
+    def test_a_forced_run_never_revisits_its_own_vertex(self):
+        # 1/0 -> 0/1 -> 1/3 -> 1/2 -> 2/5 -> 1/3 -> 1/1, and an edge
+        # 1/0-1/1.  0/1-1/3 shares a cell with 1/3-1/1 and with
+        # 2/5-1/3, so each of the first four steps has one step that may
+        # follow it: the walk through 0/1 is one forced run, round the
+        # triangle 1/3, 1/2, 2/5 and back to 1/3, a vertex of its own,
+        # before it may leave for 1/1.  That walk is no path; the edge
+        # 1/0-1/1 is the only one.
+        cx = hand_built_d0([INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(2, 5),
+                            frac(1, 1)],
+                           [((0, 1), (0, 0)), ((1, 2), (1, 6)), ((2, 3), (2, 2)),
+                            ((3, 4), (3, 3)), ((4, 2), (4, 1)), ((2, 5), (5, 6)),
+                            ((0, 5), (7, 7))])
+        paths = minimal_paths(cx, INFINITY, frac(1, 1))
+        assert paths == reference_paths(cx, INFINITY, frac(1, 1))
+        assert [str(p) for p in paths] == ["1/0 [B+] 1/1"]
 
     def test_deterministic_order(self):
         d = Diagrams(make_link(13, 34))

@@ -10,7 +10,7 @@ from twobridge.diagram import Diagrams, TypedPath, minimal_paths
 from twobridge.slopes import (m_form, m_form_edgewise, s_form_symbolic,
                               slope_families)
 
-from oracles import edge_cells, link_of, links, on_side
+from oracles import edge_cells, link_of, links, on_side, reference_paths
 
 
 @given(links())
@@ -66,45 +66,11 @@ def test_slope_set_invariant_under_inversion(link):
     assert set(slope_families(partner).families) == set(slope_families(link).families)
 
 
-def reference_paths(cx, start, end):
-    """Minimal paths by plain recursion over the edge list: from each
-    vertex, edges are tried by type, then far endpoint (rationals by
-    value, then midpoints by their endpoints); no two edges join the
-    same pair.  Each path is collected as its traversal numbers."""
-    def vertex_key(v):
-        if isinstance(v, Frac):
-            return (0, v.key(), v.key())
-        return (1, v.lo.key(), v.hi.key())
-
-    leaving = {}
-    for idx, edge in enumerate(cx.edges):
-        leaving.setdefault(edge.tail, []).append((2 * idx, edge.head))
-        leaving.setdefault(edge.head, []).append((2 * idx + 1, edge.tail))
-    for items in leaving.values():
-        items.sort(key=lambda item: (
-            "ABCD".index(cx.edges[item[0] >> 1].etype), vertex_key(item[1])))
-
-    found, trav = [], []
-
-    def walk(vertex, visited, last_cells):
-        if vertex == end:
-            found.append(TypedPath(cx, tuple(trav)))
-            return
-        for t, target in leaving[vertex]:
-            cells = edge_cells(cx, t >> 1)
-            if target in visited or last_cells & cells:
-                continue
-            trav.append(t)
-            walk(target, visited | {target}, cells)
-            trav.pop()
-
-    walk(start, frozenset({start}), frozenset())
-    return found
-
-
 @settings(max_examples=60, deadline=None)
 @given(links(max_crossings=20))
 @example(TwoBridgeLink(6765, 10946))     # all terms 1: 828 Dt paths
+@example(make_link(1, 40))               # a fan: 0/1 has degree 41 in D1
+@example(link_of(2, 10, 2))              # long forced runs
 def test_path_search_matches_recursive_reference(link):
     # The search prunes to what can still reach its end, so the end
     # varies too: p/q, and an odd rational from the middle of the chain.
