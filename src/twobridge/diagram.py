@@ -62,6 +62,11 @@ otherwise.
 
 ``link_paths`` lists the paths every slope comes from; ``not_limits``,
 the t = 1 paths among them that are the ``collapse`` of no Dt path.
+The first ``collapse`` into D1 or D0 maps every Dt traversal there at
+once: the image of each Dt vertex is looked up by value, once, and each
+Dt edge by the ids of its ends' images.  A path then collapses by
+reading off its traversals' images.  Past that pass and the two ends of
+a search, the engine looks up no vertex by value.
 """
 
 from __future__ import annotations
@@ -209,8 +214,8 @@ def _stepper(cx: DiagramComplex):
     """The straightening step of cx: ``step(u, pn, pd)`` gives what
     traversal u adds to the sums (k, a, b) of a path whose last rational
     vertex so far is pn/pd (pd 0 when that is 1/0 or there is none yet),
-    as (u, dk, da, db, qn, qd), with qn/qd the last rational vertex
-    after u.
+    as (dk, da, db, qn, qd), with qn/qd the last rational vertex after
+    u.
 
     Straightening replaces every edge with a detour (a rectangle side of
     Dt, an odd diagonal of D1) by the two edges around its detour
@@ -233,7 +238,7 @@ def _stepper(cx: DiagramComplex):
     types, detours, verts, heads = cx._types, cx._detours, cx._verts, cx._heads
     d1 = cx.kind == "D1"
 
-    def step(u: int, pn: int, pd: int) -> tuple[int, int, int, int, int, int]:
+    def step(u: int, pn: int, pd: int) -> tuple[int, int, int, int, int]:
         back = u & 1                # the sign of the traversal is 1 - 2*back
         dk = da = db = 0
         v = detours[u >> 1]
@@ -254,7 +259,7 @@ def _stepper(cx: DiagramComplex):
             if pd and vd:
                 dk += pn * vd - vn * pd
             pn, pd = vn, vd
-        return u, dk, da, db, pn, pd
+        return dk, da, db, pn, pd
 
     return step
 
@@ -267,7 +272,7 @@ def _fold(cx: DiagramComplex, trav: tuple[int, ...]) -> tuple[int, int, int]:
     start = cx._verts[cx._ends[trav[0]]]
     pn, pd = start if isinstance(start, Frac) else (0, 0)
     for t in trav:
-        _, dk, da, db, pn, pd = step(t, pn, pd)
+        dk, da, db, pn, pd = step(t, pn, pd)
         k += dk
         a += da
         b += db
@@ -375,8 +380,9 @@ class DiagramComplex:
     ``_ends[t]`` and reaches vertex ``_heads[t]``.  ``_out[v]`` lists the
     traversals leaving vertex v in the order the path search tries them.
     ``edges[e]`` is the ``Edge`` of edge e, made for display on the
-    first read.
-    ``_image`` is the memo of ``collapse`` into this complex.
+    first read.  ``_image``, filled by the first ``collapse`` into this
+    complex, lists the image here of every traversal of the Dt complex
+    over the same chain.
     """
 
     def __init__(self, kind: str, chain: list[Quad]):
@@ -391,7 +397,7 @@ class DiagramComplex:
         # (type, tail id, head id, frame, detour, cell) of each edge
         # built again on a shared side, checked by _freeze.
         self._rebuilt: list[tuple] = []
-        self._image: list[int | None] | None = None
+        self._image: list[int] | None = None
 
     # -- construction ------------------------------------------------
 
@@ -500,16 +506,6 @@ class DiagramComplex:
 
     def vertices(self) -> list[Vertex]:
         return list(self._order)
-
-    def _traversal(self, u: Vertex, v: Vertex) -> int:
-        """The number of the traversal from u to v."""
-        ids, index = self._ids, self._index
-        try:
-            iu, iv = ids[u], ids[v]
-            e = index.get(iu * len(ids) + iv)
-            return 2 * index[iv * len(ids) + iu] + 1 if e is None else 2 * e
-        except KeyError:
-            raise KeyError(f"no edge between {u} and {v}") from None
 
 
 # Each builder files its edges per quadrilateral in this order.  Dt: the
@@ -690,7 +686,7 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
         # nexts[t] (t = -1: filled above).
         entries = []
         for u in nexts[t]:
-            _, k, a, b, qn, qd = step(u, pn, pd)
+            k, a, b, qn, qd = step(u, pn, pd)
             run, held, v = [u], {heads[u]}, u
             while heads[v] != last:
                 after = nexts[v]
@@ -702,7 +698,7 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
                 if len(after) != 1 or heads[after[0]] in held:
                     break
                 v = after[0]
-                _, dk, da, db, qn, qd = step(v, qn, qd)
+                dk, da, db, qn, qd = step(v, qn, qd)
                 k += dk
                 a += da
                 b += db
@@ -762,13 +758,15 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
 
     Midpoints slide to the odd endpoint of their side in D1 and to the
     even endpoint in D0; edges whose endpoints merge disappear.  The
-    image of each Dt traversal is remembered on the target:
-    ``target._image[t]`` is the target traversal that Dt traversal t
-    maps to, -1 when its endpoints merge, or None until a path through
-    t is first collapsed.  The Dt complex must be over the target's
-    chain, whose builder numbers the traversals the same way every
-    time, so one list serves every Dt path of the chain.  Each path
-    then maps through that list to the tuple of its target traversals.
+    first collapse into the target maps every Dt traversal at once:
+    each Dt vertex id goes to the target id of its image, and each Dt
+    edge through the target's ``_index`` by that pair of ids, read
+    forward or backward.  ``target._image[t]`` is the target traversal
+    that Dt traversal t maps to, or -1 when its endpoints merge.  The
+    Dt complex must be over the target's chain, whose builder numbers
+    the traversals the same way every time, so one list serves every
+    Dt path of the chain, and a path maps through it to the tuple of
+    its target traversals.
     """
     source = path.cx
     if source.kind != "Dt":
@@ -779,25 +777,22 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
         raise ValueError("a Dt path collapses only into a diagram over its chain")
     image = target._image
     if image is None:
-        image = target._image = [None] * len(source._heads)
-    trav = path.trav
-    try:
-        down = [u for t in trav if (u := image[t]) >= 0]
-    except TypeError:               # None >= 0: some image not made yet
-        parity = 1 if target.kind == "D1" else 0
-
-        def project(v: Vertex) -> Frac:
-            if isinstance(v, Frac):
-                return v
-            return v.lo if v.lo.den % 2 == parity else v.hi
-
-        verts, ends, heads = source._verts, source._ends, source._heads
-        for t in trav:
-            if image[t] is None:
-                src, dst = project(verts[ends[t]]), project(verts[heads[t]])
-                image[t] = -1 if src == dst else target._traversal(src, dst)
-        down = [u for t in trav if (u := image[t]) >= 0]
-    return TypedPath(target, tuple(down))
+        ids, index, odd = target._ids, target._index, target.kind == "D1"
+        n = len(ids)
+        down = [ids[v if isinstance(v, Frac) else v.lo if v.lo.den % 2 == odd
+                    else v.hi] for v in source._verts]
+        image = []
+        for u, v in zip(map(down.__getitem__, source._ends[0::2]),
+                        map(down.__getitem__, source._ends[1::2])):
+            if u == v:
+                image += (-1, -1)
+            elif (e := index.get(u * n + v)) is not None:
+                image += (2 * e, 2 * e + 1)
+            else:
+                e = index[v * n + u]
+                image += (2 * e + 1, 2 * e)
+        target._image = image
+    return TypedPath(target, tuple([u for t in path.trav if (u := image[t]) >= 0]))
 
 
 class Diagrams:

@@ -217,7 +217,7 @@ def s_form_symbolic(path: TypedPath) -> SymbolicM:
         raise ValueError("s_form_symbolic takes a D1 path")
     k = path.sums[0]
     step, types = _stepper(path.cx), path.cx._types
-    senses = [da - db for _, _, da, db, _, _ in
+    senses = [da - db for _, da, db, _, _ in
               (step(t, 0, 0) for t in path.trav if types[t >> 1] == "C")]
     return SymbolicM(
         b1=k - 2 * sum(senses),

@@ -8,13 +8,14 @@ and follow the paper: straighten the path into its rational vertices,
 sum the determinants over them and count the cells it was pushed
 across.  The sense of a D1 diagonal is found from the geometry, not
 from the traversal sign the step reads.  Alongside are the frame
-matrices and side list of a quadrilateral, the minimality test of a
-path, the traversals that can lead on to a vertex and the minimal
-paths found by plain recursion, which only the construction and path
-checks use, and the links the tests draw or walk: the one conversion
-of an expansion into a link, the strategy that draws links by
-expansion, and the deep chains.  Last come the small helpers more
-than one test module reads.
+matrices and side list of a quadrilateral, the lookup of a traversal
+by its two vertices, with which the collapse checks redo ``collapse``
+by value, the minimality test of a path, the traversals that can lead
+on to a vertex and the minimal paths found by plain recursion, which
+only the construction and path checks use, and the links the tests
+draw or walk: the one conversion of an expansion into a link, the
+strategy that draws links by expansion, and the deep chains.  Last
+come the small helpers more than one test module reads.
 """
 
 from __future__ import annotations
@@ -49,6 +50,15 @@ def edge_cells(cx, e: int) -> frozenset:
     """The cells of cx that edge e lies in, from the two cell numbers
     the complex keeps for it (equal when it lies in one)."""
     return frozenset((cx._c0[e], cx._c1[e]))
+
+
+def traversal(cx, u, v) -> int:
+    """The number of the traversal of cx from vertex u to vertex v,
+    looked up by value: 2*e when edge e runs from u to v, 2*e + 1 when
+    it runs back; a KeyError when no edge joins them."""
+    n, iu, iv = len(cx._ids), cx._ids[u], cx._ids[v]
+    e = cx._index.get(iu * n + iv)
+    return 2 * cx._index[iv * n + iu] + 1 if e is None else 2 * e
 
 
 def traversed(path):

@@ -17,7 +17,7 @@ from twobridge.slopes import m_form, m_form_edgewise
 
 from oracles import (ROT, SHIFT, edge_cells, frac, fractions_of_type,
                      is_minimal, link_of, links, live_reference, on_side,
-                     reference_paths, sides, sums_reference)
+                     reference_paths, sides, sums_reference, traversal)
 
 
 def all_cells(cx):
@@ -159,23 +159,20 @@ class TestBuildDiagram:
 
 class TestEdgeIndex:
     def test_traversal_numbers_both_directions(self):
-        # Edge e is traversed as 2*e from its tail and 2*e + 1 from its
-        # head; two vertices that no edge joins have no traversal.
-        cx = build_diagram(quad_chain(make_link(3, 8)), "D1")
-        for e, edge in enumerate(cx.edges):
-            assert cx._traversal(edge.tail, edge.head) == 2 * e
-            assert cx._traversal(edge.head, edge.tail) == 2 * e + 1
-        with pytest.raises(KeyError, match="no edge between"):
-            cx._traversal(INFINITY, frac(3, 8))
-
-    def test_vertex_outside_the_complex(self):
-        cx = build_diagram(quad_chain(make_link(3, 8)), "Dt")
-        strangers = (frac(5, 8), Corner(frac(2, 3), frac(3, 4)))
-        for v in strangers:
-            assert v not in cx.vertices()
-            for u, w in ((INFINITY, v), (v, INFINITY)):
-                with pytest.raises(KeyError):
-                    cx._traversal(u, w)
+        # Edge e is filed under tail id * |V| + head id and under no
+        # other key, so a pair of ids read in both orders finds the
+        # traversal 2*e from its tail or 2*e + 1 from its head; two
+        # vertices that no edge joins find none.
+        for kind in ("Dt", "D1", "D0"):
+            cx = build_diagram(quad_chain(make_link(3, 8)), kind)
+            n, index = len(cx._ids), cx._index
+            assert len(index) == len(cx._types)
+            for e in range(len(cx._types)):
+                tail, head = cx._ends[2 * e], cx._ends[2 * e + 1]
+                assert index[tail * n + head] == e, (kind, e)
+                assert head * n + tail not in index, (kind, e)
+            u, v = cx._ids[INFINITY], cx._ids[frac(3, 8)]
+            assert u * n + v not in index and v * n + u not in index
 
     def test_rebuilding_an_edge_must_agree(self):
         # The edge on a side shared with the previous quadrilateral is
@@ -192,7 +189,7 @@ class TestEdgeIndex:
         etype, tail, head, frame, detour, cell = cx._rebuilt[0]
         cx._freeze()
         verts = list(cx._ids)
-        e = cx._traversal(verts[tail], verts[head]) >> 1
+        e = cx._index[tail * len(verts) + head]
         assert cx.edges[e] == Edge(etype, verts[tail], verts[head], frame, detour)
         assert cell in edge_cells(cx, e) and len(edge_cells(cx, e)) == 2
         # the same pair rebuilt with another type, reversed, or framed
@@ -239,9 +236,12 @@ class TestMinimalPaths:
                           (INFINITY, frac(1, 1), frac(1, 2))}
 
     def test_unknown_endpoint_is_an_error(self):
-        # 5/8 is not a vertex; from a vertex to itself no path has a step.
+        # 5/8 and the midpoint of {2/3, 3/4} are not vertices; from a
+        # vertex to itself no path has a step.
         d = Diagrams(make_link(3, 8))
-        for start, end in ((INFINITY, frac(5, 8)), (INFINITY, INFINITY)):
+        stranger = Corner(frac(2, 3), frac(3, 4))
+        for start, end in ((INFINITY, frac(5, 8)), (stranger, INFINITY),
+                           (INFINITY, stranger), (INFINITY, INFINITY)):
             with pytest.raises(ValueError):
                 minimal_paths(d.dt, start, end)
 
@@ -435,7 +435,7 @@ def projected(path, target):
         return v.lo if v.lo.den % 2 == parity else v.hi
 
     verts = [project(v) for v in path.vertices()]
-    return TypedPath(target, tuple(target._traversal(u, v)
+    return TypedPath(target, tuple(traversal(target, u, v)
                                    for u, v in zip(verts, verts[1:]) if u != v))
 
 
@@ -450,37 +450,39 @@ def fresh_copy(vertices, cx):
     """The path of cx through ``vertices``, looked up pair by pair from
     new vertex objects equal to them."""
     verts = [copy_vertex(v) for v in vertices]
-    return TypedPath(cx, tuple(map(cx._traversal, verts, verts[1:])))
+    return TypedPath(cx, tuple(traversal(cx, u, v) for u, v in zip(verts, verts[1:])))
 
 
 class TestCollapseByTraversal:
-    """``collapse`` maps each Dt traversal, by its number, through a
-    memo on the target; its results must still be those of the
-    projection by value."""
+    """The first ``collapse`` into a target maps every Dt traversal, by
+    vertex ids, into a list on the target, and each path maps through
+    that list; every entry must still be the projection by value."""
 
     LONG = {"6765-10946": (6765, 10946), "2-40-2": (81, 164)}
 
+    @staticmethod
+    def check_image(d):
+        # Any Dt path fills the list, here the one step out of 1/0.  The
+        # image of Dt traversal t is that of the one-step path through
+        # it: one target traversal, or -1 when its ends merge.
+        for target in (d.d1, d.d0):
+            collapse(TypedPath(d.dt, (0,)), target)
+            image = target._image
+            assert len(image) == len(d.dt._heads), (d.link, target.kind)
+            for t, u in enumerate(image):
+                want = projected(TypedPath(d.dt, (t,)), target).trav or (-1,)
+                assert (u,) == want, (d.link, target.kind, t)
+
     def test_equals_the_projection_by_value(self, paths_through_12):
-        cases = [(r.diagrams, r.dt) for r in paths_through_12]
-        for p, q in self.LONG.values():
-            d = Diagrams(make_link(p, q))
-            cases.append((d, minimal_paths(d.dt, INFINITY, frac(p, q))))
-        for d, paths in cases:
-            for target in (d.d1, d.d0):
-                for path in paths:
-                    down = collapse(path, target)
-                    assert down == projected(path, target), (d.link, str(path))
-                    # every traversal of the path has its image now
-                    assert None not in [target._image[t] for t in path.trav]
-                    assert collapse(path, target) == down      # from the memo
+        for d in [r.diagrams for r in paths_through_12] + [
+                Diagrams(make_link(p, q)) for p, q in self.LONG.values()]:
+            self.check_image(d)
 
     def test_collapse_of_deep_chains(self, deep_chains):
-        # Long chains of one or two large terms: few paths, each through
-        # many traversals the memo sees once.
+        # Long chains of one or two large terms, whose Dt paths touch
+        # few of their traversals.
         for d in deep_chains[::29]:
-            for path in minimal_paths(d.dt, INFINITY, d.link.fraction()):
-                for target in (d.d1, d.d0):
-                    assert collapse(path, target) == projected(path, target), d.link
+            self.check_image(d)
 
     def test_edges_made_on_first_read(self):
         # The search, collapse and the limit check run on traversal
@@ -513,7 +515,7 @@ class TestCollapseByTraversal:
         assert [collapse(copy, target) for copy in copies] == expected[::-1]
 
     def test_a_path_over_another_chain_is_refused(self):
-        # The memo is indexed by the traversal numbers of one chain.
+        # The image list is indexed by the traversal numbers of one chain.
         d, other = Diagrams(make_link(7, 16)), Diagrams(make_link(3, 8))
         path = minimal_paths(other.dt, INFINITY, frac(3, 8))[0]
         for target in (d.d1, d.d0):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from twobridge.arith import GMat, INFINITY, TwoBridgeLink, make_link
-from twobridge.diagram import (Diagrams, build_diagram, collapse, link_paths,
-                               minimal_paths, not_limits)
+from twobridge.diagram import (Diagrams, TypedPath, build_diagram, collapse,
+                               link_paths, minimal_paths, not_limits)
 from twobridge.slopes import (MForm, SForm, SlopeFamily, _track_contribution,
                               _track_contribution_free, m_form,
                               m_form_edgewise, s_form, s_form_symbolic,
@@ -364,4 +364,45 @@ GUARDS = {
 def test_wrong_kind_or_type_is_refused(path_of_kind, name):
     call, error, text = GUARDS[name]
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call(path_of_kind)
+
+
+def forged(path):
+    """The path with a determinant sum one more than its own, so that
+    its forms break the parity x + y = 1 + q mod 2."""
+    k, a, b = path.sums
+    return TypedPath(path.cx, path.trav, (k + 1, a, b))
+
+
+def tampered(path):
+    """The Dt path over a Dt complex of its own in which the edge of
+    its first B step with c != 0 is framed by the identity instead: the
+    step then adds nothing, where it added +-1 to the beta coefficient
+    of M1 and nothing to the alpha coefficient of M2."""
+    cx = build_diagram(path.cx.chain, "Dt")
+    e = next(t >> 1 for t in path.trav
+             if cx._types[t >> 1] == "B" and cx._frames[t >> 1].c)
+    cx._frames[e] = GMat.make(1, 0, 0, 1)
+    return TypedPath(cx, path.trav)
+
+
+# Each call hands a function a path whose data break an invariant it
+# checks.  The third, x = z mod 2, no data reach: m_form has
+# x - z = 2*n0, s_form has z = x, and every edgewise contribution has
+# x - z + (mixed coefficient difference) even, so the mixed-coefficient
+# check fires first.
+BROKEN = {
+    "m_form-parity": (lambda p: m_form(forged(p["Dt"])),
+                      "parity x + y = 1 + q mod 2 violated on "),
+    "s_form-parity": (lambda p: s_form(forged(p["D1"])),
+                      "parity x + y = 1 + q mod 2 violated on "),
+    "m_form_edgewise-mixed": (lambda p: m_form_edgewise(tampered(p["Dt"])),
+                              "mixed coefficients differ on "),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_broken_invariant_raises(path_of_kind, name):
+    call, text = BROKEN[name]
+    with pytest.raises(RuntimeError, match=f"^{re.escape(text)}"):
         call(path_of_kind)

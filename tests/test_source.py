@@ -1,6 +1,7 @@
 """Checks on the source text of the engine and of the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import twobridge
@@ -33,3 +34,24 @@ def test_no_test_module_imports_another():
                             else [alias.name for alias in node.names])
              if module.rpartition(".")[2].startswith("test_")]
     assert TESTS and found == []
+
+
+def test_every_private_definition_is_used_by_the_engine():
+    # A function, class or method named with one leading underscore
+    # serves the engine, so something in the engine outside its own
+    # definition must name it; one that only the tests read belongs in
+    # the tests.
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+
+    def names(tree):
+        return [node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))]
+
+    everywhere = Counter(name for tree in trees for name in names(tree))
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path, tree in zip(SOURCES, trees) for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and everywhere[node.name] == names(node).count(node.name)]
+    assert SOURCES and unused == []
