@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cmp_to_key
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .corpus_data import ROLFSEN_NAMES
 
@@ -206,31 +206,32 @@ def linking_number(link: TwoBridgeLink) -> int:
     return -(n - 2 * _floor_sum(n + 1, q, 2 * p, 0) + 4 * _floor_sum(n + 1, q, p, 0))
 
 
-def _expansions_with_sum(total: int) -> Iterator[tuple[int, ...]]:
-    """Term lists [a2..an], all >= 1 and the last >= 2, summing to total."""
-    if total >= 2:
-        yield (total,)
-    for first in range(1, total - 1):
-        for rest in _expansions_with_sum(total - first):
-            yield (first,) + rest
-
-
 def enumerate_links(max_crossings: int, identify_mirrors: bool = True) -> list[TwoBridgeLink]:
     """All 2-bridge link types with at most the given crossing number.
 
     One canonical representative per type, sorted by crossing number,
-    then q, then p.
+    then q, then p.  Walks every positive expansion [0, a2, ..., an]
+    with term sum at most ``max_crossings`` from an explicit stack, not
+    by recursion.  A stack entry is the convergents p/q and pp/qp of an
+    expansion's prefix and the prefix's term sum.  An expansion whose
+    last term is at least 2 is the positive expansion of p/q, so its
+    term sum is the crossing number of p/q and of every fraction naming
+    the same type.
     """
     if max_crossings < 2:
         raise ValueError("a link diagram needs at least 2 crossings")
-    seen: set[TwoBridgeLink] = set()
-    for total in range(2, max_crossings + 1):
-        for body in _expansions_with_sum(total):
-            frac = ContFrac((0,) + body).value()
-            if frac.den % 2:
-                continue
-            seen.add(canonical_rep(TwoBridgeLink(frac.num, frac.den), identify_mirrors))
-    return sorted(seen, key=lambda ln: (crossing_number(ln), ln.q, ln.p))
+    seen: set[tuple[int, int, int]] = set()
+    stack = [(0, 1, 1, 0, 0)]           # the prefix [0]: 0/1 after 1/0
+    while stack:
+        p, q, pp, qp, total = stack.pop()
+        for a in range(1, max_crossings - total + 1):
+            num, den = a * p + pp, a * q + qp
+            if a >= 2 and den % 2 == 0:
+                rep = canonical_rep(TwoBridgeLink(num, den), identify_mirrors)
+                seen.add((total + a, rep.q, rep.p))
+            if total + a < max_crossings:
+                stack.append((num, den, p, q, total + a))
+    return [TwoBridgeLink(p, q) for _, q, p in sorted(seen)]
 
 
 def rolfsen_name(link: TwoBridgeLink) -> str | None:

@@ -66,9 +66,9 @@ class SymbolicM(NamedTuple):
 def _check_parities(x: int, y: int, z: int, path: TypedPath) -> None:
     if (x - z) % 2:
         raise RuntimeError(f"parity x = z mod 2 violated on {path}: {(x, y, z)}")
-    if path.start == INFINITY and isinstance(path.end, Frac) and not path.end.is_infinite:
-        q = path.end.den
-        if (x + y - 1 - q) % 2:
+    if path.start == INFINITY:
+        end = path.end
+        if isinstance(end, Frac) and not end.is_infinite and (x + y - 1 - end.den) % 2:
             raise RuntimeError(
                 f"parity x + y = 1 + q mod 2 violated on {path}: {(x, y, z)}")
 

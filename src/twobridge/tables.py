@@ -7,7 +7,8 @@ family per intersection form (valid for 1 < t < oo) and one
 ``verify_corpus`` recomputes everything from scratch and compares
 canonical text; nothing is parsed.  ``emit`` serializes computed results
 as text, JSON, CSV or TeX with a fixed canonical ordering, so identical
-inputs always produce identical bytes.
+inputs always produce identical bytes.  The JSON emitter renders each
+distinct family once per call: links share most of their families.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ def verify_corpus(max_crossings: int = 10) -> TableReport:
 # The JSON output is the layout of ``json.dumps(payload, indent=2)``,
 # written directly: the stdlib encoder falls back to pure Python when it
 # indents, and its per-value dispatch was the largest cost of a census.
+# A family's text depends only on its fields, and nine in ten families of
+# a census repeat one met before, so each emit keeps the text of every
+# family it has rendered.  That memo lives for the one call: kept longer,
+# it would grow with every distinct family a long-lived process emits,
+# and a second emit of the same results would skip the first one's work.
 _json_str = json.encoder.encode_basestring_ascii
 
 
@@ -131,9 +137,17 @@ def _family_json(fam: SlopeFamily) -> str:
             f'\n        "phi": {_json_str(fam.phi)}\n      }}')
 
 
-def _link_json(r: LinkSlopes) -> str:
+def _link_json(r: LinkSlopes, rendered: dict[SlopeFamily, str]) -> str:
+    """One link's JSON text; ``rendered`` holds the text of each family
+    met so far in this emit, and takes each one not yet in it."""
     name = rolfsen_name(r.link)
-    families = _json_array([_family_json(f) for f in r.families], " " * 4)
+    texts = []
+    for f in r.families:
+        text = rendered.get(f)
+        if text is None:
+            text = rendered[f] = _family_json(f)
+        texts.append(text)
+    families = _json_array(texts, " " * 4)
     return (f'{{\n    "p": {r.link.p},'
             f'\n    "q": {r.link.q},'
             f'\n    "rolfsen": {"null" if name is None else _json_str(name)},'
@@ -142,7 +156,8 @@ def _link_json(r: LinkSlopes) -> str:
 
 
 def _emit_json(results: Sequence[LinkSlopes]) -> str:
-    return _json_array([_link_json(r) for r in results], "") + "\n"
+    rendered: dict[SlopeFamily, str] = {}
+    return _json_array([_link_json(r, rendered) for r in results], "") + "\n"
 
 
 def _emit_csv(results: Sequence[LinkSlopes]) -> str:

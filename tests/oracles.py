@@ -14,8 +14,9 @@ by value, the minimality test of a path, the traversals that can lead
 on to a vertex and the minimal paths found by plain recursion, which
 only the construction and path checks use, and the links the tests
 draw or walk: the one conversion of an expansion into a link, the
-strategy that draws links by expansion, and the deep chains.  Last
-come the small helpers more than one test module reads.
+enumeration of link types by recursion over expansions, the strategy
+that draws links by expansion, and the deep chains.  Last come the
+small helpers more than one test module reads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from hypothesis import strategies as st
 
 from twobridge.arith import (INFINITY, ContFrac, Frac, GMat, TwoBridgeLink,
-                             frac_cmp, make_link)
+                             canonical_rep, crossing_number, frac_cmp,
+                             make_link)
 from twobridge.diagram import Corner, Diagrams, TypedPath, minimal_paths
 from twobridge.slopes import MForm
 
@@ -242,6 +244,29 @@ def link_of(*terms):
     ValueError when its denominator is odd (a knot)."""
     value = ContFrac((0,) + terms).value()
     return make_link(value.num, value.den)
+
+
+def expansions_with_sum(total):
+    """Term lists [a2..an], all >= 1 and the last >= 2, summing to total,
+    by plain recursion."""
+    if total >= 2:
+        yield (total,)
+    for first in range(1, total - 1):
+        for rest in expansions_with_sum(total - first):
+            yield (first,) + rest
+
+
+def reference_links(max_crossings, identify_mirrors=True):
+    """The link types through ``max_crossings`` the plain way: the value
+    of every expansion of each term sum, one canonical fraction per
+    type, sorted by ``crossing_number``, then q, then p."""
+    seen = set()
+    for total in range(2, max_crossings + 1):
+        for body in expansions_with_sum(total):
+            value = ContFrac((0,) + body).value()
+            if value.den % 2 == 0:
+                seen.add(canonical_rep(TwoBridgeLink(*value), identify_mirrors))
+    return sorted(seen, key=lambda ln: (crossing_number(ln), ln.q, ln.p))
 
 
 @st.composite

@@ -8,6 +8,8 @@ from twobridge.arith import (ContFrac, Frac, GMat, TwoBridgeLink,
                              enumerate_links, linking_number, make_link,
                              rolfsen_name)
 
+from oracles import reference_links
+
 
 class TestMakeLink:
     def test_reduces_and_validates(self):
@@ -130,6 +132,13 @@ class TestEnumeration:
             smaller = set(enumerate_links(n))
             assert smaller <= set(enumerate_links(n + 1))
             assert all(crossing_number(l) <= n for l in smaller)
+
+    @pytest.mark.parametrize("identify_mirrors", [True, False])
+    def test_matches_the_recursive_reference(self, identify_mirrors):
+        # List and order, which the benchmark's census inputs are built from.
+        for n in range(2, 15):
+            assert (enumerate_links(n, identify_mirrors)
+                    == reference_links(n, identify_mirrors)), n
 
     def test_without_mirror_identification(self):
         # Chiral pairs stay distinct.

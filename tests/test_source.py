@@ -55,3 +55,14 @@ def test_every_private_definition_is_used_by_the_engine():
               and node.name.startswith("_") and not node.name.startswith("__")
               and everywhere[node.name] == names(node).count(node.name)]
     assert SOURCES and unused == []
+
+
+def test_no_engine_function_calls_itself():
+    # A recursive function fails with a RecursionError once its input is
+    # deep enough; the engine walks with explicit stacks and orders.
+    found = [f"{name}:{node.lineno} {node.name}" for name, node in nodes(SOURCES)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             if node.name == (call.func.id if isinstance(call.func, ast.Name)
+                              else getattr(call.func, "attr", None))]
+    assert SOURCES and found == []
