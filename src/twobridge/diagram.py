@@ -77,7 +77,7 @@ from itertools import repeat
 from operator import add, itemgetter, mul
 from typing import NamedTuple
 
-from .arith import Frac, GMat, INFINITY, TwoBridgeLink
+from .arith import Frac, GMat, INFINITY, TwoBridgeLink, make_link
 
 
 class Corner(NamedTuple):
@@ -643,8 +643,7 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     lists the live traversals that may follow t (leaving its head and
     sharing no cell with it), filled the first time it is needed:
     filling it up front would cost the square of the degree at a fan
-    vertex such as 0/1 in the chain of 1/n.  Its last slot holds the
-    traversals that may start a path.
+    vertex such as 0/1 in the chain of 1/n.
 
     Most traversals have exactly one that may follow them, so the search
     moves over forced runs, not single steps.  The run from u takes u,
@@ -665,10 +664,12 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     traversals and the set of their heads, its terms, its last traversal
     and the last rational vertex after that (den 0 for 1/0 or none),
     from which the runs that follow are built, and whether it reaches
-    ``end``.  The search keeps the sums (k, a, b) of the current prefix,
-    adding a run's terms as it moves in and subtracting them as it
-    moves back, and a path's sums are those plus the terms of its last
-    run.  Both tables depend on ``end``, so they live for one call.
+    ``end``.  The search keeps one frame per move: the runs not yet
+    tried after it, the sums (k, a, b) of the path through it, and its
+    run and heads.  A move pushes a frame; a dead end pops one and takes
+    its run and heads back off the path.  A path's sums are those of the
+    last frame plus the terms of its last run.  Both tables depend on
+    ``end``, so they live for one call.
     """
     first, last = cx._ids.get(start), cx._ids.get(end)
     if first is None or last is None or first == last:
@@ -677,15 +678,14 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     out, c0, c1, heads = cx._out, cx._c0, cx._c1, cx._heads
     live = _live(cx, last)
     step = _stepper(cx)
-    nexts: list[list[int] | None] = [None] * (len(heads) + 1)
-    nexts[-1] = [u for u in out[first] if live[u]]
-    table: list[list[tuple] | None] = [None] * (len(heads) + 1)
+    nexts: list[list[int] | None] = [None] * len(heads)
+    table: list[list[tuple] | None] = [None] * len(heads)
 
-    def runs(t: int, pn: int, pd: int) -> list[tuple]:
-        # The run builder stopped at t short of ``end``, so it filled
-        # nexts[t] (t = -1: filled above).
+    def runs(starts: list[int], pn: int, pd: int) -> list[tuple]:
+        # The runs that start with a traversal of ``starts``, after a
+        # last rational vertex pn/pd.
         entries = []
-        for u in nexts[t]:
+        for u in starts:
             k, a, b, qn, qd = step(u, pn, pd)
             run, held, v = [u], {heads[u]}, u
             while heads[v] != last:
@@ -708,49 +708,33 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
         return entries
 
     path: list[int] = []
-    taken: list[tuple] = []               # the table entry of each move
     visited = {first}
-    pending = []                          # untried runs, per depth
-    k = a = b = 0                         # the sums of the path so far
-    t = -1                                # -1: before the first move
-    # The last rational vertex after t, den 0 for 1/0 or none.
     pn, pd = start if isinstance(start, Frac) else (0, 0)
-    while True:
-        entries = table[t]
-        if entries is None:
-            table[t] = entries = runs(t, pn, pd)
-        pending.append(iter(entries))
-        # Move into the next untried run that keeps off the path and does
-        # not end it, backtracking past the depths that have none left.
-        while pending:
-            for entry in pending[-1]:
-                run, held, dk, da, db, t, pn, pd, done = entry
-                if not visited.isdisjoint(held):
-                    continue
-                if done:
-                    found.append(TypedPath(cx, (*path, *run),
-                                           (k + dk, a + da, b + db)))
-                    continue
-                path += run
-                visited |= held
-                taken.append(entry)
-                k += dk
-                a += da
-                b += db
-                break
-            else:
-                pending.pop()
-                if taken:
-                    run, held, dk, da, db, _, _, _, _ = taken.pop()
-                    del path[-len(run):]
-                    visited -= held
-                    k -= dk
-                    a -= da
-                    b -= db
+    # The first frame is the start's, with no run.
+    stack = [(iter(runs([u for u in out[first] if live[u]], pn, pd)),
+              0, 0, 0, (), set())]
+    while stack:
+        todo, k, a, b, _, _ = stack[-1]
+        for run, held, dk, da, db, t, pn, pd, done in todo:
+            if not visited.isdisjoint(held):
                 continue
+            if done:
+                found.append(TypedPath(cx, (*path, *run), (k + dk, a + da, b + db)))
+                continue
+            # The run builder stopped at t short of ``end``, so it
+            # filled nexts[t].
+            entries = table[t]
+            if entries is None:
+                table[t] = entries = runs(nexts[t], pn, pd)
+            path += run
+            visited |= held
+            stack.append((iter(entries), k + dk, a + da, b + db, run, held))
             break
         else:
-            return found
+            _, _, _, _, run, held = stack.pop()
+            del path[len(path) - len(run):]
+            visited -= held
+    return found
 
 
 def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
@@ -796,9 +780,14 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
 
 
 class Diagrams:
-    """Chain plus all three complexes for one link, built on demand."""
+    """Chain plus all three complexes for one link, built on demand.
+    The link must be in the normal form ``make_link`` gives; any other
+    is refused with a ``ValueError``."""
 
     def __init__(self, link: TwoBridgeLink):
+        normal = make_link(*link)
+        if normal != link:
+            raise ValueError(f"{link} is not in normal form: make_link gives {normal}")
         self.link = link
         self.chain = quad_chain(link)
 

@@ -242,16 +242,11 @@ def oracle_check(link: TwoBridgeLink) -> OracleReport:
     path and every minimal t = 1 path through an odd diagonal, the paths
     ``slope_families`` reads (``diagram.link_paths``)."""
     _diagrams, dt_paths, c_paths = link_paths(link)
-    bad = []
-    for path in dt_paths:
-        push, track = m_form(path), m_form_edgewise(path)
-        if push != track:
-            bad.append((path, push, track))
-    for path in c_paths:
-        push, track = s_form_symbolic(path), m_form_edgewise(path)
-        if push != track:
-            bad.append((path, push, track))
-    return OracleReport(len(dt_paths), len(c_paths), tuple(bad))
+    bad = tuple((path, push, track)
+                for paths, push_form in ((dt_paths, m_form), (c_paths, s_form_symbolic))
+                for path in paths
+                if (push := push_form(path)) != (track := m_form_edgewise(path)))
+    return OracleReport(len(dt_paths), len(c_paths), bad)
 
 
 def to_preferred(form, l: int):

@@ -4,13 +4,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
+from twobridge import slopes
 from twobridge.arith import GMat, INFINITY, TwoBridgeLink, make_link
 from twobridge.diagram import (Diagrams, TypedPath, build_diagram, collapse,
                                link_paths, minimal_paths, not_limits)
 from twobridge.slopes import (MForm, SForm, SlopeFamily, _track_contribution,
                               _track_contribution_free, m_form,
-                              m_form_edgewise, s_form, s_form_symbolic,
-                              slope_families, to_preferred)
+                              m_form_edgewise, oracle_check, s_form,
+                              s_form_symbolic, slope_families, to_preferred)
 from twobridge.tables import render_key
 
 from oracles import (d1_pushes, delta_sum, dt_paths, expected_surgery_mforms,
@@ -367,6 +368,25 @@ def test_wrong_kind_or_type_is_refused(path_of_kind, name):
         call(path_of_kind)
 
 
+# A link not in make_link's normal form, and the whole message of the
+# ValueError it gets: make_link's own for a knot or q = 0.
+NOT_NORMAL = {
+    (1, 3): "q must be even after reduction, got 1/3 (a knot)",
+    (2, 4): "2/4 is not in normal form: make_link gives 1/2",
+    (3, 2): "3/2 is not in normal form: make_link gives 1/2",
+    (1, 1): "q must be even after reduction, got 1/1 (a knot)",
+    (0, 1): "q must be even after reduction, got 0/1 (a knot)",
+    (1, 0): "q must be nonzero",
+}
+
+
+@pytest.mark.parametrize("call", [Diagrams, slope_families, oracle_check])
+@pytest.mark.parametrize("pq", NOT_NORMAL)
+def test_link_not_in_normal_form_is_refused(pq, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(NOT_NORMAL[pq])}$"):
+        call(TwoBridgeLink(*pq))
+
+
 def forged(path):
     """The path with a determinant sum one more than its own, so that
     its forms break the parity x + y = 1 + q mod 2."""
@@ -390,7 +410,8 @@ def tampered(path):
 # checks.  The third, x = z mod 2, no data reach: m_form has
 # x - z = 2*n0, s_form has z = x, and every edgewise contribution has
 # x - z + (mixed coefficient difference) even, so the mixed-coefficient
-# check fires first.
+# check fires first.  test_parity_x_equals_z_raises reaches it with a
+# broken contribution instead.
 BROKEN = {
     "m_form-parity": (lambda p: m_form(forged(p["Dt"])),
                       "parity x + y = 1 + q mod 2 violated on "),
@@ -406,3 +427,19 @@ def test_broken_invariant_raises(path_of_kind, name):
     call, text = BROKEN[name]
     with pytest.raises(RuntimeError, match=f"^{re.escape(text)}"):
         call(path_of_kind)
+
+
+def test_parity_x_equals_z_raises(path_of_kind, monkeypatch):
+    # The first step's M2 beta coefficient one off makes z one off and
+    # leaves the mixed coefficients alone.
+    steps = []
+
+    def first_step_off(etype, g, sign):
+        xa, xb, ya, yb = _track_contribution(etype, g, sign)
+        steps.append(etype)
+        return xa, xb, ya, yb + (len(steps) == 1)
+
+    monkeypatch.setattr(slopes, "_track_contribution", first_step_off)
+    text = "parity x = z mod 2 violated on "
+    with pytest.raises(RuntimeError, match=f"^{re.escape(text)}"):
+        m_form_edgewise(path_of_kind["Dt"])

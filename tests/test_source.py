@@ -66,3 +66,17 @@ def test_no_engine_function_calls_itself():
              if node.name == (call.func.id if isinstance(call.func, ast.Name)
                               else getattr(call.func, "attr", None))]
     assert SOURCES and found == []
+
+
+def test_no_engine_memo_outlives_a_call():
+    # A memo that outlives a call makes the benchmark's repeated passes
+    # measure a different program from the first, and grows for the life
+    # of a process.  Memos made for one call, or kept on one object
+    # (``cached_property``), are fine.
+    memos = {"lru_cache", "cache"}
+    found = [f"{name}:{node.lineno}" for name, node in nodes(SOURCES)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             and any(alias.name in memos for alias in node.names)
+             or isinstance(node, ast.Attribute) and node.attr in memos
+             and getattr(node.value, "id", None) == "functools"]
+    assert SOURCES and found == []
