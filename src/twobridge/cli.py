@@ -236,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_paths)
 
-    p = sub.add_parser("oracle-check", help="compare the two independent "
-                                            "slope computations path by path")
+    p = sub.add_parser("oracle-check", help="check that the two independent "
+                                            "slope computations agree on every "
+                                            "minimal path")
     p.add_argument("--max-crossings", type=crossing_bound, default=10)
     p.set_defaults(func=_cmd_oracle_check)
 

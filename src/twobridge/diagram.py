@@ -625,6 +625,87 @@ def _live(cx: DiagramComplex, last: int) -> bytearray:
     return live
 
 
+def _end_ids(cx: DiagramComplex, start: Vertex, end: Vertex) -> tuple[int, int]:
+    """The vertex ids of start and end, two vertices of cx; a
+    ``ValueError`` otherwise."""
+    first, last = cx._ids.get(start), cx._ids.get(end)
+    if first is None or last is None or first == last:
+        raise ValueError(f"{start} and {end} are not two vertices of the complex")
+    return first, last
+
+
+def _follower(cx: DiagramComplex, live: bytearray):
+    """``follow(t)``: the live traversals that may follow t in a path,
+    those leaving t's head that share no cell with t, in ``_out``
+    order."""
+    out, c0, c1, heads = cx._out, cx._c0, cx._c1, cx._heads
+
+    def follow(t: int) -> list[int]:
+        x0, x1 = c0[t >> 1], c1[t >> 1]
+        return [w for w in out[heads[t]] if live[w]
+                and x0 != c0[w >> 1] != x1 and x0 != c1[w >> 1] != x1]
+
+    return follow
+
+
+def walk_order(cx: DiagramComplex, start: Vertex,
+               end: Vertex) -> list[tuple[int, list[int]]] | None:
+    """The traversals a walk from start to end can take, each with those
+    that may follow it, in an order in which every traversal comes before
+    all that may follow it; None when the vertex graph of those
+    traversals has a cycle.
+
+    A walk takes traversals that ``_live`` marks as leading on to end,
+    each leaving the head of the one before and sharing no cell with it
+    (the rule of ``minimal_paths``, ``_follower``), and it stops at end.
+    Every minimal path from start to end is such a walk.  When the
+    traversals a walk can take join their tails to their heads without a
+    cycle, no walk comes back to a vertex, so every walk is a minimal
+    path: a forward pass over this order that adds up integers counts
+    the minimal paths, or sums anything else over them, without listing
+    them.  A traversal into end has no traversal after it.
+
+    The walks are found with a stack and put in order by repeatedly
+    taking a vertex that no traversal not yet placed enters, starting at
+    start, and placing every traversal that leaves it.
+    """
+    first, last = _end_ids(cx, start, end)
+    out, heads = cx._out, cx._heads
+    live = _live(cx, last)
+    follow = _follower(cx, live)
+    # after[t] lists the traversals that may follow t, once a walk
+    # reaches t; entering[v] counts the traversals reached into v that
+    # are not yet in order.
+    after: list[list[int] | None] = [None] * len(heads)
+    entering = [0] * len(out)
+    todo = [u for u in out[first] if live[u]]
+    seen = bytearray(len(heads))
+    for u in todo:
+        seen[u] = 1
+    reached = len(todo)
+    while todo:
+        t = todo.pop()
+        v = heads[t]
+        entering[v] += 1
+        after[t] = nexts = [] if v == last else follow(t)
+        for u in nexts:
+            if not seen[u]:
+                seen[u] = 1
+                todo.append(u)
+                reached += 1
+    order = []
+    ready = [] if entering[first] else [first]
+    while ready:
+        for t in out[ready.pop()]:
+            if seen[t]:
+                order.append((t, after[t]))
+                v = heads[t]
+                entering[v] -= 1
+                if not entering[v]:
+                    ready.append(v)
+    return order if len(order) == reached else None
+
+
 def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedPath]:
     """All minimal edge paths from start to end, with their sums.
 
@@ -640,10 +721,10 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     followed by the next step, which shares no cell with it, and so on
     to ``end``, so every step is live.  Dropping the rest loses no path
     and keeps the order in which the others are found.  ``nexts[t]``
-    lists the live traversals that may follow t (leaving its head and
-    sharing no cell with it), filled the first time it is needed:
-    filling it up front would cost the square of the degree at a fan
-    vertex such as 0/1 in the chain of 1/n.
+    lists the live traversals that may follow t (``_follower``: leaving
+    its head and sharing no cell with it), filled the first time it is
+    needed: filling it up front would cost the square of the degree at
+    a fan vertex such as 0/1 in the chain of 1/n.
 
     Most traversals have exactly one that may follow them, so the search
     moves over forced runs, not single steps.  The run from u takes u,
@@ -671,12 +752,11 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     last frame plus the terms of its last run.  Both tables depend on
     ``end``, so they live for one call.
     """
-    first, last = cx._ids.get(start), cx._ids.get(end)
-    if first is None or last is None or first == last:
-        raise ValueError(f"{start} and {end} are not two vertices of the complex")
+    first, last = _end_ids(cx, start, end)
     found: list[TypedPath] = []
-    out, c0, c1, heads = cx._out, cx._c0, cx._c1, cx._heads
+    out, heads = cx._out, cx._heads
     live = _live(cx, last)
+    follow = _follower(cx, live)
     step = _stepper(cx)
     nexts: list[list[int] | None] = [None] * len(heads)
     table: list[list[tuple] | None] = [None] * len(heads)
@@ -691,10 +771,7 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
             while heads[v] != last:
                 after = nexts[v]
                 if after is None:
-                    x0, x1 = c0[v >> 1], c1[v >> 1]
-                    nexts[v] = after = [
-                        w for w in out[heads[v]] if live[w]
-                        and x0 != c0[w >> 1] != x1 and x0 != c1[w >> 1] != x1]
+                    nexts[v] = after = follow(v)
                 if len(after) != 1 or heads[after[0]] in held:
                     break
                 v = after[0]

@@ -17,9 +17,15 @@ and beta (t = alpha/beta).  Two independent computations are provided:
 * ``m_form_edgewise`` sums, edge by edge, the intersection of the
   pulled-back longitudes with the train track carried by that edge.
 
-The two must agree exactly; ``oracle_check`` compares them on every
-minimal path of a link.  The paths and the check that each t = 1 path
-is a limit of Dt paths are ``diagram.link_paths`` and ``not_limits``.
+The two must agree exactly on every minimal path of a link, and
+``oracle_check`` proves they do without listing the paths: one forward
+pass over the traversals a walk from 1/0 can take (``diagram.walk_order``)
+gives each one a potential, push minus edgewise over the walk so far.
+The potential telescopes along every path, so when it is the same by
+every walk and zero at p/q, every path agrees; when the pass cannot
+tell, the paths are listed and compared one by one.  The paths and the
+check that each t = 1 path is a limit of Dt paths are
+``diagram.link_paths`` and ``not_limits``.
 
 Paths in the t = 1 diagram that use odd diagonals carry more general
 surfaces with one free branching weight n_i in [0, beta] per diagonal;
@@ -34,7 +40,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import Frac, INFINITY, TwoBridgeLink, linking_number
-from .diagram import TypedPath, _stepper, link_paths, not_limits
+from .diagram import (Diagrams, TypedPath, _stepper, link_paths, not_limits,
+                      walk_order)
 
 
 class MForm(NamedTuple):
@@ -73,6 +80,13 @@ def _check_parities(x: int, y: int, z: int, path: TypedPath) -> None:
                 f"parity x + y = 1 + q mod 2 violated on {path}: {(x, y, z)}")
 
 
+def _m_coeffs(k: int, n0: int, n1: int) -> tuple[int, int, int]:
+    """The (x, y, z) of the push sums (k, n0, n1) of a Dt path: linear,
+    so it also maps what one traversal adds to the sums to what it adds
+    to the form."""
+    return k - n1, n1, k - n1 - 2 * n0
+
+
 def m_form(path: TypedPath) -> MForm:
     """Intersection pair of a Dt path via straightening.
 
@@ -88,10 +102,7 @@ def m_form(path: TypedPath) -> MForm:
     """
     if path.kind != "Dt":
         raise ValueError("only Dt paths are straightened")
-    k, n0, n1 = path.sums
-    x = k - n1
-    y = n1
-    z = k - n1 - 2 * n0
+    x, y, z = _m_coeffs(*path.sums)
     _check_parities(x, y, z, path)
     return MForm(x, y, z)
 
@@ -145,6 +156,17 @@ def _track_contribution_free(g, sign: int) -> tuple[int, int, int, int]:
     return v if sign > 0 else (-v[0], -v[1], -v[2], -v[3])
 
 
+def _track_terms_d1(etype: str, g, sign: int) -> SymbolicM:
+    """What one traversal of a t = 1 edge adds to the edgewise
+    SymbolicM: a side adds to b1 and b2 only, an odd diagonal also one
+    free weight's coefficients."""
+    if etype == "A":
+        da, db, ea, eb = _track_contribution("A", g, sign)
+        return SymbolicM(da + db, ea + eb, (), ())     # alpha = beta at t = 1
+    c1, w1, c2, w2 = _track_contribution_free(g, sign)
+    return SymbolicM(c1, c2, (w1,), (w2,))
+
+
 def m_form_edgewise(path: TypedPath):
     """Independent intersection computation summing per-edge track
     contributions.
@@ -174,17 +196,12 @@ def m_form_edgewise(path: TypedPath):
         n1: list[int] = []
         n2: list[int] = []
         for t in path.trav:
-            sign = -1 if t & 1 else 1
-            if types[t >> 1] == "A":
-                da, db, ea, eb = _track_contribution("A", frames[t >> 1], sign)
-                b1 += da + db          # alpha = beta at t = 1
-                b2 += ea + eb
-            else:
-                c1, w1, c2, w2 = _track_contribution_free(frames[t >> 1], sign)
-                b1 += c1
-                b2 += c2
-                n1.append(w1)
-                n2.append(w2)
+            db1, db2, dn1, dn2 = _track_terms_d1(types[t >> 1], frames[t >> 1],
+                                                 -1 if t & 1 else 1)
+            b1 += db1
+            b2 += db2
+            n1 += dn1
+            n2 += dn2
         return SymbolicM(b1, b2, tuple(n1), tuple(n2))
     raise ValueError("edgewise computation handles Dt and D1 paths")
 
@@ -215,32 +232,149 @@ def s_form_symbolic(path: TypedPath) -> SymbolicM:
     (``diagram._stepper``), which the vertex before it does not change."""
     if path.kind != "D1":
         raise ValueError("s_form_symbolic takes a D1 path")
-    k = path.sums[0]
     step, types = _stepper(path.cx), path.cx._types
-    senses = [da - db for _, da, db, _, _ in
-              (step(t, 0, 0) for t in path.trav if types[t >> 1] == "C")]
-    return SymbolicM(
-        b1=k - 2 * sum(senses),
-        b2=k,
-        n1=tuple(2 * s for s in senses),
-        n2=tuple(-2 * s for s in senses),
-    )
+    return _symbolic(path.sums[0], [da - db for _, da, db, _, _ in
+                                    (step(t, 0, 0) for t in path.trav
+                                     if types[t >> 1] == "C")])
+
+
+def _symbolic(k: int, senses) -> SymbolicM:
+    """The push SymbolicM of determinant sum k and the senses of the
+    diagonals pushed, in order: linear, so it also gives what one
+    traversal adds, from its own term and senses."""
+    return SymbolicM(k - 2 * sum(senses), k, tuple(2 * s for s in senses),
+                     tuple(-2 * s for s in senses))
 
 
 class OracleReport(NamedTuple):
     """Both slope algorithms compared on every minimal path of one link:
     the number of Dt paths and of t = 1 paths through an odd diagonal
-    checked, and each (path, push value, edgewise value) that differs."""
+    checked, and each (path, push value, edgewise value) that differs.
+    The counts come from a forward pass when ``oracle_check``'s
+    certificate holds, and from the lists of paths when it falls back."""
 
     dt_paths: int
     d1_paths: int
     disagreements: tuple[tuple[TypedPath, object, object], ...]
 
 
+def _certify_dt(cx, end: Frac) -> int | None:
+    """The number of minimal Dt paths from 1/0 to end when every one of
+    them has the same form by push as by edgewise, by one forward pass
+    over ``walk_order``; None when the pass cannot tell.
+
+    After a traversal t of a walk, its state is the potential, push
+    minus edgewise over the walk so far in the coordinates (x, y, z,
+    mixed) of the forms, where push has mixed coefficient 0 and edgewise
+    xb - ya, then the parity of the push's determinant sum k, then the
+    last rational vertex (``_stepper``) after t.  Every walk that
+    reaches t must give t the same state, and every traversal into end
+    must have potential 0 and k = 1 + q mod 2 (``_check_parities``).
+    """
+    order = walk_order(cx, INFINITY, end)
+    if order is None:
+        return None
+    step, types, frames = _stepper(cx), cx._types, cx._frames
+    ends, heads = cx._ends, cx._heads
+    first, last = cx._ids[INFINITY], cx._ids[end]
+    # The start is one more entry, with 1/0 as its last rational vertex
+    # and the traversals leaving it after it.
+    root = len(heads)
+    states: list[tuple | None] = [None] * root + [(0, 0, 0, 0, 0, 1, 0)]
+    count = [0] * root + [1]            # walks from 1/0 through t
+    for t, nexts in [(root, [t for t, _ in order if ends[t] == first]), *order]:
+        p0, p1, p2, p3, parity, pn, pd = states[t]
+        c = count[t]
+        for u in nexts:
+            dk, da, db, qn, qd = step(u, pn, pd)
+            x, y, z = _m_coeffs(dk, da, db)
+            xa, xb, ya, yb = _track_contribution(types[u >> 1], frames[u >> 1],
+                                                 -1 if u & 1 else 1)
+            reached = (p0 + x - xa, p1 + y - xb, p2 + z - yb, p3 + ya - xb,
+                       (parity + dk) & 1, qn, qd)
+            state = states[u]
+            if state is None:
+                states[u] = reached
+            elif state != reached:
+                return None
+            count[u] += c
+    done = (0, 0, 0, 0, (1 + end.den) & 1)
+    paths = 0
+    for t, _ in order:
+        if heads[t] == last:
+            if states[t][:5] != done:
+                return None
+            paths += count[t]
+    return paths
+
+
+def _certify_d1(cx, end: Frac) -> int | None:
+    """The number of minimal t = 1 paths from 1/0 to end through an odd
+    diagonal when each of them has the same SymbolicM by push as by
+    edgewise, by one forward pass over ``walk_order``; None when the
+    pass cannot tell.
+
+    Every vertex of D1 is rational, so the last one before a traversal
+    is its tail, and what the traversal adds by either algorithm depends
+    on it alone: each traversal a walk can take must add the same terms
+    (b1, b2, n1, n2) both ways.  The paths through a diagonal are all
+    the paths less those with none.
+    """
+    order = walk_order(cx, INFINITY, end)
+    if order is None:
+        return None
+    step, types, frames = _stepper(cx), cx._types, cx._frames
+    verts, ends, heads = cx._verts, cx._ends, cx._heads
+    first, last = cx._ids[INFINITY], cx._ids[end]
+    count = [0] * len(heads)            # walks from 1/0 through t
+    plain = [0] * len(heads)            # those of them with no diagonal
+    for t, _ in order:
+        if ends[t] == first:
+            count[t] = 1
+            plain[t] = int(types[t >> 1] != "C")
+    paths = 0
+    for t, nexts in order:
+        pn, pd = verts[ends[t]]
+        dk, da, db, _, _ = step(t, pn, pd)
+        diagonal = types[t >> 1] == "C"
+        if (_symbolic(dk, [da - db] if diagonal else [])
+                != _track_terms_d1(types[t >> 1], frames[t >> 1], -1 if t & 1 else 1)):
+            return None
+        c, n = count[t], plain[t]
+        if heads[t] == last:
+            paths += c - n
+        for u in nexts:
+            count[u] += c
+            if types[u >> 1] != "C":
+                plain[u] += n
+    return paths
+
+
 def oracle_check(link: TwoBridgeLink) -> OracleReport:
     """Compare the push and the edgewise computation on every minimal Dt
     path and every minimal t = 1 path through an odd diagonal, the paths
-    ``slope_families`` reads (``diagram.link_paths``)."""
+    ``slope_families`` reads (``diagram.link_paths``).
+
+    First by a certificate, one forward pass over each complex in
+    ``walk_order``, which lists no path.  Its potential, push minus
+    edgewise over a walk so far, telescopes: along any path the value
+    at the end is the sum of what each step adds, so when every walk
+    into a traversal gives it the same potential and the potential is 0
+    on every traversal into p/q, every path agrees.  Every minimal path
+    is a walk, and when the walks' vertex graph has no cycle every walk
+    is a minimal path, so the pass's sums of counts are the path counts.
+    When the order has a cycle, or the potential is not well defined or
+    not 0 at p/q, the certificate cannot decide and the paths are
+    listed and compared one by one, so a failure is reported path by
+    path, as ``m_form``, ``m_form_edgewise`` and ``s_form_symbolic``
+    find it.
+    """
+    diagrams = Diagrams(link)
+    end = link.fraction()
+    dt = _certify_dt(diagrams.dt, end)
+    c = None if dt is None else _certify_d1(diagrams.d1, end)
+    if c is not None:
+        return OracleReport(dt, c, ())
     _diagrams, dt_paths, c_paths = link_paths(link)
     bad = tuple((path, push, track)
                 for paths, push_form in ((dt_paths, m_form), (c_paths, s_form_symbolic))

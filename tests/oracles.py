@@ -12,8 +12,10 @@ matrices and side list of a quadrilateral, the lookup of a traversal
 by its two vertices, with which the collapse checks redo ``collapse``
 by value, the minimality test of a path, the traversals that can lead
 on to a vertex and the minimal paths found by plain recursion, which
-only the construction and path checks use, and the links the tests
-draw or walk: the one conversion of an expansion into a link, the
+only the construction and path checks use, the push-against-edgewise
+comparison path by path that ``slopes.oracle_check`` replaces with a
+certificate, with the faults planted to test it, and the links the
+tests draw or walk: the one conversion of an expansion into a link, the
 enumeration of link types by recursion over expansions, the strategy
 that draws links by expansion, and the deep chains.  Last come the
 small helpers more than one test module reads.
@@ -29,8 +31,10 @@ from hypothesis import strategies as st
 from twobridge.arith import (INFINITY, ContFrac, Frac, GMat, TwoBridgeLink,
                              canonical_rep, crossing_number, frac_cmp,
                              make_link)
-from twobridge.diagram import Corner, Diagrams, TypedPath, minimal_paths
-from twobridge.slopes import MForm
+from twobridge.diagram import (Corner, Diagrams, TypedPath, _stepper,
+                               link_paths, minimal_paths)
+from twobridge.slopes import (MForm, _track_contribution, m_form,
+                              m_form_edgewise, s_form_symbolic)
 
 ROT = GMat.make(1, -1, 2, -1)    # half-turn of the base quadrilateral
 SHIFT = GMat.make(1, 1, 0, 1)    # next frame around the vertex 1/0
@@ -237,6 +241,42 @@ def sums_reference(path) -> tuple[int, int, int]:
         return (delta_sum(path.rationals()), 0, 0)
     seq, senses = d1_pushes(path)
     return (delta_sum(seq), senses.count(1), senses.count(-1))
+
+
+def compare_paths(link):
+    """``slopes.oracle_check`` the plain way, as (Dt paths, t = 1 paths
+    through an odd diagonal, disagreements): every path of
+    ``link_paths`` listed, and each one whose push value (``m_form`` or
+    ``s_form_symbolic``) differs from its ``m_form_edgewise`` given as
+    (diagram kind, traversals, push value, edgewise value)."""
+    _diagrams, dt, c = link_paths(link)
+    bad = [(path.kind, path.trav, push, track)
+           for paths, push_form in ((dt, m_form), (c, s_form_symbolic))
+           for path in paths
+           if (push := push_form(path)) != (track := m_form_edgewise(path))]
+    return len(dt), len(c), bad
+
+
+def shifted_track_contribution(etype, g, sign):
+    """A fault on the edgewise side, for ``slopes._track_contribution``:
+    every edge adds 2 more to M1's alpha coefficient, which keeps every
+    parity."""
+    a, b, c, d = _track_contribution(etype, g, sign)
+    return a + 2, b, c, d
+
+
+def shifted_stepper(cx):
+    """A fault on the push side, for ``_stepper`` in ``diagram`` and in
+    ``slopes``: every traversal of a C edge (a rectangle side cutting off
+    an even vertex, or an odd diagonal) adds 2 more to the determinant
+    sum, which keeps every parity."""
+    step, types = _stepper(cx), cx._types
+
+    def shifted(u, pn, pd):
+        dk, da, db, qn, qd = step(u, pn, pd)
+        return dk + 2 * (types[u >> 1] == "C"), da, db, qn, qd
+
+    return shifted
 
 
 def link_of(*terms):

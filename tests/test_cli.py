@@ -13,6 +13,8 @@ from twobridge.corpus_data import CORPUS
 from twobridge.slopes import oracle_check, slope_families
 from twobridge.tables import verify_corpus
 
+from oracles import shifted_track_contribution
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -211,13 +213,14 @@ class TestOracleCheckCommand:
         assert "all agree" in out
 
     def test_disagreements_fail_the_check(self, capsys, monkeypatch):
-        # An edgewise form equal to no push form: every path disagrees.
-        monkeypatch.setattr("twobridge.slopes.m_form_edgewise",
-                            lambda path: "wrong")
+        # Every edge adds 2 more to the edgewise M1's alpha coefficient,
+        # which keeps every parity: every path disagrees.
+        monkeypatch.setattr("twobridge.slopes._track_contribution",
+                            shifted_track_contribution)
         rc, out, err = run(capsys, "oracle-check", "--max-crossings", "5")
-        expected = [f"{link}: {path}: {push} != wrong"
+        expected = [f"{link}: {path}: {push} != {track}"
                     for link in enumerate_links(5)
-                    for path, push, _ in oracle_check(link).disagreements]
+                    for path, push, track in oracle_check(link).disagreements]
         assert rc == 1
         assert err.splitlines() == expected
         assert out == (f"checked 3 links, {len(expected)} paths: "

@@ -12,7 +12,8 @@ from twobridge.arith import (Frac, GMat, INFINITY, TwoBridgeLink,
 from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
                                Edge, Quad, TypedPath, _live,
                                build_diagram, collapse, link_paths,
-                               minimal_paths, not_limits, quad_chain)
+                               minimal_paths, not_limits, quad_chain,
+                               walk_order)
 from twobridge.slopes import m_form, m_form_edgewise
 
 from oracles import (ROT, SHIFT, edge_cells, frac, fractions_of_type,
@@ -309,6 +310,42 @@ class TestMinimalPaths:
                     live = _live(cx, cx._ids[end])
                     assert ({t for t, x in enumerate(live) if x}
                             == want), (d.link, cx.kind, end)
+
+
+class TestWalkOrder:
+    def test_a_cycle_leaves_no_order(self):
+        # The complex of test_a_path_never_revisits_a_vertex: a walk may
+        # go round the triangle 0/1, 1/3, 1/2 and come back to 0/1.
+        cx = hand_built_d0([INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(1, 1)],
+                           [((0, 1), (0, 0)), ((1, 2), (1, 5)), ((2, 3), (2, 2)),
+                            ((3, 1), (3, 5)), ((1, 4), (4, 4))])
+        assert walk_order(cx, INFINITY, frac(1, 1)) is None
+
+    def test_walks_are_the_minimal_paths(self, paths_through_12):
+        # Every traversal comes before those that may follow it; the
+        # traversals are those of the minimal paths, every step of a path
+        # is a transition, and counts summed forward give the number of
+        # paths.
+        for r in paths_through_12:
+            end = r.link.fraction()
+            d0 = minimal_paths(r.diagrams.d0, INFINITY, end)
+            for cx, paths in ((r.diagrams.dt, r.dt), (r.diagrams.d1, r.d1),
+                              (r.diagrams.d0, d0)):
+                order = walk_order(cx, INFINITY, end)
+                position = {t: i for i, (t, _) in enumerate(order)}
+                assert set(position) == {t for p in paths for t in p.trav}
+                count = {t: int(cx._ends[t] == cx._ids[INFINITY]) for t in position}
+                steps = set()
+                for t, nexts in order:
+                    for u in nexts:
+                        assert position[t] < position[u], (r.link, cx.kind)
+                        assert cx._ends[u] == cx._heads[t]
+                        assert edge_cells(cx, t >> 1).isdisjoint(edge_cells(cx, u >> 1))
+                        count[u] += count[t]
+                        steps.add((t, u))
+                assert steps >= {s for p in paths for s in zip(p.trav, p.trav[1:])}
+                assert sum(count[t] for t in position
+                           if cx._heads[t] == cx._ids[end]) == len(paths), (r.link, cx.kind)
 
 
 class TestPathSums:

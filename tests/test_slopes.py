@@ -4,8 +4,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from twobridge import slopes
-from twobridge.arith import GMat, INFINITY, TwoBridgeLink, make_link
+from twobridge import diagram, slopes
+from twobridge.arith import (GMat, INFINITY, TwoBridgeLink, enumerate_links,
+                             make_link)
 from twobridge.diagram import (Diagrams, TypedPath, build_diagram, collapse,
                                link_paths, minimal_paths, not_limits)
 from twobridge.slopes import (MForm, SForm, SlopeFamily, _track_contribution,
@@ -14,8 +15,9 @@ from twobridge.slopes import (MForm, SForm, SlopeFamily, _track_contribution,
                               s_form_symbolic, slope_families, to_preferred)
 from twobridge.tables import render_key
 
-from oracles import (d1_pushes, delta_sum, dt_paths, expected_surgery_mforms,
-                     frac, links, straighten)
+from oracles import (compare_paths, d1_pushes, delta_sum, dt_paths,
+                     expected_surgery_mforms, frac, links, shifted_stepper,
+                     shifted_track_contribution, straighten)
 
 
 # The paper's worked example: 2k + 3 crossings, so k = 125 has 253.
@@ -200,6 +202,62 @@ class TestAgainstEveryPath:
         self.check(slope_families(link),
                    minimal_paths(d.dt, INFINITY, link.fraction()),
                    minimal_paths(d.d1, INFINITY, link.fraction()))
+
+
+def c_count(d1_paths):
+    """How many of the t = 1 paths take an odd diagonal."""
+    return sum(1 for p in d1_paths if p.sums[1] + p.sums[2] > 0)
+
+
+class TestOracleCertificate:
+    """oracle_check decides by one forward pass per complex, and lists
+    the paths only when that pass cannot."""
+
+    @pytest.mark.parametrize("fault", ["edgewise", "push"])
+    def test_a_fault_gives_the_per_path_report(self, fault, monkeypatch):
+        # A planted fault on either side makes the certificate fail, and
+        # the report is then the per-path one, disagreement for
+        # disagreement.
+        if fault == "edgewise":
+            monkeypatch.setattr(slopes, "_track_contribution",
+                                shifted_track_contribution)
+        else:
+            for module in (diagram, slopes):
+                monkeypatch.setattr(module, "_stepper", shifted_stepper)
+        disagreements = 0
+        for link in enumerate_links(8):
+            report = oracle_check(link)
+            got = [(path.kind, path.trav, push, track)
+                   for path, push, track in report.disagreements]
+            assert (report.dt_paths, report.d1_paths, got) == compare_paths(link), link
+            disagreements += len(got)
+        assert disagreements > 0
+
+    def test_counts_equal_the_enumerator_through_14_crossings(self, paths_through_14):
+        for r in paths_through_14:
+            end = r.link.fraction()
+            assert slopes._certify_dt(r.diagrams.dt, end) == len(r.dt), r.link
+            assert slopes._certify_d1(r.diagrams.d1, end) == c_count(r.d1), r.link
+
+    def test_counts_equal_the_enumerator_on_deep_chains(self, deep_chains):
+        for d in deep_chains[::4]:
+            end = d.link.fraction()
+            assert (slopes._certify_dt(d.dt, end)
+                    == len(minimal_paths(d.dt, INFINITY, end))), d.link
+            assert (slopes._certify_d1(d.d1, end)
+                    == c_count(minimal_paths(d.d1, INFINITY, end))), d.link
+
+    def test_lists_no_path_through_12_crossings(self, monkeypatch, paths_through_12):
+        def refuse(link):
+            raise AssertionError(f"{link}: paths listed")
+
+        monkeypatch.setattr(slopes, "link_paths", refuse)
+        for r in paths_through_12:
+            assert oracle_check(r.link) == (len(r.dt), c_count(r.d1), ()), r.link
+
+    def test_a_38_crossing_link(self):
+        # 415,274 paths, none of them listed.
+        assert oracle_check(make_link(39088169, 63245986)) == (373464, 41810, ())
 
 
 class TestFamilyAssembly:
