@@ -34,13 +34,18 @@ Three diagrams are built over a chain:
     D  rectangle side cutting off an odd vertex
 
 Each quadrilateral after the first shares exactly one side with the
-chain before it, so the builders number vertices, edges and cells by
-position: only the shared side's vertices and edges already exist.  They
-append each new edge, its two cells among them, to flat per-edge lists
-of ints and shared values.  A path is a tuple of traversal numbers
-(``2*e`` runs edge e forward, ``2*e + 1`` backward), and every view of
-it is read from those ints; the ``Edge`` objects of a complex are made,
-all at once, only when something displays them.
+chain before it, and brings two new rationals.  One walk over a chain
+numbers its rationals in that order, records each quadrilateral's four
+ids and shared side, and ranks the rationals by value, once: the chain's
+skeleton (``Chain.skeleton``).  Every complex over the chain takes its
+rationals' ids and ranks from it, and Dt numbers its midpoints after
+them.  The builders number edges and cells by position, since only the
+shared side's edges already exist, and append each new edge, its two
+cells among them, to flat per-edge lists of ints and shared values.  A
+path is a tuple of traversal numbers (``2*e`` runs edge e forward,
+``2*e + 1`` backward), and every view of it is read from those ints;
+the ``Edge`` objects of a complex are made, all at once, only when
+something displays them.
 
 An edge path is minimal if no two consecutive edges lie in a common
 cell.  Minimal paths from 1/0 to p/q index the spanning surfaces, and
@@ -63,10 +68,12 @@ otherwise.
 ``link_paths`` lists the paths every slope comes from; ``not_limits``,
 the t = 1 paths among them that are the ``collapse`` of no Dt path.
 The first ``collapse`` into D1 or D0 maps every Dt traversal there at
-once: the image of each Dt vertex is looked up by value, once, and each
-Dt edge by the ids of its ends' images.  A path then collapses by
-reading off its traversals' images.  Past that pass and the two ends of
-a search, the engine looks up no vertex by value.
+once, by ids alone: a rational keeps its id, a midpoint goes to the id
+of its side's odd endpoint in D1 and of its even one in D0, and each Dt
+edge to the target edge between its ends' images.  A path then
+collapses by reading off its traversals' images.  Only the skeleton's
+walk, Dt's numbering of its midpoints and the two ends of a search look
+a vertex up by value; ``collapse`` looks up none.
 """
 
 from __future__ import annotations
@@ -163,7 +170,63 @@ _CROSSINGS = (
 )
 
 
-def quad_chain(link: TwoBridgeLink) -> list[Quad]:
+class _Skeleton:
+    """The numbering that every complex over one chain shares.
+
+    ``ids`` numbers the chain's rationals in the order they are first
+    seen, so its keys list them by id.  ``quads[i]`` is (id of p1, p2,
+    p3, p4, shared side) for quadrilateral i, the shared side numbered as
+    in ``Quad`` (None for the first quadrilateral): each one after the
+    first shares exactly one side with the chain before it, and its two
+    vertices off that side are new.  ``rank[i]`` is the place of rational
+    i in value order, 1/0 last.
+    """
+
+    __slots__ = ("ids", "quads", "rank")
+
+    def __init__(self, chain: list[Quad]):
+        self.ids = ids = {}
+        self.quads = quads = []
+
+        def new(v: Frac) -> int:
+            if v in ids:
+                raise RuntimeError(f"vertex {v} of the chain numbered twice")
+            vid = ids[v] = len(ids)
+            return vid
+
+        for quad in chain:
+            p1, p2, p3, p4 = quad.vertices()
+            if not ids:
+                quads.append((new(p1), new(p2), new(p3), new(p4), None))
+                continue
+            try:
+                if p1 in ids:
+                    i1, i4 = ids[p1], new(p4)
+                    quads.append((i1, ids[p2], new(p3), i4, 0) if p2 in ids
+                                 else (i1, new(p2), ids[p3], i4, 3))
+                else:
+                    i1, i4 = new(p1), ids[p4]
+                    quads.append((i1, ids[p2], new(p3), i4, 1) if p2 in ids
+                                 else (i1, new(p2), ids[p3], i4, 2))
+            except KeyError:
+                raise RuntimeError(f"quadrilateral {quad.g} shares no side "
+                                   f"with the chain before it") from None
+        self.rank = rank = [0] * len(ids)
+        for r, v in enumerate(sorted(ids, key=Frac.key)):
+            rank[ids[v]] = r
+
+
+class Chain(list):
+    """The quadrilaterals of a chain, in order, as ``quad_chain`` gives
+    them.  ``skeleton``, made on first use, numbers the chain's rationals
+    for every complex built over it."""
+
+    @cached_property
+    def skeleton(self) -> _Skeleton:
+        return _Skeleton(self)
+
+
+def quad_chain(link: TwoBridgeLink) -> Chain:
     """The minimal chain of quadrilaterals from 1/0 to p/q.
 
     Starts at the base quadrilateral and repeatedly crosses the side
@@ -173,7 +236,7 @@ def quad_chain(link: TwoBridgeLink) -> list[Quad]:
     """
     n, m = link.p, link.q
     g = GMat(1, 0, 0, 1)
-    chain = [Quad.of(g)]
+    chain = Chain([Quad.of(g)])
     while True:
         if m < 0:
             n, m = -n, -m
@@ -364,31 +427,40 @@ class _Shape:
 class DiagramComplex:
     """Vertices, typed edges and 2-cells of one diagram over a chain.
 
-    ``_ids`` numbers the vertices in the order they are first seen, so
-    its keys list them by id.  Cell j of quadrilateral i is cell
-    i * (cells per quadrilateral) + j, in the order each builder gives.
-    An edge lies in one cell of each quadrilateral it belongs to, so in
-    at most two.  The builders file edge e as entry e of flat per-edge
-    lists of ints and shared values: ``_types`` (its letter), ``_ends``
-    (the ids of its tail at 2*e and head at 2*e + 1), ``_frames``,
-    ``_detours`` and ``_cells`` (its cells at 2*e and 2*e + 1, the same
-    cell twice until a second quadrilateral adds its own).  ``_freeze``
-    splits the cells into ``_c0`` and ``_c1`` (edge e lies in cells
-    ``_c0[e]`` and ``_c1[e]``) and makes ``_index``, which maps tail id
-    * |V| + head id to the edge.  Traversals are numbered 2*e (edge e
-    tail to head) and 2*e + 1 (head to tail); traversal t leaves vertex
-    ``_ends[t]`` and reaches vertex ``_heads[t]``.  ``_out[v]`` lists the
-    traversals leaving vertex v in the order the path search tries them.
-    ``edges[e]`` is the ``Edge`` of edge e, made for display on the
-    first read.  ``_image``, filled by the first ``collapse`` into this
-    complex, lists the image here of every traversal of the Dt complex
-    over the same chain.
+    ``_ids`` numbers the vertices, so its keys list them by id: first the
+    rationals, with the ids of the chain's skeleton (``Chain.skeleton``),
+    then, in Dt, the midpoints in the order the builder meets them.  The
+    midpoint with id (number of rationals) + j lies on the side whose
+    even and odd endpoints have the ids ``_mid_ends[2*j]`` and
+    ``_mid_ends[2*j + 1]``.  ``_rank[v]`` is the place of vertex v in
+    ``vertices()``; a complex filed by hand, with no ranks from a
+    skeleton, keeps the order in which it numbered its vertices.
+
+    Cell j of quadrilateral i is cell i * (cells per quadrilateral) + j,
+    in the order each builder gives.  An edge lies in one cell of each
+    quadrilateral it belongs to, so in at most two.  The builders file
+    edge e as entry e of flat per-edge lists of ints and shared values:
+    ``_types`` (its letter), ``_ends`` (the ids of its tail at 2*e and
+    head at 2*e + 1), ``_frames``, ``_detours`` and ``_cells`` (its cells
+    at 2*e and 2*e + 1, the same cell twice until a second quadrilateral
+    adds its own).  ``_freeze`` splits the cells into ``_c0`` and ``_c1``
+    (edge e lies in cells ``_c0[e]`` and ``_c1[e]``) and makes
+    ``_index``, which maps tail id * |V| + head id to the edge.
+    Traversals are numbered 2*e (edge e tail to head) and 2*e + 1 (head
+    to tail); traversal t leaves vertex ``_ends[t]`` and reaches vertex
+    ``_heads[t]``.  ``_out[v]`` lists the traversals leaving vertex v in
+    the order the path search tries them.  ``edges[e]`` is the ``Edge``
+    of edge e, made for display on the first read.  ``_image``, filled by
+    the first ``collapse`` into this complex, lists the image here of
+    every traversal of the Dt complex over the same chain.
     """
 
     def __init__(self, kind: str, chain: list[Quad]):
         self.kind = kind
-        self.chain = chain
+        self.chain = chain if isinstance(chain, Chain) else Chain(chain)
         self._ids: dict[Vertex, int] = {}
+        self._rank: list[int] | None = None
+        self._mid_ends: list[int] = []
         self._types: list[str] = []
         self._ends: list[int] = []
         self._frames: list[GMat] = []
@@ -407,27 +479,12 @@ class DiagramComplex:
         vid = self._ids[v] = len(self._ids)
         return vid
 
-    def _quad_ids(self, quad: Quad) -> tuple[int, int, int, int, int | None]:
-        """Ids of p1..p4 and the number (as in ``Quad``) of the side
-        the quadrilateral shares with the chain built so far (None for
-        the first one).  The two vertices off that side get new ids."""
-        ids, new = self._ids, self._new_vertex
-        p1, p2, p3, p4 = quad.vertices()
-        if not ids:
-            return new(p1), new(p2), new(p3), new(p4), None
-        try:
-            if p1 in ids:
-                i1, i4 = ids[p1], new(p4)
-                if p2 in ids:
-                    return i1, ids[p2], new(p3), i4, 0
-                return i1, new(p2), ids[p3], i4, 3
-            i1, i4 = new(p1), ids[p4]
-            if p2 in ids:
-                return i1, ids[p2], new(p3), i4, 1
-            return i1, new(p2), ids[p3], i4, 2
-        except KeyError:
-            raise RuntimeError(f"quadrilateral {quad.g} of {self.kind} shares "
-                               f"no side with the chain before it") from None
+    def _number_rationals(self) -> list[tuple[int, int, int, int, int | None]]:
+        """Give the complex the ids and value ranks of its chain's
+        rationals, from the skeleton; return the skeleton's ``quads``."""
+        skeleton = self.chain.skeleton
+        self._ids, self._rank = dict(skeleton.ids), skeleton.rank
+        return skeleton.quads
 
     def _file(self, shape: _Shape, shared: int | None, ends: tuple,
               frames: tuple, detours: tuple, cells: tuple) -> None:
@@ -471,16 +528,22 @@ class DiagramComplex:
         self._c0, self._c1 = cells[0::2], cells[1::2]
         self._heads = reached = ends[:]
         reached[0::2], reached[1::2] = heads, tails
-        # Vertex order: rationals by value, then midpoints by their two
-        # endpoints.
-        rationals = sorted((v for v in verts if isinstance(v, Frac)), key=Frac.key)
-        value_rank = {v: i for i, v in enumerate(rationals)}
-        corners = sorted((v for v in verts if isinstance(v, Corner)),
-                         key=lambda c: (value_rank[c.lo], value_rank[c.hi]))
-        self._order = rationals + corners
-        rank = [0] * n
-        for r, v in enumerate(self._order):
-            rank[self._ids[v]] = r
+        # The builders give the rationals their value ranks; Dt's
+        # midpoints follow, ordered by the ranks of their side's lower
+        # endpoint, then of its upper one.
+        rank = self._rank
+        if rank is None:
+            rank = list(range(n))
+        elif self._mid_ends:
+            r, mid = len(rank), self._mid_ends
+            even = list(map(rank.__getitem__, mid[0::2]))
+            odd = list(map(rank.__getitem__, mid[1::2]))
+            keys = list(map(add, map(mul, map(min, even, odd), repeat(r)),
+                            map(max, even, odd)))
+            rank = rank + [0] * len(keys)
+            for i, j in enumerate(sorted(range(len(keys)), key=keys.__getitem__), r):
+                rank[r + j] = i
+        self._rank = rank
         # Traversals leave a vertex by edge type, then by the rank of
         # their end vertex.  No two edges join the same pair, so this
         # integer key tells apart all traversals leaving one vertex.
@@ -505,7 +568,12 @@ class DiagramComplex:
     # -- queries -----------------------------------------------------
 
     def vertices(self) -> list[Vertex]:
-        return list(self._order)
+        """The vertices in order: the rationals by value, then the
+        midpoints by the values of their side's endpoints."""
+        order: list = [None] * len(self._verts)
+        for v, r in zip(self._verts, self._rank):
+            order[r] = v
+        return order
 
 
 # Each builder files its edges per quadrilateral in this order.  Dt: the
@@ -513,15 +581,21 @@ class DiagramComplex:
 # rectangle's sides C (at p1, p4) and D (at p2, p3).  D1 and D0: the
 # sides 0 to 3, then the diagonal.
 _DT = _Shape("AAAABBBBCCDD", (0, 3, 2, 1, 0, 3, 2, 1, -1, -1, -1, -1))
+# Dt's new midpoints are numbered in the order of their sides, 0 to 3,
+# past the shared one.  ``_NEW_SIDES[shared]`` picks their sides' (even,
+# odd) endpoint ids from the pairs of all four sides, (p1, p2), (p4, p2),
+# (p4, p3) and (p1, p3).
+_NEW_SIDES = {s: itemgetter(*[i for t in range(4) if t != s for i in (2 * t, 2 * t + 1)])
+              for s in (None, 0, 1, 2, 3)}
 _D1 = _Shape("AAAAC", (0, 1, 2, 3, -1))
 _D0 = _Shape("BBBBD", (0, 1, 2, 3, -1))
 
 
 def _build_dt(cx: DiagramComplex) -> None:
-    ids, new, file = cx._ids, cx._new_vertex, cx._file
-    for qi, quad in enumerate(cx.chain):
+    quads = cx._number_rationals()
+    ids, new, file, mid_ends = cx._ids, cx._new_vertex, cx._file, cx._mid_ends
+    for qi, (quad, (i1, i2, i3, i4, shared)) in enumerate(zip(cx.chain, quads)):
         g, p1, p2, p3, p4, gs, gr, grs = quad
-        i1, i2, i3, i4, shared = cx._quad_ids(quad)
         # The midpoints of sides 0 to 3, each with the lower endpoint of
         # its side first.  A side's frame, normalised with determinant
         # one, carries 1/0 and 0/1 to its endpoints x/z and y/w.  Here
@@ -533,6 +607,7 @@ def _build_dt(cx: DiagramComplex) -> None:
                 _new(Corner, (p1, p3) if gs.d < 0 else (p3, p1)))
         j12, j24, j43, j31 = [ids[m] if s == shared else new(m)
                               for s, m in enumerate(mids)]
+        mid_ends += _NEW_SIDES[shared]((i1, i2, i4, i2, i4, i3, i1, i3))
         c = 5 * qi       # corners at p1, p4, p2, p3, then the rectangle
         file(_DT, shared,
              (i1, j12, i1, j31, i4, j43, i4, j24,
@@ -546,11 +621,10 @@ def _build_dt(cx: DiagramComplex) -> None:
 
 
 def _build_d1(cx: DiagramComplex) -> None:
-    file = cx._file
-    for qi, quad in enumerate(cx.chain):
+    quads, file = cx._number_rationals(), cx._file
+    for qi, (quad, (i1, i2, i3, i4, shared)) in enumerate(zip(cx.chain, quads)):
         g, p1, p2, p3, p4, gs, gr, grs = quad
         a, b, c, d = g
-        i1, i2, i3, i4, shared = cx._quad_ids(quad)
         k = 2 * qi       # triangles at p1 and p4
         file(_D1, shared, (i1, i2, i4, i2, i4, i3, i1, i3, i3, i2),
              (g, grs, gr, gs, _frame(a + b, b, c + d, d)),
@@ -559,10 +633,9 @@ def _build_d1(cx: DiagramComplex) -> None:
 
 
 def _build_d0(cx: DiagramComplex) -> None:
-    file = cx._file
-    for qi, quad in enumerate(cx.chain):
+    quads, file = cx._number_rationals(), cx._file
+    for qi, (quad, (i1, i2, i3, i4, shared)) in enumerate(zip(cx.chain, quads)):
         g, p1, p2, p3, p4, gs, gr, grs = quad
-        i1, i2, i3, i4, shared = cx._quad_ids(quad)
         c = 2 * qi       # triangles at p2 and p3
         file(_D0, shared, (i2, i1, i2, i4, i3, i4, i3, i1, i1, i4),
              (g, grs, gr, gs, g), (None, None, None, None, None),
@@ -819,15 +892,18 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
 
     Midpoints slide to the odd endpoint of their side in D1 and to the
     even endpoint in D0; edges whose endpoints merge disappear.  The
-    first collapse into the target maps every Dt traversal at once:
-    each Dt vertex id goes to the target id of its image, and each Dt
-    edge through the target's ``_index`` by that pair of ids, read
-    forward or backward.  ``target._image[t]`` is the target traversal
-    that Dt traversal t maps to, or -1 when its endpoints merge.  The
-    Dt complex must be over the target's chain, whose builder numbers
-    the traversals the same way every time, so one list serves every
-    Dt path of the chain, and a path maps through it to the tuple of
-    its target traversals.
+    first collapse into the target maps every Dt traversal at once, and
+    looks up no vertex by value.  Over one chain a rational has the same
+    id in Dt and the target (both take it from the chain's skeleton), so
+    it keeps its id; a midpoint goes to the id of its side's odd
+    endpoint (D1) or even endpoint (D0), read from Dt's ``_mid_ends``.
+    Each Dt edge goes through the target's ``_index`` by that pair of
+    ids, read forward or backward.  ``target._image[t]`` is the target
+    traversal that Dt traversal t maps to, or -1 when its endpoints
+    merge.  The Dt complex must be over the target's chain, whose
+    builders number the traversals the same way every time, so one list
+    serves every Dt path of the chain, and a path maps through it to the
+    tuple of its target traversals.
     """
     source = path.cx
     if source.kind != "Dt":
@@ -838,10 +914,8 @@ def collapse(path: TypedPath, target: DiagramComplex) -> TypedPath:
         raise ValueError("a Dt path collapses only into a diagram over its chain")
     image = target._image
     if image is None:
-        ids, index, odd = target._ids, target._index, target.kind == "D1"
-        n = len(ids)
-        down = [ids[v if isinstance(v, Frac) else v.lo if v.lo.den % 2 == odd
-                    else v.hi] for v in source._verts]
+        index, n = target._index, len(target._verts)
+        down = [*range(n), *source._mid_ends[target.kind == "D1"::2]]
         image = []
         for u, v in zip(map(down.__getitem__, source._ends[0::2]),
                         map(down.__getitem__, source._ends[1::2])):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
@@ -515,12 +516,6 @@ class TestCollapseByTraversal:
                 Diagrams(make_link(p, q)) for p, q in self.LONG.values()]:
             self.check_image(d)
 
-    def test_collapse_of_deep_chains(self, deep_chains):
-        # Long chains of one or two large terms, whose Dt paths touch
-        # few of their traversals.
-        for d in deep_chains[::29]:
-            self.check_image(d)
-
     def test_edges_made_on_first_read(self):
         # The search, collapse and the limit check run on traversal
         # numbers alone: after them no Edge exists.  The first read of
@@ -772,3 +767,50 @@ class TestDiagonalSense:
     def test_deep_chains(self, deep_chains):
         for d in deep_chains:
             self.check(d.chain, build_diagram(d.chain, "D1"))
+
+
+class TestOneNumberingPerChain:
+    """Dt, D1 and D0 over one chain give its rationals the same ids, list
+    their vertices in value order, and the first ``collapse`` into D1 or
+    D0 maps by those ids what the projection by value maps.  The checks
+    compare values exactly by cross-multiplying and look vertices up by
+    value, so they use neither ``Frac.key`` nor the chain's skeleton."""
+
+    @staticmethod
+    def check(chain, dt, d1, d0):
+        # The rationals by value, 1/0 last, then the midpoints by the
+        # places of their endpoints among the rationals.
+        r = len(d1._verts)
+        order = dt.vertices()
+        rationals, midpoints = order[:r], order[r:]
+        assert set(rationals) == {v for quad in chain for v in quad.vertices()}
+        assert rationals[-1] == INFINITY
+        assert all(u.num * v.den < v.num * u.den
+                   for u, v in zip(rationals, rationals[1:-1]))
+        place = {v: i for i, v in enumerate(rationals)}
+        ends = [sorted((place[m.lo], place[m.hi])) for m in midpoints]
+        assert all(map(lt, ends, ends[1:]))
+        assert d1.vertices() == d0.vertices() == rationals
+        ids = {v: i for v, i in dt._ids.items() if type(v) is Frac}
+        assert d1._ids == d0._ids == ids
+        for target, parity in ((d1, 1), (d0, 0)):
+            collapse(TypedPath(dt, (0,)), target)
+            down = [target._ids[v if type(v) is Frac else
+                                v.lo if v.lo.den % 2 == parity else v.hi]
+                    for v in dt._verts]
+            want = [None if a == b else (a, b)
+                    for a, b in zip(map(down.__getitem__, dt._ends),
+                                    map(down.__getitem__, dt._heads))]
+            got = [None if u < 0 else (target._ends[u], target._heads[u])
+                   for u in target._image]
+            assert got == want, target.kind
+
+    def test_through_14_crossings(self, paths_through_14):
+        for r in paths_through_14:
+            d = r.diagrams
+            self.check(d.chain, d.dt, d.d1, build_diagram(d.chain, "D0"))
+
+    def test_deep_chains(self, deep_chains):
+        for d in deep_chains:
+            self.check(d.chain, *(build_diagram(d.chain, kind)
+                                  for kind in ("Dt", "D1", "D0")))

@@ -68,15 +68,82 @@ def test_no_engine_function_calls_itself():
     assert SOURCES and found == []
 
 
+def functions(body):
+    """The functions and methods defined in a module or class body,
+    without those nested in a function."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from functions(node.body)
+
+
+def module_containers(tree) -> set:
+    """Names a module binds to a dict, list or set at its top level."""
+    made = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    names = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        if (isinstance(value, made) or isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) in {"dict", "list", "set"}):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def container_writes(func):
+    """(name, line) of every write in func to a container reached by a
+    name: a subscript assigned or deleted, an augmented assignment, or a
+    call of a mutating method.  Names func binds itself, unless declared
+    global, are dropped."""
+    mutators = {"append", "add", "update", "setdefault", "clear", "pop"}
+
+    def root(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return node.id if isinstance(node, ast.Name) else None
+
+    glob, bound = set(), set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Global):
+            glob.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            name = root(node)
+        elif isinstance(node, ast.AugAssign):
+            name = root(node.target)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in mutators):
+            name = root(node.func.value)
+        else:
+            continue
+        if name is not None and (name in glob or name not in bound):
+            yield name, node.lineno
+
+
 def test_no_engine_memo_outlives_a_call():
     # A memo that outlives a call makes the benchmark's repeated passes
     # measure a different program from the first, and grows for the life
     # of a process.  Memos made for one call, or kept on one object
-    # (``cached_property``), are fine.
+    # (``cached_property``), are fine; a dict, list or set at module level
+    # that an engine function writes to is such a memo.
     memos = {"lru_cache", "cache"}
     found = [f"{name}:{node.lineno}" for name, node in nodes(SOURCES)
              if isinstance(node, ast.ImportFrom) and node.module == "functools"
              and any(alias.name in memos for alias in node.names)
              or isinstance(node, ast.Attribute) and node.attr in memos
              and getattr(node.value, "id", None) == "functools"]
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        shared = module_containers(tree)
+        found += [f"{path.name}:{line} writes {name}"
+                  for func in functions(tree.body)
+                  for name, line in sorted(set(container_writes(func)))
+                  if name in shared]
     assert SOURCES and found == []
