@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
-1 when a verification or equivalence check fails, 2 on usage errors, 3
-on an internal error (a bug), reported as one line on stderr, and 141,
-silently, when the reader closes stdout before the output is written.
-The help gets the same 141 when stdout is buffered; unbuffered, argparse
-drops its failed write itself and the help exits 0, silently.  Each flag
-value is checked by its argparse type, integers as ASCII digits with an
-optional sign: a bad one gets argparse's usage line and ``error:
-argument ...``.
+Results go to stdout, diagnostics to stderr; ``slopes`` and ``table``
+write their encoded output to stdout's byte buffer.  Exit codes: 0 on
+success, 1 when a verification or equivalence check fails, 2 on usage
+errors, 3 on an internal error (a bug), reported as one line on stderr,
+and 141, silently, when the reader closes stdout before the output is
+written.  The help gets the same 141 when stdout is buffered;
+unbuffered, argparse drops its failed write itself and the help exits
+0, silently.  Each flag value is checked by its argparse type, integers
+as ASCII digits with an optional sign: a bad one gets argparse's usage
+line and ``error: argument ...``.
 """
 
 from __future__ import annotations
@@ -69,13 +70,25 @@ def _families(link):
     return result
 
 
+def _write(data: bytes) -> None:
+    """Write encoded output to stdout: straight to its byte buffer, after
+    the text written before it, or decoded to a stdout with no buffer,
+    such as an ``io.StringIO`` that ``contextlib.redirect_stdout`` put
+    there."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(data.decode())
+        return
+    sys.stdout.flush()
+    buffer.write(data)
+
+
 def _cmd_slopes(args) -> int:
     result = _families(args.pq)
     if args.format == "text":
-        text = render_families(result) + "\n"
+        _write((render_families(result) + "\n").encode())
     else:
-        text = emit([result], args.format).decode()
-    sys.stdout.write(text)
+        _write(emit([result], args.format))
     return 0
 
 
@@ -90,7 +103,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_table(args) -> int:
     results = [_families(link)
                for link in enumerate_links(args.max_crossings, True)]
-    sys.stdout.write(emit(results, args.format).decode())
+    _write(emit(results, args.format))
     return 0
 
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import Frac, INFINITY, TwoBridgeLink, linking_number
-from .diagram import (Diagrams, TypedPath, _stepper, link_paths, not_limits,
-                      walk_order)
+from .diagram import (Diagrams, TypedPath, _new, _stepper, link_paths,
+                      not_limits, walk_order)
 
 
 class MForm(NamedTuple):
@@ -73,8 +73,10 @@ class SymbolicM(NamedTuple):
 def _check_parities(x: int, y: int, z: int, path: TypedPath) -> None:
     if (x - z) % 2:
         raise RuntimeError(f"parity x = z mod 2 violated on {path}: {(x, y, z)}")
-    if path.start == INFINITY:
-        end = path.end
+    cx, trav = path.cx, path.trav
+    verts = cx._verts
+    if verts[cx._ends[trav[0]]] == INFINITY:
+        end = verts[cx._heads[trav[-1]]]
         if isinstance(end, Frac) and not end.is_infinite and (x + y - 1 - end.den) % 2:
             raise RuntimeError(
                 f"parity x + y = 1 + q mod 2 violated on {path}: {(x, y, z)}")
@@ -102,9 +104,9 @@ def m_form(path: TypedPath) -> MForm:
     """
     if path.kind != "Dt":
         raise ValueError("only Dt paths are straightened")
-    x, y, z = _m_coeffs(*path.sums)
-    _check_parities(x, y, z, path)
-    return MForm(x, y, z)
+    form = _m_coeffs(*path.sums)
+    _check_parities(*form, path)
+    return _new(MForm, form)
 
 
 # Intersection contributions of a single edge, by edge class and by the
@@ -221,7 +223,7 @@ def s_form(path: TypedPath) -> SForm:
     x = k - pos + neg
     y = pos + neg
     _check_parities(x, y, x, path)
-    return SForm(x, y)
+    return _new(SForm, (x, y))
 
 
 def s_form_symbolic(path: TypedPath) -> SymbolicM:
@@ -448,12 +450,12 @@ def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     # One path for each distinct ``sums``: m_form and s_form read nothing
     # else, so the forms of these paths are the forms of all of them.
     mraw = sorted({m_form(p) for p in {p.sums: p for p in dt_paths}.values()})
-    # The shift to the preferred longitudes keeps forms distinct and in
-    # order.
-    mpref = [to_preferred(m, l) for m in mraw]
+    # The shift to the preferred longitudes (``to_preferred``) keeps
+    # forms distinct and in order.
+    mpref = [_new(MForm, (x + l, y, z + l)) for x, y, z in mraw]
 
     sraw = sorted({s_form(p) for p in {p.sums: p for p in c_paths}.values()})
-    spref = [to_preferred(s, l) for s in sraw]
+    spref = [_new(SForm, (x + l, y)) for x, y in sraw]
 
     diagnostics = [f"t=1 path not a limit of any deformed minimal path: {p}"
                    for p in not_limits(dt_paths, c_paths, diagrams.d1)]
@@ -464,15 +466,19 @@ def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     endpoints: list[SlopeFamily] = []
     for x, y, z in mpref:
         if x == z:
-            t_families.append(SlopeFamily("T", (x, y, z), ("0", "inf")))
+            t_families.append(_new(SlopeFamily,
+                                   ("T", (x, y, z), ("0", "inf"), "none")))
         else:
-            t_families += (SlopeFamily("T", (x, y, z), ("1", "inf")),
-                           SlopeFamily("T", (z, y, x), ("0", "1")))
+            t_families += (
+                _new(SlopeFamily, ("T", (x, y, z), ("1", "inf"), "none")),
+                _new(SlopeFamily, ("T", (z, y, x), ("0", "1"), "none")))
         if y == 0:
-            endpoints += (SlopeFamily("endpoint", (x,), ("inf", "inf"), "second"),
-                          SlopeFamily("endpoint", (x,), ("0", "0"), "first"))
+            endpoints += (
+                _new(SlopeFamily, ("endpoint", (x,), ("inf", "inf"), "second")),
+                _new(SlopeFamily, ("endpoint", (x,), ("0", "0"), "first")))
     families = sorted(t_families) + sorted(endpoints)
-    families += [SlopeFamily("S", tuple(s), ("-1", "1")) for s in spref]
+    families += [_new(SlopeFamily, ("S", (x, y), ("-1", "1"), "none"))
+                 for x, y in spref]
 
     return LinkSlopes(
         link=link,

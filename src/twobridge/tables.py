@@ -7,15 +7,16 @@ family per intersection form (valid for 1 < t < oo) and one
 ``verify_corpus`` recomputes everything from scratch and compares
 canonical text; nothing is parsed.  ``emit`` serializes computed results
 as text, JSON, CSV or TeX with a fixed canonical ordering, so identical
-inputs always produce identical bytes.  The JSON emitter renders each
-distinct family once per call: links share most of their families.
+inputs always produce identical bytes, encoded link by link into one
+buffer.  The JSON emitter renders each distinct family once per call:
+links share most of their families.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .arith import TwoBridgeLink, rolfsen_name
 from .corpus_data import CORPUS
@@ -109,6 +110,13 @@ def verify_corpus(max_crossings: int = 10) -> TableReport:
 
 # -- serialization --------------------------------------------------------
 
+# Every emitter is a generator of text pieces, one link or one row each,
+# and ``emit`` encodes each piece as it comes and appends it to one
+# ``BytesIO``.  So the writer holds at once the bytes written so far
+# (with ``BytesIO``'s growth margin of up to an eighth), one piece's
+# text and, for JSON, the memo below; it never holds the whole document
+# as a ``str``, and ``getvalue()`` hands over the buffer without a copy.
+#
 # The JSON output is the layout of ``json.dumps(payload, indent=2)``,
 # written directly: the stdlib encoder falls back to pure Python when it
 # indents, and its per-value dispatch was the largest cost of a census.
@@ -155,21 +163,26 @@ def _link_json(r: LinkSlopes, rendered: dict[SlopeFamily, str]) -> str:
             f'\n    "families": {families}\n  }}')
 
 
-def _emit_json(results: Sequence[LinkSlopes]) -> str:
+def _emit_json(results: Sequence[LinkSlopes]) -> Iterator[str]:
+    if not results:
+        yield "[]\n"
+        return
     rendered: dict[SlopeFamily, str] = {}
-    return _json_array([_link_json(r, rendered) for r in results], "") + "\n"
+    sep = "[\n  "
+    for r in results:
+        yield sep + _link_json(r, rendered)
+        sep = ",\n  "
+    yield "\n]\n"
 
 
-def _emit_csv(results: Sequence[LinkSlopes]) -> str:
-    out = io.StringIO()
-    out.write("p,q,branch,X,Y,Z,domain_lo,domain_hi,phi\n")
+def _emit_csv(results: Sequence[LinkSlopes]) -> Iterator[str]:
+    yield "p,q,branch,X,Y,Z,domain_lo,domain_hi,phi\n"
     for r in results:
         for fam in r.families:
-            coeffs = list(fam.coeffs) + ["_"] * (3 - len(fam.coeffs))
-            row = [r.link.p, r.link.q, fam.branch, *coeffs,
-                   fam.domain[0], fam.domain[1], fam.phi]
-            out.write(",".join(str(v) for v in row) + "\n")
-    return out.getvalue()
+            coeffs = ",".join(map(str, fam.coeffs)) + ",_" * (3 - len(fam.coeffs))
+            lo, hi = fam.domain
+            yield (f"{r.link.p},{r.link.q},{fam.branch},{coeffs},"
+                   f"{lo},{hi},{fam.phi}\n")
 
 
 def render_families(r: LinkSlopes) -> str:
@@ -177,30 +190,29 @@ def render_families(r: LinkSlopes) -> str:
     return "; ".join("(%s, %s)" % render_family(f) for f in r.families)
 
 
-def _emit_text(results: Sequence[LinkSlopes]) -> str:
+def _emit_text(results: Sequence[LinkSlopes]) -> Iterator[str]:
     """One line per link, labelled with its fraction and its name where
-    it has one."""
-    lines = []
+    it has one; an empty table is one empty line."""
+    if not results:
+        yield "\n"
     for r in results:
         name = rolfsen_name(r.link)
         label = f"{r.link}" + (f" ({name})" if name else "")
-        lines.append(f"{label}: {render_families(r)}")
-    return "\n".join(lines) + "\n"
+        yield f"{label}: {render_families(r)}\n"
 
 
 def _tex_coord(text: str) -> str:
     return text.replace("t^-1", "t^{-1}")
 
 
-def _emit_tex(results: Sequence[LinkSlopes]) -> str:
+def _emit_tex(results: Sequence[LinkSlopes]) -> Iterator[str]:
     """Tabular layout in the style of the printed tables: four families
     per line, one block per link, names where they exist."""
     named = any(rolfsen_name(r.link) for r in results)
     cols = "|c|r|llll|" if named else "|r|llll|"
     head = ("\\mbox{link}&p/q&\\mbox{boundary slopes}&&&"
             if named else "p/q&\\mbox{boundary slopes}&&&")
-    lines = [f"\\begin{{array}}{{{cols}}}", "\\hline", head + "\\\\",
-             "\\hline", "\\hline"]
+    yield f"\\begin{{array}}{{{cols}}}\n\\hline\n{head}\\\\\n\\hline\n\\hline\n"
     for r in results:
         keys = sorted(r.presentation(), key=lambda k: (k[0] != "T", k[1:]))
         cells = [_tex_coord(render_key(k)) for k in keys]
@@ -211,11 +223,10 @@ def _emit_tex(results: Sequence[LinkSlopes]) -> str:
             group, cells = cells[:4], cells[4:]
             group += [""] * (4 - len(group))
             row = (prefix if first else [""] * len(prefix)) + group
-            lines.append("&".join(row) + "\\\\")
+            yield "&".join(row) + "\\\\\n"
             first = False
-        lines.append("\\hline")
-    lines.append("\\end{array}")
-    return "\n".join(lines) + "\n"
+        yield "\\hline\n"
+    yield "\\end{array}\n"
 
 
 _EMITTERS = {"json": _emit_json, "csv": _emit_csv,
@@ -223,7 +234,13 @@ _EMITTERS = {"json": _emit_json, "csv": _emit_csv,
 
 
 def emit(results: Sequence[LinkSlopes], fmt: str) -> bytes:
-    """Deterministic serialization of computed slope data."""
+    """Deterministic serialization of computed slope data, as UTF-8
+    bytes built in one pass: each piece of the format's text, one link
+    or one row, is encoded and appended to one buffer as it is rendered,
+    so the whole document exists only as the bytes returned."""
     if fmt not in _EMITTERS:
         raise ValueError(f"unknown format {fmt!r}")
-    return _EMITTERS[fmt](results).encode()
+    out = io.BytesIO()
+    for piece in _EMITTERS[fmt](results):
+        out.write(piece.encode())
+    return out.getvalue()

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ from twobridge.arith import crossing_number, enumerate_links
 from twobridge.cli import main
 from twobridge.corpus_data import CORPUS
 from twobridge.slopes import oracle_check, slope_families
-from twobridge.tables import verify_corpus
+from twobridge.tables import emit, verify_corpus
 
 from oracles import shifted_track_contribution
 
@@ -122,6 +124,15 @@ class TestTableCommand:
         assert notes and all(n.split(": ", 1)[0] in links for n in notes)
         monkeypatch.undo()
         assert run(capsys, "table", "--max-crossings", "8") == (0, out, "")
+
+    def test_a_stdout_with_no_buffer_gets_the_text(self):
+        # An in-process caller may redirect stdout to an io.StringIO,
+        # which has no byte buffer: the output reaches it decoded.
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = main(["table", "--max-crossings", "8", "--format", "json"])
+        assert rc == 0
+        results = [slope_families(link) for link in enumerate_links(8, True)]
+        assert out.getvalue() == emit(results, "json").decode()
 
 
 class TestCensusCommand:
@@ -246,10 +257,20 @@ class TestGoldenOutput:
     # must reproduce these bytes.  The D1, D0 and 1/120 digests were
     # recorded later, from the search that walked every dead end, and
     # the 6765/10946 ones from the search before a path was its
-    # traversal numbers.
+    # traversal numbers.  The text, CSV and TeX tables and the one-link
+    # JSON were recorded from the emitters that built a whole-document
+    # string before encoding it.
     @pytest.mark.parametrize("argv,digest", [
         (("table", "--max-crossings", "12", "--format", "json"),
          "83557b5bb4e0da36d428faca64255a0dfe2a25a165c5fa2ab569839e3ec5266f"),
+        (("table", "--max-crossings", "12", "--format", "text"),
+         "100cccd0f0dbd8ddb9df22d16a728b93fd5da040e2145143a3a01ea37112aea4"),
+        (("table", "--max-crossings", "12", "--format", "csv"),
+         "13047b18ce3cea7416f0b587f831e5e6eda4875a72c1b22d03dfe8c764f99615"),
+        (("table", "--max-crossings", "12", "--format", "tex"),
+         "55a9237118a93d10a4ace490b41313d5c76e4ee763abac9582b4bf2dafebdf84"),
+        (("slopes", "--pq", "6765/10946", "--format", "json"),
+         "dfdf8869807af4cedfe67fc818c0385ffc92170bb73f573646553053b5d5dd43"),
         (("paths", "--pq", "89/144", "--diagram", "dt", "--format", "json"),
          "c5ec0fdefe37e2853618331576c6c536f3ca7d52aabbe83ea16a954e3f4dd9fb"),
         (("paths", "--pq", "89/144", "--diagram", "d1", "--format", "json"),
@@ -264,7 +285,8 @@ class TestGoldenOutput:
          "8af0e7c89fc75dbb2f8b2e807aa21288c681840c3d0fdbbaa407c3917bb723d2"),
         (("surgery", "--kmax", "12"),
          "e6d640b0132c37b5af8b1575801277cf771f5e2219feb175808c0d4ed68ea788"),
-    ], ids=["table-12", "paths-89-144", "paths-89-144-d1", "paths-89-144-d0",
+    ], ids=["table-12", "table-12-text", "table-12-csv", "table-12-tex",
+            "slopes-6765-10946", "paths-89-144", "paths-89-144-d1", "paths-89-144-d0",
             "paths-1-120", "paths-6765-10946", "paths-6765-10946-d1", "surgery-12"])
     def test_output_digest(self, capsys, argv, digest):
         rc, out, _ = run(capsys, *argv)
@@ -294,11 +316,15 @@ class TestClosedStdout:
     # its right.  The enumeration writes 17,434 bytes, over twice
     # io.DEFAULT_BUFFER_SIZE.  Unbuffered, argparse drops its failed help
     # write itself and exits as after any help: that code is not checked.
+    # The two slopes runs write bytes to stdout's buffer, not text: the
+    # buffered one fails at main's flush, the unbuffered one at once.
     RUNS = ((False, ["enumerate", "--max-crossings", "15"], 141),  # partway
             (False, ["table", "--max-crossings", "4"], 141),   # main's flush
             (False, ["census", "--max-crossings", "4"], 141),  # flush=True
             (False, ["--help"], 141),                          # help
             (True, ["table", "--max-crossings", "4"], 141),    # first write
+            (False, ["slopes", "--pq", "3/8", "--format", "json"], 141),
+            (True, ["slopes", "--pq", "3/8", "--format", "json"], 141),
             (True, ["slopes", "--help"], None))                # help
 
     def test_exit_141_and_nothing_on_stderr(self):

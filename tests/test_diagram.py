@@ -764,9 +764,8 @@ class TestDiagonalSense:
         for r in paths_through_14:
             self.check(r.diagrams.chain, r.diagrams.d1)
 
-    def test_deep_chains(self, deep_chains):
-        for d in deep_chains:
-            self.check(d.chain, build_diagram(d.chain, "D1"))
+    # On the deep chains, TestOneNumberingPerChain runs this check on the
+    # D1 it builds, so that each deep chain's D1 is built once.
 
 
 class TestOneNumberingPerChain:
@@ -811,6 +810,9 @@ class TestOneNumberingPerChain:
             self.check(d.chain, d.dt, d.d1, build_diagram(d.chain, "D0"))
 
     def test_deep_chains(self, deep_chains):
+        # Also the diagonal sense of each deep chain's D1.
         for d in deep_chains:
-            self.check(d.chain, *(build_diagram(d.chain, kind)
-                                  for kind in ("Dt", "D1", "D0")))
+            dt, d1, d0 = (build_diagram(d.chain, kind)
+                          for kind in ("Dt", "D1", "D0"))
+            self.check(d.chain, dt, d1, d0)
+            TestDiagonalSense.check(d.chain, d1)

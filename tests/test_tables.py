@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,25 @@ class TestEmit:
     def test_deterministic(self, hopf):
         for fmt in ("text", "json", "csv", "tex"):
             assert emit(hopf, fmt) == emit(hopf, fmt)
+
+
+class TestEmitMemory:
+    # emit appends each link's bytes to one buffer as it renders them, so
+    # what it holds at once is about the output: the buffer with its
+    # growth margin, one link's text, and for JSON the family memo.  A
+    # whole-document str and its encoded copy would hold three times the
+    # output or more.
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text", "tex"])
+    def test_peak_within_half_again_the_output(self, families_through_12, fmt):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            data = emit(families_through_12, fmt)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(data), (peak, len(data))
 
 
 def json_oracle(results):
