@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Results go to stdout, diagnostics to stderr; ``slopes`` and ``table``
-write their encoded output to stdout's byte buffer.  Exit codes: 0 on
-success, 1 when a verification or equivalence check fails, 2 on usage
-errors, 3 on an internal error (a bug), reported as one line on stderr,
-and 141, silently, when the reader closes stdout before the output is
-written.  The help gets the same 141 when stdout is buffered;
-unbuffered, argparse drops its failed write itself and the help exits
-0, silently.  Each flag value is checked by its argparse type, integers
-as ASCII digits with an optional sign: a bad one gets argparse's usage
-line and ``error: argument ...``.
+write their encoded output to stdout's byte buffer, ``table`` one link
+at a time as each is computed.  Exit codes: 0 on success, 1 when a
+verification or equivalence check fails, 2 on usage errors, 3 on an
+internal error (a bug), reported as one line on stderr, and 141,
+silently, when the reader closes stdout before the output is written.
+The help gets the same 141 when stdout is buffered; unbuffered,
+argparse drops its failed write itself and the help exits 0, silently.
+Each flag value is checked by its argparse type, integers as ASCII
+digits with an optional sign: a bad one gets argparse's usage line and
+``error: argument ...``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import time
 from .arith import (INFINITY, crossing_number, enumerate_links, make_link,
                     rolfsen_name)
 from .diagram import Diagrams, minimal_paths
-from .slopes import oracle_check, slope_families
-from .tables import emit, render_families, render_family, verify_corpus
+from .slopes import _family_order, oracle_check, slope_families
+from .tables import _stream, render_families, render_family, verify_corpus
 
 _PQ_HELP = ("the link's fraction as two integers, such as 3/8; "
             "write a negative P as --pq=-3/8")
@@ -70,25 +71,24 @@ def _families(link):
     return result
 
 
-def _write(data: bytes) -> None:
-    """Write encoded output to stdout: straight to its byte buffer, after
-    the text written before it, or decoded to a stdout with no buffer,
-    such as an ``io.StringIO`` that ``contextlib.redirect_stdout`` put
-    there."""
-    buffer = getattr(sys.stdout, "buffer", None)
-    if buffer is None:
-        sys.stdout.write(data.decode())
-        return
+def _byte_writer():
+    """The function that writes encoded output to stdout: straight to
+    its byte buffer, after the text written before it, or decoded to a
+    stdout with no buffer, such as an ``io.StringIO`` that
+    ``contextlib.redirect_stdout`` put there."""
+    if getattr(sys.stdout, "buffer", None) is None:
+        return lambda data: sys.stdout.write(data.decode())
     sys.stdout.flush()
-    buffer.write(data)
+    return sys.stdout.buffer.write
 
 
 def _cmd_slopes(args) -> int:
     result = _families(args.pq)
+    write = _byte_writer()
     if args.format == "text":
-        _write((render_families(result) + "\n").encode())
+        write((render_families(result) + "\n").encode())
     else:
-        _write(emit([result], args.format))
+        _stream([result], args.format, write)
     return 0
 
 
@@ -101,9 +101,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    results = [_families(link)
-               for link in enumerate_links(args.max_crossings, True)]
-    _write(emit(results, args.format))
+    # Streamed: each link's piece is written as soon as its families are
+    # known, so a failure leaves the links before it on stdout.
+    results = map(_families, enumerate_links(args.max_crossings, True))
+    _stream(results, args.format, _byte_writer())
     return 0
 
 
@@ -115,7 +116,7 @@ def _cmd_census(args) -> int:
     for n, group in itertools.groupby(links, crossing_number):
         group = list(group)
         t0 = time.perf_counter()
-        families = sum(len(_families(link).families) for link in group)
+        families = sum(1 for link in group for _ in _family_order(_families(link)))
         seconds = time.perf_counter() - t0
         print(json.dumps({"crossings": n, "links": len(group),
                           "families": families, "seconds": round(seconds, 3)}),

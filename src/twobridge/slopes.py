@@ -32,6 +32,14 @@ surfaces with one free branching weight n_i in [0, beta] per diagonal;
 their value reduces to a one-parameter family in s in [-1, 1]
 (``s_form``).  Converting to the preferred longitude adds the linking
 number to both slope coordinates.
+
+``slope_families`` evaluates each distinct sum of the listed paths
+once, by the same arithmetic as ``m_form`` and ``s_form``, and its
+``LinkSlopes`` keeps each form once, rebased to the preferred
+longitudes.  The families and the raw forms are derived from those on
+each read; the families come in print order from one function
+(``_family_order``), as plain int tuples that the emitters read without
+building a ``SlopeFamily``.
 """
 
 from __future__ import annotations
@@ -208,6 +216,11 @@ def m_form_edgewise(path: TypedPath):
     raise ValueError("edgewise computation handles Dt and D1 paths")
 
 
+def _s_coeffs(k: int, pos: int, neg: int) -> tuple[int, int]:
+    """The (x, y) of the push sums (k, P, N) of a t = 1 path."""
+    return k - pos + neg, pos + neg
+
+
 def s_form(path: TypedPath) -> SForm:
     """One-parameter family value of a t = 1 path.
 
@@ -219,9 +232,7 @@ def s_form(path: TypedPath) -> SForm:
     """
     if path.kind != "D1":
         raise ValueError("s_form takes a D1 path")
-    k, pos, neg = path.sums
-    x = k - pos + neg
-    y = pos + neg
+    x, y = _s_coeffs(*path.sums)
     _check_parities(x, y, x, path)
     return _new(SForm, (x, y))
 
@@ -412,18 +423,49 @@ class SlopeFamily(NamedTuple):
     phi: str = "none"
 
 
+# The (branch, domain, phi) of each kind of family that ``_family_order``
+# yields, numbered so that within a branch the kinds sort as the domains
+# do: 0 < t < 1, then 0 <= t <= oo, then 1 < t < oo.
+_KINDS = (("T", ("0", "1"), "none"), ("T", ("0", "inf"), "none"),
+          ("T", ("1", "inf"), "none"), ("endpoint", ("0", "0"), "first"),
+          ("endpoint", ("inf", "inf"), "second"), ("S", ("-1", "1"), "none"))
+
+
 @dataclass(frozen=True)
 class LinkSlopes:
-    """Complete slope data for one link."""
+    """Complete slope data for one link.
+
+    Each form is stored once, rebased to the preferred longitudes:
+    ``mforms`` and ``sforms``, sorted and distinct.  ``mforms_raw``,
+    ``sforms_raw`` (the blackboard-framed forms) and ``families`` are
+    derived from them on each read and not kept.
+    """
 
     link: TwoBridgeLink
     linking_number: int
-    mforms_raw: tuple[MForm, ...]
-    sforms_raw: tuple[SForm, ...]
     mforms: tuple[MForm, ...]
     sforms: tuple[SForm, ...]
-    families: tuple[SlopeFamily, ...]
     diagnostics: tuple[str, ...]
+
+    @property
+    def mforms_raw(self) -> tuple[MForm, ...]:
+        l = self.linking_number
+        return tuple([_new(MForm, (x - l, y, z - l)) for x, y, z in self.mforms])
+
+    @property
+    def sforms_raw(self) -> tuple[SForm, ...]:
+        l = self.linking_number
+        return tuple([_new(SForm, (x - l, y)) for x, y in self.sforms])
+
+    @property
+    def families(self) -> tuple[SlopeFamily, ...]:
+        """The families in output order: T, then endpoints, then S,
+        each branch sorted as tuples."""
+        out = []
+        for item in _family_order(self):
+            branch, domain, phi = _KINDS[item[-1]]
+            out.append(_new(SlopeFamily, (branch, item[:-1], domain, phi)))
+        return tuple(out)
 
     def presentation(self) -> frozenset[tuple]:
         """The families the reference tables print: one ('T', X, Y, Z)
@@ -433,60 +475,73 @@ class LinkSlopes:
         return frozenset(keys)
 
 
+def _family_order(r: LinkSlopes):
+    """The families of r in output order, each as a plain int tuple: its
+    coefficients, then its kind (an index into ``_KINDS``).
+
+    A form (x, y, z) gives the T family (x, y, z) on 0 <= t <= oo when
+    x = z, else (x, y, z) on 1 < t < oo and its mirror branch (z, y, x)
+    on 0 < t < 1; when y = 0 it also gives the two endpoint entries of
+    x.  Each s form (x, y) gives one S family.  Sorting the tuples sorts
+    each branch by coefficients, then domain: the order of
+    ``SlopeFamily`` tuples, duplicate endpoints included.
+    """
+    t_families, endpoints = [], []
+    for x, y, z in r.mforms:
+        if x == z:
+            t_families.append((x, y, z, 1))
+        else:
+            t_families += ((x, y, z, 2), (z, y, x, 0))
+        if y == 0:
+            endpoints += ((x, 3), (x, 4))
+    t_families.sort()
+    endpoints.sort()
+    yield from t_families
+    yield from endpoints
+    for x, y in r.sforms:
+        yield x, y, 5
+
+
 def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     """All boundary-slope families of a 2-bridge link.
 
     Minimal Dt paths (from ``diagram.link_paths``, the paths
-    ``oracle_check`` checks) give the t-parameterized families, both
-    branches and their merge when the two constant coefficients agree,
-    plus no-boundary endpoint entries where the mixed coefficient
-    vanishes; minimal t = 1 paths through odd diagonals supply the s
-    families, and each must be a limit of Dt paths (``not_limits``).
-    All output is rebased to the preferred longitudes and deduplicated.
+    ``oracle_check`` checks) give the intersection forms, which give
+    the t-parameterized families; minimal t = 1 paths through odd
+    diagonals give the s families, and each must be a limit of Dt paths
+    (``not_limits``).  The forms are rebased to the preferred longitudes
+    and deduplicated; the families are derived from them on read
+    (``LinkSlopes``).
     """
     diagrams, dt_paths, c_paths = link_paths(link)
     l = linking_number(link)
+    q = link.q
 
-    # One path for each distinct ``sums``: m_form and s_form read nothing
-    # else, so the forms of these paths are the forms of all of them.
-    mraw = sorted({m_form(p) for p in {p.sums: p for p in dt_paths}.values()})
-    # The shift to the preferred longitudes (``to_preferred``) keeps
-    # forms distinct and in order.
-    mpref = [_new(MForm, (x + l, y, z + l)) for x, y, z in mraw]
-
-    sraw = sorted({s_form(p) for p in {p.sums: p for p in c_paths}.values()})
-    spref = [_new(SForm, (x + l, y)) for x, y in sraw]
+    # ``m_form`` and ``s_form`` read nothing but a path's sums, so the
+    # forms of all paths are the forms of their distinct sums.  Both
+    # parities are checked once per form; a form that breaks one is
+    # handed back to ``m_form`` or ``s_form`` on a path that gives it,
+    # for the error that names the path.
+    mraw = sorted({_m_coeffs(*s) for s in {p.sums for p in dt_paths}})
+    for form in mraw:
+        x, y, z = form
+        if (x - z) % 2 or (x + y - 1 - q) % 2:
+            m_form(next(p for p in dt_paths if _m_coeffs(*p.sums) == form))
+    sraw = sorted({_s_coeffs(*s) for s in {p.sums for p in c_paths}})
+    for form in sraw:
+        x, y = form
+        if (x + y - 1 - q) % 2:
+            s_form(next(p for p in c_paths if _s_coeffs(*p.sums) == form))
 
     diagnostics = [f"t=1 path not a limit of any deformed minimal path: {p}"
                    for p in not_limits(dt_paths, c_paths, diagrams.d1)]
 
-    # Families print T first, then endpoints, then S; within a branch
-    # they sort as tuples.  spref is sorted already.
-    t_families: list[SlopeFamily] = []
-    endpoints: list[SlopeFamily] = []
-    for x, y, z in mpref:
-        if x == z:
-            t_families.append(_new(SlopeFamily,
-                                   ("T", (x, y, z), ("0", "inf"), "none")))
-        else:
-            t_families += (
-                _new(SlopeFamily, ("T", (x, y, z), ("1", "inf"), "none")),
-                _new(SlopeFamily, ("T", (z, y, x), ("0", "1"), "none")))
-        if y == 0:
-            endpoints += (
-                _new(SlopeFamily, ("endpoint", (x,), ("inf", "inf"), "second")),
-                _new(SlopeFamily, ("endpoint", (x,), ("0", "0"), "first")))
-    families = sorted(t_families) + sorted(endpoints)
-    families += [_new(SlopeFamily, ("S", (x, y), ("-1", "1"), "none"))
-                 for x, y in spref]
-
+    # The shift to the preferred longitudes (``to_preferred``) keeps
+    # forms distinct and in order.
     return LinkSlopes(
         link=link,
         linking_number=l,
-        mforms_raw=tuple(mraw),
-        sforms_raw=tuple(sraw),
-        mforms=tuple(mpref),
-        sforms=tuple(spref),
-        families=tuple(families),
+        mforms=tuple([_new(MForm, (x + l, y, z + l)) for x, y, z in mraw]),
+        sforms=tuple([_new(SForm, (x + l, y)) for x, y in sraw]),
         diagnostics=tuple(diagnostics),
     )

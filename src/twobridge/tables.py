@@ -8,19 +8,24 @@ family per intersection form (valid for 1 < t < oo) and one
 canonical text; nothing is parsed.  ``emit`` serializes computed results
 as text, JSON, CSV or TeX with a fixed canonical ordering, so identical
 inputs always produce identical bytes, encoded link by link into one
-buffer.  The JSON emitter renders each distinct family once per call:
-links share most of their families.
+buffer.  The emitters take any iterable of results and read each one
+once, so ``table`` streams: it hands them the results as it computes
+them and writes each link's bytes as they come.  The JSON emitter
+renders each distinct family once per call: links share most of their
+families.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import TwoBridgeLink, rolfsen_name
 from .corpus_data import CORPUS
-from .slopes import LinkSlopes, SlopeFamily, slope_families
+from .slopes import (_KINDS, LinkSlopes, SlopeFamily, _family_order,
+                     slope_families)
 
 FamilyKey = tuple  # ('T', X, Y, Z) or ('S', x, y)
 
@@ -53,12 +58,17 @@ def render_key(key: FamilyKey) -> str:
     return "(%s,%s)" % _coords(key)
 
 
+def _pair(branch: str, coeffs: tuple[int, ...], phi: str) -> tuple[str, str]:
+    """The two slope coordinates of the family with these fields."""
+    if branch == "endpoint":
+        (x,) = coeffs
+        return ("phi", str(x)) if phi == "first" else (str(x), "phi")
+    return _coords((branch, *coeffs))
+
+
 def render_family(fam: SlopeFamily) -> tuple[str, str]:
     """The two slope coordinates of a family, as text."""
-    if fam.branch == "endpoint":
-        (x,) = fam.coeffs
-        return ("phi", str(x)) if fam.phi == "first" else (str(x), "phi")
-    return _coords((fam.branch, *fam.coeffs))
+    return _pair(fam.branch, fam.coeffs, fam.phi)
 
 
 # -- corpus ---------------------------------------------------------------
@@ -110,21 +120,30 @@ def verify_corpus(max_crossings: int = 10) -> TableReport:
 
 # -- serialization --------------------------------------------------------
 
-# Every emitter is a generator of text pieces, one link or one row each,
-# and ``emit`` encodes each piece as it comes and appends it to one
-# ``BytesIO``.  So the writer holds at once the bytes written so far
-# (with ``BytesIO``'s growth margin of up to an eighth), one piece's
-# text and, for JSON, the memo below; it never holds the whole document
-# as a ``str``, and ``getvalue()`` hands over the buffer without a copy.
+# Every emitter is a generator of text pieces, one link each (plus a
+# head or a tail), and reads each result once, so it takes any iterable
+# of results, a one-shot stream of them included.  ``_stream`` encodes
+# each piece as it comes and hands the bytes on: ``emit`` appends them
+# to one ``BytesIO``, and the ``table`` command writes them to stdout
+# while the next link is computed.  So ``emit`` holds at once the bytes
+# written so far (with ``BytesIO``'s growth margin of up to an eighth),
+# one piece's text and, for JSON, the memo below, and ``table`` holds no
+# more than one link's result and piece besides the memo.  The TeX
+# header says whether any link has a name, so the TeX emitter alone
+# holds results, until it meets a link with a name: for ``table`` that
+# is the first link, 1/2.
 #
-# The JSON output is the layout of ``json.dumps(payload, indent=2)``,
-# written directly: the stdlib encoder falls back to pure Python when it
-# indents, and its per-value dispatch was the largest cost of a census.
-# A family's text depends only on its fields, and nine in ten families of
-# a census repeat one met before, so each emit keeps the text of every
-# family it has rendered.  That memo lives for the one call: kept longer,
-# it would grow with every distinct family a long-lived process emits,
-# and a second emit of the same results would skip the first one's work.
+# The emitters read a link's families from ``slopes._family_order``, as
+# plain int tuples, and build no ``SlopeFamily``.  The JSON output is the
+# layout of ``json.dumps(payload, indent=2)``, written directly: the
+# stdlib encoder falls back to pure Python when it indents, and its
+# per-value dispatch was the largest cost of a census.  A family's text
+# depends only on its tuple, and nine in ten families of a census repeat
+# one met before, so each emit keeps the text of every family it has
+# rendered, keyed by the tuple.  That memo lives for the one call: kept
+# longer, it would grow with every distinct family a long-lived process
+# emits, and a second emit of the same results would skip the first
+# one's work.
 _json_str = json.encoder.encode_basestring_ascii
 
 
@@ -136,24 +155,29 @@ def _json_array(items: Sequence[str], indent: str) -> str:
     return f"[{sep}{(',' + sep).join(items)}\n{indent}]"
 
 
-def _family_json(fam: SlopeFamily) -> str:
-    coeffs = _json_array([str(c) for c in fam.coeffs], " " * 8)
-    domain = _json_array([_json_str(d) for d in fam.domain], " " * 8)
-    return (f'{{\n        "branch": {_json_str(fam.branch)},'
-            f'\n        "coeffs": {coeffs},'
-            f'\n        "domain": {domain},'
-            f'\n        "phi": {_json_str(fam.phi)}\n      }}')
+# The JSON text of a family before and after its coefficients, by kind.
+_JSON_KINDS = tuple(
+    (f'{{\n        "branch": {_json_str(branch)},\n        "coeffs": ',
+     f',\n        "domain": {_json_array([_json_str(d) for d in domain], " " * 8)},'
+     f'\n        "phi": {_json_str(phi)}\n      }}')
+    for branch, domain, phi in _KINDS)
 
 
-def _link_json(r: LinkSlopes, rendered: dict[SlopeFamily, str]) -> str:
+def _family_json(item: tuple[int, ...]) -> str:
+    """The JSON text of one family tuple of ``_family_order``."""
+    head, tail = _JSON_KINDS[item[-1]]
+    return head + _json_array([str(c) for c in item[:-1]], " " * 8) + tail
+
+
+def _link_json(r: LinkSlopes, rendered: dict[tuple[int, ...], str]) -> str:
     """One link's JSON text; ``rendered`` holds the text of each family
     met so far in this emit, and takes each one not yet in it."""
     name = rolfsen_name(r.link)
     texts = []
-    for f in r.families:
-        text = rendered.get(f)
+    for item in _family_order(r):
+        text = rendered.get(item)
         if text is None:
-            text = rendered[f] = _family_json(f)
+            text = rendered[item] = _family_json(item)
         texts.append(text)
     families = _json_array(texts, " " * 4)
     return (f'{{\n    "p": {r.link.p},'
@@ -163,69 +187,82 @@ def _link_json(r: LinkSlopes, rendered: dict[SlopeFamily, str]) -> str:
             f'\n    "families": {families}\n  }}')
 
 
-def _emit_json(results: Sequence[LinkSlopes]) -> Iterator[str]:
-    if not results:
-        yield "[]\n"
-        return
-    rendered: dict[SlopeFamily, str] = {}
+def _emit_json(results: Iterable[LinkSlopes]) -> Iterator[str]:
+    rendered: dict[tuple[int, ...], str] = {}
     sep = "[\n  "
     for r in results:
         yield sep + _link_json(r, rendered)
         sep = ",\n  "
-    yield "\n]\n"
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def _emit_csv(results: Sequence[LinkSlopes]) -> Iterator[str]:
+def _emit_csv(results: Iterable[LinkSlopes]) -> Iterator[str]:
     yield "p,q,branch,X,Y,Z,domain_lo,domain_hi,phi\n"
     for r in results:
-        for fam in r.families:
-            coeffs = ",".join(map(str, fam.coeffs)) + ",_" * (3 - len(fam.coeffs))
-            lo, hi = fam.domain
-            yield (f"{r.link.p},{r.link.q},{fam.branch},{coeffs},"
-                   f"{lo},{hi},{fam.phi}\n")
+        rows = []
+        for item in _family_order(r):
+            branch, (lo, hi), phi = _KINDS[item[-1]]
+            coeffs = ",".join(map(str, item[:-1])) + ",_" * (4 - len(item))
+            rows.append(f"{r.link.p},{r.link.q},{branch},{coeffs},{lo},{hi},{phi}\n")
+        yield "".join(rows)
 
 
 def render_families(r: LinkSlopes) -> str:
     """The families of one link as one line of slope pairs."""
-    return "; ".join("(%s, %s)" % render_family(f) for f in r.families)
+    pairs = []
+    for item in _family_order(r):
+        branch, _, phi = _KINDS[item[-1]]
+        pairs.append("(%s, %s)" % _pair(branch, item[:-1], phi))
+    return "; ".join(pairs)
 
 
-def _emit_text(results: Sequence[LinkSlopes]) -> Iterator[str]:
+def _emit_text(results: Iterable[LinkSlopes]) -> Iterator[str]:
     """One line per link, labelled with its fraction and its name where
     it has one; an empty table is one empty line."""
-    if not results:
-        yield "\n"
+    empty = True
     for r in results:
+        empty = False
         name = rolfsen_name(r.link)
         label = f"{r.link}" + (f" ({name})" if name else "")
         yield f"{label}: {render_families(r)}\n"
+    if empty:
+        yield "\n"
 
 
 def _tex_coord(text: str) -> str:
     return text.replace("t^-1", "t^{-1}")
 
 
-def _emit_tex(results: Sequence[LinkSlopes]) -> Iterator[str]:
+def _emit_tex(results: Iterable[LinkSlopes]) -> Iterator[str]:
     """Tabular layout in the style of the printed tables: four families
-    per line, one block per link, names where they exist."""
-    named = any(rolfsen_name(r.link) for r in results)
+    per line, one block per link, names where they exist.  The header
+    says whether any link has a name: the results are held until the
+    first one that has, or to the end when none has."""
+    results = iter(results)
+    held, named = [], False
+    for r in results:
+        held.append(r)
+        if rolfsen_name(r.link):
+            named = True
+            break
     cols = "|c|r|llll|" if named else "|r|llll|"
     head = ("\\mbox{link}&p/q&\\mbox{boundary slopes}&&&"
             if named else "p/q&\\mbox{boundary slopes}&&&")
     yield f"\\begin{{array}}{{{cols}}}\n\\hline\n{head}\\\\\n\\hline\n\\hline\n"
-    for r in results:
+    for r in itertools.chain(held, results):
         keys = sorted(r.presentation(), key=lambda k: (k[0] != "T", k[1:]))
         cells = [_tex_coord(render_key(k)) for k in keys]
         prefix = ([rolfsen_name(r.link) or "", str(r.link)]
                   if named else [str(r.link)])
+        rows = []
         first = True
         while cells or first:
             group, cells = cells[:4], cells[4:]
             group += [""] * (4 - len(group))
             row = (prefix if first else [""] * len(prefix)) + group
-            yield "&".join(row) + "\\\\\n"
+            rows.append("&".join(row) + "\\\\\n")
             first = False
-        yield "\\hline\n"
+        yield "".join(rows) + "\\hline\n"
     yield "\\end{array}\n"
 
 
@@ -233,14 +270,21 @@ _EMITTERS = {"json": _emit_json, "csv": _emit_csv,
              "text": _emit_text, "tex": _emit_tex}
 
 
-def emit(results: Sequence[LinkSlopes], fmt: str) -> bytes:
-    """Deterministic serialization of computed slope data, as UTF-8
-    bytes built in one pass: each piece of the format's text, one link
-    or one row, is encoded and appended to one buffer as it is rendered,
-    so the whole document exists only as the bytes returned."""
+def _stream(results: Iterable[LinkSlopes], fmt: str, write) -> None:
+    """Render the results in format fmt and hand ``write`` the UTF-8
+    bytes of each piece, one link or the head or tail, as it is made."""
     if fmt not in _EMITTERS:
         raise ValueError(f"unknown format {fmt!r}")
-    out = io.BytesIO()
     for piece in _EMITTERS[fmt](results):
-        out.write(piece.encode())
+        write(piece.encode())
+
+
+def emit(results: Iterable[LinkSlopes], fmt: str) -> bytes:
+    """Deterministic serialization of computed slope data, as UTF-8
+    bytes built in one pass: each piece of the format's text, one link,
+    is encoded and appended to one buffer as it is rendered, so the
+    whole document exists only as the bytes returned.  ``results`` may
+    be any iterable; each result is read once."""
+    out = io.BytesIO()
+    _stream(results, fmt, out.write)
     return out.getvalue()

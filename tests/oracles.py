@@ -14,11 +14,12 @@ by value, the minimality test of a path, the traversals that can lead
 on to a vertex and the minimal paths found by plain recursion, which
 only the construction and path checks use, the push-against-edgewise
 comparison path by path that ``slopes.oracle_check`` replaces with a
-certificate, with the faults planted to test it, and the links the
-tests draw or walk: the one conversion of an expansion into a link, the
-enumeration of link types by recursion over expansions, the strategy
-that draws links by expansion, and the deep chains.  Last come the
-small helpers more than one test module reads.
+certificate, with the faults planted to test it, the forms and families
+of ``slope_families`` assembled path by path and form by form, and the
+links the tests draw or walk: the one conversion of an expansion into a
+link, the enumeration of link types by recursion over expansions, the
+strategy that draws links by expansion, and the deep chains.  Last come
+the small helpers more than one test module reads.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from hypothesis import strategies as st
 
 from twobridge.arith import (INFINITY, ContFrac, Frac, GMat, TwoBridgeLink,
                              canonical_rep, crossing_number, frac_cmp,
-                             make_link)
+                             linking_number, make_link)
 from twobridge.diagram import (Corner, Diagrams, TypedPath, _stepper,
                                link_paths, minimal_paths)
-from twobridge.slopes import (MForm, _track_contribution, m_form,
-                              m_form_edgewise, s_form_symbolic)
+from twobridge.slopes import (MForm, SlopeFamily, _track_contribution, m_form,
+                              m_form_edgewise, s_form, s_form_symbolic,
+                              to_preferred)
 
 ROT = GMat.make(1, -1, 2, -1)    # half-turn of the base quadrilateral
 SHIFT = GMat.make(1, 1, 0, 1)    # next frame around the vertex 1/0
@@ -255,6 +257,57 @@ def compare_paths(link):
            for path in paths
            if (push := push_form(path)) != (track := m_form_edgewise(path))]
     return len(dt), len(c), bad
+
+
+def c_count(d1_paths):
+    """How many of the t = 1 paths take an odd diagonal."""
+    return sum(1 for p in d1_paths if p.sums[1] + p.sums[2] > 0)
+
+
+RANK = {"T": 0, "endpoint": 1, "S": 2}
+
+
+def reference_families(mforms, sforms):
+    """The families of the preferred forms, assembled one form at a
+    time and sorted by branch rank (T, endpoint, S), then as tuples."""
+    out = []
+    for x, y, z in mforms:
+        if x == z:
+            out.append(SlopeFamily("T", (x, y, z), ("0", "inf")))
+        else:
+            out.append(SlopeFamily("T", (x, y, z), ("1", "inf")))
+            out.append(SlopeFamily("T", (z, y, x), ("0", "1")))
+        if y == 0:
+            out.append(SlopeFamily("endpoint", (x,), ("inf", "inf"), phi="second"))
+            out.append(SlopeFamily("endpoint", (x,), ("0", "0"), phi="first"))
+    out += [SlopeFamily("S", (x, y), ("-1", "1")) for x, y in sforms]
+    return tuple(sorted(out, key=lambda f: (RANK[f.branch], f.coeffs, f.domain, f.phi)))
+
+
+def reference_slopes(link, dt, d1):
+    """What ``slope_families`` reports, from the link's minimal Dt and
+    t = 1 paths, the way it was first assembled: ``m_form`` of every Dt
+    path and ``s_form`` of every t = 1 path through an odd diagonal,
+    deduplicated and sorted; those rebased by ``to_preferred``; and the
+    families of the rebased forms (``reference_families``).  Returned
+    as a dict keyed by the names of the ``LinkSlopes`` fields and
+    properties."""
+    l = linking_number(link)
+    mraw = tuple(sorted({m_form(p) for p in dt}))
+    sraw = tuple(sorted({s_form(p) for p in d1 if "C" in p.edge_types()}))
+    mforms = tuple(to_preferred(m, l) for m in mraw)
+    sforms = tuple(to_preferred(s, l) for s in sraw)
+    return {"mforms_raw": mraw, "sforms_raw": sraw, "mforms": mforms,
+            "sforms": sforms, "families": reference_families(mforms, sforms)}
+
+
+def assert_matches_reference(result, dt, d1):
+    """Every form and family of the ``LinkSlopes`` equals
+    ``reference_slopes`` of the paths, and each family's coefficients
+    are a plain tuple."""
+    for name, want in reference_slopes(result.link, dt, d1).items():
+        assert getattr(result, name) == want, (result.link, name)
+    assert all(type(f.coeffs) is tuple for f in result.families), result.link
 
 
 def shifted_track_contribution(etype, g, sign):

@@ -5,14 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import twobridge
+from twobridge import slopes
 from twobridge.arith import crossing_number, enumerate_links
 from twobridge.cli import main
 from twobridge.corpus_data import CORPUS
-from twobridge.slopes import oracle_check, slope_families
+from twobridge.slopes import (LinkSlopes, MForm, SForm, oracle_check,
+                              slope_families)
 from twobridge.tables import emit, verify_corpus
 
 from oracles import shifted_track_contribution
@@ -133,6 +136,70 @@ class TestTableCommand:
         assert rc == 0
         results = [slope_families(link) for link in enumerate_links(8, True)]
         assert out.getvalue() == emit(results, "json").decode()
+
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv", "tex"])
+    def test_a_failure_leaves_the_links_before_it(self, capsys, monkeypatch, fmt):
+        # table writes each link as it is computed, so when the fifth
+        # link fails, the first four are on stdout before the error.
+        calls = []
+
+        def fifth_fails(link):
+            calls.append(link)
+            if len(calls) == 5:
+                raise RuntimeError("the fifth link")
+            return slope_families(link)
+
+        monkeypatch.setattr("twobridge.cli.slope_families", fifth_fails)
+        rc, out, err = run(capsys, "table", "--max-crossings", "8", "--format", fmt)
+        assert (rc, err) == (3, "internal error: RuntimeError: the fifth link\n")
+        first_four = [slope_families(link) for link in enumerate_links(8, True)[:4]]
+        tail = {"json": "\n]\n", "tex": "\\end{array}\n"}.get(fmt, "")
+        assert out == emit(first_four, fmt).decode().removesuffix(tail)
+
+    def test_memory_does_not_grow_with_the_census(self, monkeypatch, paths_through_14):
+        # table holds one link's result and text at a time, so its traced
+        # peak through 14 crossings (736 links) stays within half again
+        # its peak through 12 (197 links); holding every result or the
+        # output would multiply it.  The links and their results are made
+        # before tracing starts, the results from the paths of
+        # ``paths_through_14``, and table gets a fresh copy of each one's
+        # forms: so the peak is what table holds on top of its input, and
+        # the engine, which tracemalloc slows several-fold, does not run
+        # traced.
+        listed = {r.link: (r.diagrams, r.dt, [p for p in r.d1 if "C" in p.edge_types()])
+                  for r in paths_through_14}
+        monkeypatch.setattr(slopes, "link_paths", listed.__getitem__)
+        made = {link: slope_families(link) for link in listed}
+        links = {n: [r.link for r in paths_through_14 if r.crossings <= n]
+                 for n in (12, 14)}
+
+        def fresh(link):
+            # Tuples built from lists, as the engine builds them: a tuple
+            # built from a generator is resized, and the resized block
+            # would take the place of a free-list entry on every link.
+            r = made[link]
+            return LinkSlopes(link, r.linking_number, tuple([MForm(*f) for f in r.mforms]),
+                              tuple([SForm(*f) for f in r.sforms]), r.diagnostics)
+
+        monkeypatch.setattr("twobridge.cli.slope_families", fresh)
+        monkeypatch.setattr("twobridge.cli.enumerate_links", lambda n, mirrors: links[n])
+
+        def peak(n):
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                tracemalloc.start()
+                try:
+                    assert main(["table", "--max-crossings", str(n)]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        # A first run imports what argparse loads on first use and fills
+        # the interpreter's free lists, whose blocks tracemalloc counts
+        # when they are first allocated while it traces.
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            main(["table", "--max-crossings", "14"])
+        assert peak(14) <= 1.5 * peak(12)
 
 
 class TestCensusCommand:
@@ -320,6 +387,8 @@ class TestClosedStdout:
     # buffered one fails at main's flush, the unbuffered one at once.
     RUNS = ((False, ["enumerate", "--max-crossings", "15"], 141),  # partway
             (False, ["table", "--max-crossings", "4"], 141),   # main's flush
+            (False, ["table", "--max-crossings", "10", "--format", "json"],
+             141),                                             # partway
             (False, ["census", "--max-crossings", "4"], 141),  # flush=True
             (False, ["--help"], 141),                          # help
             (True, ["table", "--max-crossings", "4"], 141),    # first write

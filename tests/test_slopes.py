@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from collections import Counter
 
@@ -9,14 +10,15 @@ from twobridge.arith import (GMat, INFINITY, TwoBridgeLink, enumerate_links,
                              make_link)
 from twobridge.diagram import (Diagrams, TypedPath, build_diagram, collapse,
                                link_paths, minimal_paths, not_limits)
-from twobridge.slopes import (MForm, SForm, SlopeFamily, _track_contribution,
+from twobridge.slopes import (MForm, SForm, _track_contribution,
                               _track_contribution_free, m_form,
                               m_form_edgewise, oracle_check, s_form,
                               s_form_symbolic, slope_families, to_preferred)
 from twobridge.tables import render_key
 
-from oracles import (compare_paths, d1_pushes, delta_sum, dt_paths,
-                     expected_surgery_mforms, frac, links, shifted_stepper,
+from oracles import (assert_matches_reference, c_count, compare_paths,
+                     d1_pushes, delta_sum, dt_paths, expected_surgery_mforms,
+                     frac, links, reference_families, shifted_stepper,
                      shifted_track_contribution, straighten)
 
 
@@ -179,34 +181,25 @@ class TestLimitCheck:
 
 
 class TestAgainstEveryPath:
-    """slope_families evaluates the forms once per distinct sums and
-    probes the limits by traversal numbers; both must give what every path
-    gives."""
-
-    @staticmethod
-    def check(result, dt, d1):
-        assert result.mforms_raw == tuple(sorted({m_form(p) for p in dt}))
-        assert result.sforms_raw == tuple(sorted(
-            {s_form(p) for p in d1 if "C" in p.edge_types()}))
+    """slope_families takes its forms from the distinct sums of the
+    paths and derives its raw forms and families from the stored
+    preferred forms; all of them must equal the reference assembled
+    path by path and form by form (``oracles.reference_slopes``).  The
+    deep chains are checked in ``tests/test_diagram.py::TestDeepChains``."""
 
     def test_through_12_crossings(self, paths_through_12, families_through_12):
         assert len(paths_through_12) == len(families_through_12)
         for r, result in zip(paths_through_12, families_through_12):
             assert result.link == r.link
-            self.check(result, r.dt, r.d1)
+            assert_matches_reference(result, r.dt, r.d1)
             assert not [d for d in result.diagnostics if "not a limit" in d], r.link
 
     def test_fibonacci_link(self):
         link = make_link(6765, 10946)
         d = Diagrams(link)
-        self.check(slope_families(link),
-                   minimal_paths(d.dt, INFINITY, link.fraction()),
-                   minimal_paths(d.d1, INFINITY, link.fraction()))
-
-
-def c_count(d1_paths):
-    """How many of the t = 1 paths take an odd diagonal."""
-    return sum(1 for p in d1_paths if p.sums[1] + p.sums[2] > 0)
+        assert_matches_reference(slope_families(link),
+                                 minimal_paths(d.dt, INFINITY, link.fraction()),
+                                 minimal_paths(d.d1, INFINITY, link.fraction()))
 
 
 class TestOracleCertificate:
@@ -239,13 +232,8 @@ class TestOracleCertificate:
             assert slopes._certify_dt(r.diagrams.dt, end) == len(r.dt), r.link
             assert slopes._certify_d1(r.diagrams.d1, end) == c_count(r.d1), r.link
 
-    def test_counts_equal_the_enumerator_on_deep_chains(self, deep_chains):
-        for d in deep_chains[::4]:
-            end = d.link.fraction()
-            assert (slopes._certify_dt(d.dt, end)
-                    == len(minimal_paths(d.dt, INFINITY, end))), d.link
-            assert (slopes._certify_d1(d.d1, end)
-                    == c_count(minimal_paths(d.d1, INFINITY, end))), d.link
+    # On the deep chains, TestDeepChains in tests/test_diagram.py checks
+    # the counts on the complexes it builds once per chain.
 
     def test_lists_no_path_through_12_crossings(self, monkeypatch, paths_through_12):
         def refuse(link):
@@ -261,37 +249,21 @@ class TestOracleCertificate:
 
 
 class TestFamilyAssembly:
-    """slope_families builds its families in output order.  The
-    reference is the assembly it replaced: the families of each form,
-    sorted by branch rank (T, endpoint, S) and then as tuples."""
-
-    RANK = {"T": 0, "endpoint": 1, "S": 2}
+    """A result stores its preferred forms only: the raw forms and the
+    families are derived from them on each read, with no cache, so they
+    follow the stored forms of a result made by ``dataclasses.replace``,
+    and each read makes new families."""
 
     @staticmethod
-    def families_for_mform(form):
-        x, y, z = form
-        out = []
-        if x == z:
-            out.append(SlopeFamily("T", (x, y, z), ("0", "inf")))
-        else:
-            out.append(SlopeFamily("T", (x, y, z), ("1", "inf")))
-            out.append(SlopeFamily("T", (z, y, x), ("0", "1")))
-        if y == 0:
-            out.append(SlopeFamily("endpoint", (x,), ("inf", "inf"), phi="second"))
-            out.append(SlopeFamily("endpoint", (x,), ("0", "0"), phi="first"))
-        return out
-
-    def check(self, result):
+    def check(result):
         l = result.linking_number
-        assert result.mforms == tuple(to_preferred(m, l) for m in result.mforms_raw)
-        assert result.sforms == tuple(to_preferred(s, l) for s in result.sforms_raw)
-        assert result.mforms == tuple(sorted(set(result.mforms)))
-        assert result.sforms == tuple(sorted(set(result.sforms)))
-        expected = [f for m in result.mforms for f in self.families_for_mform(m)]
-        expected += [SlopeFamily("S", tuple(s), ("-1", "1")) for s in result.sforms]
-        expected.sort(key=lambda f: (self.RANK[f.branch], f.coeffs, f.domain, f.phi))
-        assert result.families == tuple(expected), result.link
-        assert all(type(f.coeffs) is tuple for f in result.families)
+        assert result.families is not result.families
+        for mforms in (result.mforms, result.mforms[1:], ()):
+            for sforms in (result.sforms, ()):
+                r = dataclasses.replace(result, mforms=mforms, sforms=sforms)
+                assert r.mforms_raw == tuple(MForm(x - l, y, z - l) for x, y, z in mforms)
+                assert r.sforms_raw == tuple(SForm(x - l, y) for x, y in sforms)
+                assert r.families == reference_families(mforms, sforms), result.link
 
     def test_through_12_crossings(self, families_through_12):
         for result in families_through_12:
@@ -485,6 +457,28 @@ def test_broken_invariant_raises(path_of_kind, name):
     call, text = BROKEN[name]
     with pytest.raises(RuntimeError, match=f"^{re.escape(text)}"):
         call(path_of_kind)
+
+
+@pytest.mark.parametrize("kind", ["Dt", "D1"])
+def test_a_broken_parity_names_its_path(kind, monkeypatch):
+    # slope_families checks the parities once per distinct form; the
+    # last listed path of one kind, given a determinant sum one more
+    # than its own, breaks x + y = 1 + q mod 2, and the error names it.
+    real, broken = slopes.link_paths, []
+
+    def one_path_off(link):
+        diagrams, dt, c = real(link)
+        path = (dt if kind == "Dt" else c)[-1]
+        k, a, b = path.sums
+        path._sums = (k + 1, a, b)
+        broken.append(path)
+        return diagrams, dt, c
+
+    monkeypatch.setattr(slopes, "link_paths", one_path_off)
+    text = "parity x + y = 1 + q mod 2 violated on "
+    with pytest.raises(RuntimeError, match=f"^{re.escape(text)}") as info:
+        slope_families(make_link(13, 34))
+    assert str(info.value).startswith(f"{text}{broken[0]}: "), info.value
 
 
 def test_parity_x_equals_z_raises(path_of_kind, monkeypatch):

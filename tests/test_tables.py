@@ -133,6 +133,16 @@ class TestEmit:
         assert emit([], "csv").decode().splitlines() == [
             "p,q,branch,X,Y,Z,domain_lo,domain_hi,phi"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text", "tex"])
+    def test_a_one_shot_iterator_gives_the_same_bytes(self, families_through_12, fmt):
+        # Each emitter reads each result once, so a stream of results
+        # that can be read only once gives what the list gives; TeX
+        # holds results until the first with a name, or to the end.
+        unnamed = [r for r in families_through_12 if rolfsen_name(r.link) is None]
+        assert unnamed
+        for results in (families_through_12, unnamed, []):
+            assert emit(iter(results), fmt) == emit(results, fmt)
+
     def test_unknown_format_rejected(self, hopf):
         with pytest.raises(ValueError):
             emit(hopf, "yaml")
