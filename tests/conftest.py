@@ -74,6 +74,21 @@ def deep_chains() -> Iterator[list[Diagrams]]:
     gc.unfreeze()
 
 
+@pytest.fixture(scope="session")
+def deep_paths(deep_chains) -> list[LinkPaths]:
+    """Every fourth chain of ``deep_chains`` with its minimal Dt and D1
+    paths from 1/0.  Those chains keep their Dt and D1 on their
+    ``Diagrams`` to the end of the session (about 27 MB with the
+    paths), so that the checks that read them build them once."""
+    out = []
+    for d in deep_chains[::4]:
+        target = d.link.fraction()
+        out.append(LinkPaths(d.link, crossing_number(d.link), d,
+                             minimal_paths(d.dt, INFINITY, target),
+                             minimal_paths(d.d1, INFINITY, target)))
+    return out
+
+
 @pytest.fixture
 def wrong_limits(monkeypatch):
     """Breaks the limit check of ``slope_families`` (``not_limits``):

@@ -4,12 +4,10 @@ import subprocess
 import sys
 from fractions import Fraction
 from operator import itemgetter, lt
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 
-from twobridge import slopes
 from twobridge.arith import (Frac, GMat, INFINITY, TwoBridgeLink,
                              enumerate_links, make_link)
 from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
@@ -19,10 +17,9 @@ from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
                                walk_order)
 from twobridge.slopes import m_form, m_form_edgewise
 
-from oracles import (ROT, SHIFT, assert_matches_reference, c_count,
-                     edge_cells, frac, fractions_of_type, is_minimal, link_of,
-                     links, live_reference, on_side, reference_paths, sides,
-                     sums_reference, traversal)
+from oracles import (ROT, SHIFT, edge_cells, frac, fractions_of_type,
+                     is_minimal, link_of, links, live_reference, on_side,
+                     reference_paths, sides, sums_reference, traversal)
 
 
 def all_cells(cx):
@@ -690,6 +687,10 @@ class TestConstructionOracles:
         for link in enumerate_links(16):
             assert quad_chain(link) == reference_chain(link), link
 
+    def test_walk_matches_reference_on_deep_chains(self, deep_chains):
+        for d in deep_chains:
+            assert d.chain == reference_chain(d.link), d.link
+
     # Past the 16 crossings walked above.
     @settings(max_examples=60, deadline=None)
     @given(links(min_crossings=17, max_crossings=24))
@@ -697,35 +698,25 @@ class TestConstructionOracles:
         for variant in fractions_of_type(link):
             assert quad_chain(variant) == reference_chain(variant)
 
-    @staticmethod
-    def check_new_rationals(d):
-        seen = set(d.chain[0].vertices())
-        for prev, quad in zip(d.chain, d.chain[1:]):
-            verts = set(quad.vertices())
-            shared = verts & seen
-            assert len(shared) == 2 and shared <= set(prev.vertices()), d.link
-            assert shared in [set(s) for s in sides(quad)], d.link
-            assert shared in [set(s) for s in sides(prev)], d.link
-            seen |= verts
+    def test_each_quad_brings_two_new_rationals(self, paths_through_14, deep_chains):
+        for d in [r.diagrams for r in paths_through_14] + deep_chains[::4]:
+            seen = set(d.chain[0].vertices())
+            for prev, quad in zip(d.chain, d.chain[1:]):
+                verts = set(quad.vertices())
+                shared = verts & seen
+                assert len(shared) == 2 and shared <= set(prev.vertices()), d.link
+                assert shared in [set(s) for s in sides(quad)], d.link
+                assert shared in [set(s) for s in sides(prev)], d.link
+                seen |= verts
 
-    @staticmethod
-    def check_side_frames(d):
-        for quad in d.chain:
-            p1, p2, p3, p4 = quad.vertices()
-            assert quad.g == side_matrix(p1, p2)
-            assert quad.gs == side_matrix(p3, p1) == quad.g * SHIFT
-            assert quad.gr == side_matrix(p4, p3) == quad.g * ROT
-            assert quad.grs == side_matrix(p2, p4) == quad.g * ROT * SHIFT
-
-    # These two and the reference walk also run on the deep chains, in
-    # TestDeepChains.
-    def test_each_quad_brings_two_new_rationals(self, paths_through_14):
-        for r in paths_through_14:
-            self.check_new_rationals(r.diagrams)
-
-    def test_side_frames(self, paths_through_14):
-        for r in paths_through_14:
-            self.check_side_frames(r.diagrams)
+    def test_side_frames(self, paths_through_14, deep_chains):
+        for d in [r.diagrams for r in paths_through_14] + deep_chains[::4]:
+            for quad in d.chain:
+                p1, p2, p3, p4 = quad.vertices()
+                assert quad.g == side_matrix(p1, p2)
+                assert quad.gs == side_matrix(p3, p1) == quad.g * SHIFT
+                assert quad.gr == side_matrix(p4, p3) == quad.g * ROT
+                assert quad.grs == side_matrix(p2, p4) == quad.g * ROT * SHIFT
 
     def test_complexes_match_reference(self, paths_through_12):
         # Same edges in the same order, same edge cells, edge by edge,
@@ -775,8 +766,8 @@ class TestDiagonalSense:
         for r in paths_through_14:
             self.check(r.diagrams.chain, r.diagrams.d1)
 
-    # On the deep chains, TestDeepChains runs this check on the D1 it
-    # builds, so that each deep chain's D1 is built once.
+    # On the deep chains, TestOneNumberingPerChain runs this check on the
+    # D1 it builds or reads, so that each deep chain's D1 is built once.
 
 
 class TestOneNumberingPerChain:
@@ -820,40 +811,15 @@ class TestOneNumberingPerChain:
             d = r.diagrams
             self.check(d.chain, d.dt, d.d1, build_diagram(d.chain, "D0"))
 
-
-class TestDeepChains:
-    """Every check on the deep chains, in one loop that builds each
-    chain's Dt, D1 and D0 once and holds one chain's complexes at a
-    time (all of them at once take about 150 MB): on every chain, the
-    reference walk of ``TestConstructionOracles``, the numbering of
-    ``TestOneNumberingPerChain`` and the diagonal sense of
-    ``TestDiagonalSense``; on every fourth, the new rationals and side
-    frames of ``TestConstructionOracles``, the path counts of
-    ``oracle_check``'s certificate against the enumerator, and the forms
-    and families of ``slope_families`` against ``reference_slopes``,
-    given the paths listed here."""
-
-    def test_every_check_on_one_build_per_chain(self, deep_chains, monkeypatch):
-        listed = {}
-        monkeypatch.setattr(slopes, "link_paths", lambda link: listed[link])
+    def test_deep_chains(self, deep_chains, deep_paths):
+        # Also the diagonal sense of each deep chain's D1.  Every fourth
+        # chain's Dt and D1 are those of ``deep_paths``, kept on its
+        # Diagrams for the session; the others are built here and
+        # dropped, so each deep chain's complexes are built once.
         for i, d in enumerate(deep_chains):
-            assert d.chain == reference_chain(d.link), d.link
-            dt, d1, d0 = (build_diagram(d.chain, kind)
-                          for kind in ("Dt", "D1", "D0"))
-            TestOneNumberingPerChain.check(d.chain, dt, d1, d0)
-            TestDiagonalSense.check(d.chain, d1)
             if i % 4:
-                continue
-            TestConstructionOracles.check_new_rationals(d)
-            TestConstructionOracles.check_side_frames(d)
-            end = d.link.fraction()
-            dt_paths = minimal_paths(dt, INFINITY, end)
-            d1_paths = minimal_paths(d1, INFINITY, end)
-            assert slopes._certify_dt(dt, end) == len(dt_paths), d.link
-            assert slopes._certify_d1(d1, end) == c_count(d1_paths), d.link
-            c_paths = [p for p in d1_paths if "C" in p.edge_types()]
-            listed[d.link] = (SimpleNamespace(d1=d1), dt_paths, c_paths)
-            result = slopes.slope_families(d.link)
-            del listed[d.link]
-            assert_matches_reference(result, dt_paths, d1_paths)
-            assert result.diagnostics == (), d.link
+                dt, d1 = (build_diagram(d.chain, kind) for kind in ("Dt", "D1"))
+            else:
+                dt, d1 = d.dt, d.d1
+            self.check(d.chain, dt, d1, build_diagram(d.chain, "D0"))
+            TestDiagonalSense.check(d.chain, d1)

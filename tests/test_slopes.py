@@ -184,8 +184,7 @@ class TestAgainstEveryPath:
     """slope_families takes its forms from the distinct sums of the
     paths and derives its raw forms and families from the stored
     preferred forms; all of them must equal the reference assembled
-    path by path and form by form (``oracles.reference_slopes``).  The
-    deep chains are checked in ``tests/test_diagram.py::TestDeepChains``."""
+    path by path and form by form (``oracles.reference_slopes``)."""
 
     def test_through_12_crossings(self, paths_through_12, families_through_12):
         assert len(paths_through_12) == len(families_through_12)
@@ -200,6 +199,18 @@ class TestAgainstEveryPath:
         assert_matches_reference(slope_families(link),
                                  minimal_paths(d.dt, INFINITY, link.fraction()),
                                  minimal_paths(d.d1, INFINITY, link.fraction()))
+
+    def test_deep_chains(self, deep_paths, monkeypatch):
+        # slope_families is given the paths of ``deep_paths``, so that
+        # each chain's complexes are built and its paths listed once.
+        listed = {r.link: (r.diagrams, r.dt,
+                           [p for p in r.d1 if "C" in p.edge_types()])
+                  for r in deep_paths}
+        monkeypatch.setattr(slopes, "link_paths", listed.__getitem__)
+        for r in deep_paths:
+            result = slope_families(r.link)
+            assert_matches_reference(result, r.dt, r.d1)
+            assert result.diagnostics == (), r.link
 
 
 class TestOracleCertificate:
@@ -232,8 +243,11 @@ class TestOracleCertificate:
             assert slopes._certify_dt(r.diagrams.dt, end) == len(r.dt), r.link
             assert slopes._certify_d1(r.diagrams.d1, end) == c_count(r.d1), r.link
 
-    # On the deep chains, TestDeepChains in tests/test_diagram.py checks
-    # the counts on the complexes it builds once per chain.
+    def test_counts_equal_the_enumerator_on_deep_chains(self, deep_paths):
+        for r in deep_paths:
+            end = r.link.fraction()
+            assert slopes._certify_dt(r.diagrams.dt, end) == len(r.dt), r.link
+            assert slopes._certify_d1(r.diagrams.d1, end) == c_count(r.d1), r.link
 
     def test_lists_no_path_through_12_crossings(self, monkeypatch, paths_through_12):
         def refuse(link):
