@@ -48,13 +48,12 @@ the ``Edge`` objects of a complex are made, all at once, only when
 something displays them.
 
 An edge path is minimal if no two consecutive edges lie in a common
-cell.  Minimal paths from 1/0 to p/q index the spanning surfaces, and
-every one of them stays inside the chain, so a depth-first search over
-the chain complex enumerates them all.  A backward pass from p/q first
-marks the traversals that can still lead on to it, and the search takes
-no other, so it walks into few dead ends.  Most of its steps have no
-choice to make, so it moves over forced runs of them, one move per run
-where a plain search makes one per edge, and keeps each run it builds.
+cell; such a walk never comes back to a vertex.  Minimal paths from 1/0
+to p/q index the spanning surfaces and stay inside the chain, so a
+depth-first search over the chain complex finds them all, taking only
+the traversals that a backward pass from p/q marks as leading on to it.
+Most of its steps have no choice to make, so it moves over forced runs,
+one move per run where a plain search makes one per edge.
 
 The slope algorithms straighten each Dt or D1 path across its cells and
 add per-step terms: a determinant sum and signed push counts.  One
@@ -658,9 +657,8 @@ def build_diagram(chain: list[Quad], kind: str) -> DiagramComplex:
 def _live(cx: DiagramComplex, last: int) -> bytearray:
     """Which traversals of cx lead on to vertex ``last``: entry t is 1
     when t enters ``last``, or when some traversal leaving t's head
-    that shares no cell with t is live.  Such a chain of traversals may
-    revisit a vertex, so the live ones include every traversal that a
-    path to ``last`` can take, and maybe more.
+    that shares no cell with t is live: when t starts a walk to
+    ``last``, which is a minimal path (``walk_order``).
 
     Worked backward from the traversals into ``last``: when a traversal
     u leaving v becomes live, so does every traversal into v that shares
@@ -721,26 +719,44 @@ def _follower(cx: DiagramComplex, live: bytearray):
     return follow
 
 
+def _revisit(cx: DiagramComplex, start: Vertex, end: Vertex) -> RuntimeError:
+    """The error for a walk of cx that comes back to a vertex."""
+    return RuntimeError(f"{cx.kind}: a walk from {start} to {end} comes back to a vertex")
+
+
 def walk_order(cx: DiagramComplex, start: Vertex,
-               end: Vertex) -> list[tuple[int, list[int]]] | None:
+               end: Vertex) -> list[tuple[int, list[int]]]:
     """The traversals a walk from start to end can take, each with those
     that may follow it, in an order in which every traversal comes before
-    all that may follow it; None when the vertex graph of those
-    traversals has a cycle.
+    all that may follow it.  A traversal into end has none after it.
 
     A walk takes traversals that ``_live`` marks as leading on to end,
     each leaving the head of the one before and sharing no cell with it
-    (the rule of ``minimal_paths``, ``_follower``), and it stops at end.
-    Every minimal path from start to end is such a walk.  When the
-    traversals a walk can take join their tails to their heads without a
-    cycle, no walk comes back to a vertex, so every walk is a minimal
-    path: a forward pass over this order that adds up integers counts
-    the minimal paths, or sums anything else over them, without listing
-    them.  A traversal into end has no traversal after it.
+    (``_follower``), and stops at end.  No walk comes back to a vertex,
+    so the walks are the minimal paths from start to end: a forward pass
+    over this order that adds up integers counts them, or sums anything
+    else over them, without listing them.
+
+    Were v the first vertex a walk reaches twice, it would go round a
+    loop between the visits, bounding a disk R of cells (the chain's
+    quadrilaterals, glued along sides into a tree, make a disk).  At an
+    ear, a vertex of the loop where R has one cell alone, the loop's two
+    edges are sides of that cell, which a walk allows only at v; yet R
+    has two ears.  In D1 and D0 no vertex is inside the disk, so R is a
+    polygon that triangles triangulate: the two-ears theorem.  In Dt,
+    within one quadrilateral R has ears at the rationals of two corner
+    triangles, at the corners of a lone cell, or at the rectangle's two
+    corners off a lone triangle.  Else the quadrilaterals holding R form
+    a tree with two leaves or more, and a leaf joined to the rest across
+    its side s has an ear off s: at a rational whose corner triangle is
+    in R; else, with the rectangle in R, at the midpoint of the side
+    opposite s; else at the far midpoint of a triangle at an end of s.
 
     The walks are found with a stack and put in order by repeatedly
     taking a vertex that no traversal not yet placed enters, starting at
-    start, and placing every traversal that leaves it.
+    start, and placing every traversal that leaves it.  That needs no
+    cycle among the vertices of all the walks together, as the tests
+    find through 7 crossings; on one this raises (``_revisit``).
     """
     first, last = _end_ids(cx, start, end)
     out, heads = cx._out, cx._heads
@@ -755,7 +771,6 @@ def walk_order(cx: DiagramComplex, start: Vertex,
     seen = bytearray(len(heads))
     for u in todo:
         seen[u] = 1
-    reached = len(todo)
     while todo:
         t = todo.pop()
         v = heads[t]
@@ -765,7 +780,6 @@ def walk_order(cx: DiagramComplex, start: Vertex,
             if not seen[u]:
                 seen[u] = 1
                 todo.append(u)
-                reached += 1
     order = []
     ready = [] if entering[first] else [first]
     while ready:
@@ -776,7 +790,9 @@ def walk_order(cx: DiagramComplex, start: Vertex,
                 entering[v] -= 1
                 if not entering[v]:
                     ready.append(v)
-    return order if len(order) == reached else None
+    if any(entering):               # a traversal reached is not placed
+        raise _revisit(cx, start, end)
+    return order
 
 
 def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedPath]:
@@ -784,29 +800,26 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
 
     Depth-first search over traversal numbers that reads only the
     complex's int lists and makes no ``Edge``; a step is allowed when
-    the new edge shares no cell with the previous one.
-    Paths never revisit a vertex.  The search keeps its own stack, and
-    builds its runs (below) in a loop, so path length is not bounded by
+    the new edge shares no cell with the previous one.  No such walk
+    comes back to a vertex (``walk_order``), so the search holds no set
+    of them; it raises (``_revisit``) when a path or a run (below) takes
+    more steps than the complex has vertices less one.  It keeps its own
+    stack, and builds runs in a loop, so path length is not bounded by
     the interpreter's recursion limit.
 
     The search takes only traversals that ``_live`` marks as leading on
-    to ``end``.  The prune is exact: every step of a path to ``end`` is
-    followed by the next step, which shares no cell with it, and so on
-    to ``end``, so every step is live.  Dropping the rest loses no path
-    and keeps the order in which the others are found.  ``nexts[t]``
-    lists the live traversals that may follow t (``_follower``: leaving
-    its head and sharing no cell with it), filled the first time it is
-    needed: filling it up front would cost the square of the degree at
-    a fan vertex such as 0/1 in the chain of 1/n.
+    to ``end``, every step of a path to it among them, so it loses no
+    path and keeps the order of the others.  ``nexts[t]`` lists the live
+    traversals that may follow t (``_follower``), filled the first time
+    it is needed: filling it up front would cost the square of the
+    degree at a fan vertex such as 0/1 in the chain of 1/n.
 
     Most traversals have exactly one that may follow them, so the search
     moves over forced runs, not single steps.  The run from u takes u,
     then the one traversal that may follow it, and so on; it stops at
-    ``end``, at a traversal with a choice to make, or before a head it
-    already holds.  A path that takes u takes the rest of the run: its
-    steps are live, and it ends only at ``end``.  So one test that no
-    head of the run is on the path so far, and one move, stand for the
-    run's steps one by one.
+    ``end`` or at a traversal with a choice to make.  A path that takes
+    u takes the rest of the run: its steps are live, and it ends only at
+    ``end``.  So one move stands for the run's steps one by one.
 
     The straightening step (``_stepper``) of u depends on u and the last
     rational vertex of the straightened path before it, and after a
@@ -814,16 +827,15 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     else t's detour, else t's tail.  So a run adds the same terms
     (dk, da, db) whenever it follows t.  ``table[t]`` lists the runs
     that may follow t, built the first time t is reached, each as
-    (traversals, heads, dk, da, db, last, num, den, done): its
-    traversals and the set of their heads, its terms, its last traversal
-    and the last rational vertex after that (den 0 for 1/0 or none),
-    from which the runs that follow are built, and whether it reaches
-    ``end``.  The search keeps one frame per move: the runs not yet
-    tried after it, the sums (k, a, b) of the path through it, and its
-    run and heads.  A move pushes a frame; a dead end pops one and takes
-    its run and heads back off the path.  A path's sums are those of the
-    last frame plus the terms of its last run.  Both tables depend on
-    ``end``, so they live for one call.
+    (traversals, dk, da, db, last, num, den, done): its traversals, its
+    terms, its last traversal and the last rational vertex after that
+    (den 0 for 1/0 or none), from which the runs that follow are built,
+    and whether it reaches ``end``.  The search keeps one frame per
+    move: the runs not yet tried after it, the sums (k, a, b) of the
+    path through it, and its run.  A move pushes a frame; a dead end
+    pops one and takes its run back off the path.  A path's sums are
+    those of the last frame plus the terms of its last run.  Both tables
+    depend on ``end``, so they live for one call.
     """
     first, last = _end_ids(cx, start, end)
     found: list[TypedPath] = []
@@ -831,6 +843,7 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     live = _live(cx, last)
     follow = _follower(cx, live)
     step = _stepper(cx)
+    longest = len(out) - 1          # steps of a path that revisits no vertex
     nexts: list[list[int] | None] = [None] * len(heads)
     table: list[list[tuple] | None] = [None] * len(heads)
 
@@ -840,34 +853,33 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
         entries = []
         for u in starts:
             k, a, b, qn, qd = step(u, pn, pd)
-            run, held, v = [u], {heads[u]}, u
+            run, v = [u], u
             while heads[v] != last:
                 after = nexts[v]
                 if after is None:
                     nexts[v] = after = follow(v)
-                if len(after) != 1 or heads[after[0]] in held:
+                if len(after) != 1:
                     break
+                if len(run) == longest:
+                    raise _revisit(cx, start, end)
                 v = after[0]
                 dk, da, db, qn, qd = step(v, qn, qd)
                 k += dk
                 a += da
                 b += db
                 run.append(v)
-                held.add(heads[v])
-            entries.append((tuple(run), held, k, a, b, v, qn, qd, heads[v] == last))
+            entries.append((tuple(run), k, a, b, v, qn, qd, heads[v] == last))
         return entries
 
     path: list[int] = []
-    visited = {first}
     pn, pd = start if isinstance(start, Frac) else (0, 0)
     # The first frame is the start's, with no run.
-    stack = [(iter(runs([u for u in out[first] if live[u]], pn, pd)),
-              0, 0, 0, (), set())]
+    stack = [(iter(runs([u for u in out[first] if live[u]], pn, pd)), 0, 0, 0, ())]
     while stack:
-        todo, k, a, b, _, _ = stack[-1]
-        for run, held, dk, da, db, t, pn, pd, done in todo:
-            if not visited.isdisjoint(held):
-                continue
+        todo, k, a, b, _ = stack[-1]
+        for run, dk, da, db, t, pn, pd, done in todo:
+            if len(path) + len(run) > longest:
+                raise _revisit(cx, start, end)
             if done:
                 found.append(TypedPath(cx, (*path, *run), (k + dk, a + da, b + db)))
                 continue
@@ -877,13 +889,11 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
             if entries is None:
                 table[t] = entries = runs(nexts[t], pn, pd)
             path += run
-            visited |= held
-            stack.append((iter(entries), k + dk, a + da, b + db, run, held))
+            stack.append((iter(entries), k + dk, a + da, b + db, run))
             break
         else:
-            _, _, _, _, run, held = stack.pop()
+            run = stack.pop()[4]
             del path[len(path) - len(run):]
-            visited -= held
     return found
 
 

@@ -18,14 +18,11 @@ and beta (t = alpha/beta).  Two independent computations are provided:
   pulled-back longitudes with the train track carried by that edge.
 
 The two must agree exactly on every minimal path of a link, and
-``oracle_check`` proves they do without listing the paths: one forward
-pass over the traversals a walk from 1/0 can take (``diagram.walk_order``)
-gives each one a potential, push minus edgewise over the walk so far.
-The potential telescopes along every path, so when it is the same by
-every walk and zero at p/q, every path agrees; when the pass cannot
-tell, the paths are listed and compared one by one.  The paths and the
-check that each t = 1 path is a limit of Dt paths are
-``diagram.link_paths`` and ``not_limits``.
+``oracle_check`` proves they do by one forward pass over the
+traversals a walk from 1/0 can take (``diagram.walk_order``), listing
+the paths only to report those that differ.  The paths and the check
+that each t = 1 path is a limit of Dt paths are ``diagram.link_paths``
+and ``not_limits``.
 
 Paths in the t = 1 diagram that use odd diagonals carry more general
 surfaces with one free branching weight n_i in [0, beta] per diagonal;
@@ -262,9 +259,8 @@ def _symbolic(k: int, senses) -> SymbolicM:
 class OracleReport(NamedTuple):
     """Both slope algorithms compared on every minimal path of one link:
     the number of Dt paths and of t = 1 paths through an odd diagonal
-    checked, and each (path, push value, edgewise value) that differs.
-    The counts come from a forward pass when ``oracle_check``'s
-    certificate holds, and from the lists of paths when it falls back."""
+    checked, and each (path, push value, edgewise value) that differs
+    (``oracle_check`` lists the paths only to find those)."""
 
     dt_paths: int
     d1_paths: int
@@ -274,7 +270,7 @@ class OracleReport(NamedTuple):
 def _certify_dt(cx, end: Frac) -> int | None:
     """The number of minimal Dt paths from 1/0 to end when every one of
     them has the same form by push as by edgewise, by one forward pass
-    over ``walk_order``; None when the pass cannot tell.
+    over ``walk_order``; None when the potential disagrees.
 
     After a traversal t of a walk, its state is the potential, push
     minus edgewise over the walk so far in the coordinates (x, y, z,
@@ -285,8 +281,6 @@ def _certify_dt(cx, end: Frac) -> int | None:
     must have potential 0 and k = 1 + q mod 2 (``_check_parities``).
     """
     order = walk_order(cx, INFINITY, end)
-    if order is None:
-        return None
     step, types, frames = _stepper(cx), cx._types, cx._frames
     ends, heads = cx._ends, cx._heads
     first, last = cx._ids[INFINITY], cx._ids[end]
@@ -325,7 +319,7 @@ def _certify_d1(cx, end: Frac) -> int | None:
     """The number of minimal t = 1 paths from 1/0 to end through an odd
     diagonal when each of them has the same SymbolicM by push as by
     edgewise, by one forward pass over ``walk_order``; None when the
-    pass cannot tell.
+    two disagree on a traversal.
 
     Every vertex of D1 is rational, so the last one before a traversal
     is its tail, and what the traversal adds by either algorithm depends
@@ -334,8 +328,6 @@ def _certify_d1(cx, end: Frac) -> int | None:
     the paths less those with none.
     """
     order = walk_order(cx, INFINITY, end)
-    if order is None:
-        return None
     step, types, frames = _stepper(cx), cx._types, cx._frames
     verts, ends, heads = cx._verts, cx._ends, cx._heads
     first, last = cx._ids[INFINITY], cx._ids[end]
@@ -373,14 +365,11 @@ def oracle_check(link: TwoBridgeLink) -> OracleReport:
     edgewise over a walk so far, telescopes: along any path the value
     at the end is the sum of what each step adds, so when every walk
     into a traversal gives it the same potential and the potential is 0
-    on every traversal into p/q, every path agrees.  Every minimal path
-    is a walk, and when the walks' vertex graph has no cycle every walk
-    is a minimal path, so the pass's sums of counts are the path counts.
-    When the order has a cycle, or the potential is not well defined or
-    not 0 at p/q, the certificate cannot decide and the paths are
-    listed and compared one by one, so a failure is reported path by
-    path, as ``m_form``, ``m_form_edgewise`` and ``s_form_symbolic``
-    find it.
+    on every traversal into p/q, every path agrees.  The walks are the
+    minimal paths, so the pass's sums of counts are the path counts.
+    Otherwise some path disagrees, and the paths are listed and compared
+    one by one, so each failure is reported path by path, as
+    ``m_form``, ``m_form_edgewise`` and ``s_form_symbolic`` find it.
     """
     diagrams = Diagrams(link)
     end = link.fraction()

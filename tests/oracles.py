@@ -8,18 +8,19 @@ and follow the paper: straighten the path into its rational vertices,
 sum the determinants over them and count the cells it was pushed
 across.  The sense of a D1 diagonal is found from the geometry, not
 from the traversal sign the step reads.  Alongside are the frame
-matrices and side list of a quadrilateral, the lookup of a traversal
-by its two vertices, with which the collapse checks redo ``collapse``
-by value, the minimality test of a path, the traversals that can lead
-on to a vertex and the minimal paths found by plain recursion, which
-only the construction and path checks use, the push-against-edgewise
-comparison path by path that ``slopes.oracle_check`` replaces with a
-certificate, with the faults planted to test it, the forms and families
-of ``slope_families`` assembled path by path and form by form, and the
-links the tests draw or walk: the one conversion of an expansion into a
-link, the enumeration of link types by recursion over expansions, the
-strategy that draws links by expansion, and the deep chains.  Last come
-the small helpers more than one test module reads.
+matrices and side list of a quadrilateral, the chain span of a vertex,
+the lookup of a traversal by its two vertices, with which the collapse
+checks redo ``collapse`` by value, the minimality test of a path, the
+traversals that can lead on to a vertex and the minimal paths found by
+plain recursion, which only the construction and path checks use, the
+push-against-edgewise comparison path by path that
+``slopes.oracle_check`` replaces with a certificate, with the faults
+planted to test it, the forms and families of ``slope_families``
+assembled path by path and form by form, and the links the tests draw
+or walk: the one conversion of an expansion into a link, the
+enumeration of link types by recursion over expansions, the strategy
+that draws links by expansion, and the deep chains.  Last come the
+small helpers more than one test module reads.
 """
 
 from __future__ import annotations
@@ -52,6 +53,20 @@ def on_side(u: Frac, v: Frac) -> Corner:
     """The midpoint of the side {u, v}, its endpoints in increasing
     order (1/0 above all): the order the Dt builder gives them."""
     return Corner(u, v) if frac_cmp(u, v) < 0 else Corner(v, u)
+
+
+def chain_spans(cx) -> list[tuple[int, int]]:
+    """The chain span of each vertex of cx, by id: the first and the last
+    quadrilateral of its chain that hold it, as a vertex or, in Dt, as
+    the midpoint of a side."""
+    spans = {}
+    for i, quad in enumerate(cx.chain):
+        held = list(quad.vertices())
+        if cx.kind == "Dt":
+            held += [on_side(u, v) for u, v in sides(quad)]
+        for v in held:
+            spans[v] = (spans.get(v, (i, i))[0], i)
+    return [spans[v] for v in cx._verts]
 
 
 def edge_cells(cx, e: int) -> frozenset:

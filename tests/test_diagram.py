@@ -8,6 +8,7 @@ from operator import itemgetter, lt
 import pytest
 from hypothesis import given, settings
 
+from twobridge import diagram
 from twobridge.arith import (Frac, GMat, INFINITY, TwoBridgeLink,
                              enumerate_links, make_link)
 from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
@@ -17,9 +18,10 @@ from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
                                walk_order)
 from twobridge.slopes import m_form, m_form_edgewise
 
-from oracles import (ROT, SHIFT, edge_cells, frac, fractions_of_type,
-                     is_minimal, link_of, links, live_reference, on_side,
-                     reference_paths, sides, sums_reference, traversal)
+from oracles import (ROT, SHIFT, chain_spans, edge_cells, frac,
+                     fractions_of_type, is_minimal, link_of, links,
+                     live_reference, on_side, reference_paths, sides,
+                     sums_reference, traversal)
 
 
 def all_cells(cx):
@@ -228,6 +230,25 @@ def hand_built_d0(vertices, edges):
     return cx
 
 
+def triangle_d0():
+    """A hand-built D0 complex with a triangle 0/1 -> 1/3 -> 1/2 -> 0/1
+    on the way from 1/0 to 1/1.  Only 0/1-1/3 and 1/2-0/1 share a cell,
+    so either way round the triangle, once, is a chain of steps that
+    share no cell with the one before, back at 0/1 and on to 1/1."""
+    return hand_built_d0([INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(1, 1)],
+                         [((0, 1), (0, 0)), ((1, 2), (1, 5)), ((2, 3), (2, 2)),
+                          ((3, 1), (3, 5)), ((1, 4), (4, 4))])
+
+
+def assert_walks_come_back(cx, end):
+    """Both the search and ``walk_order`` raise on cx, whose walks from
+    1/0 to end come back to a vertex, which no chain's complex allows."""
+    for find in (minimal_paths, walk_order):
+        with pytest.raises(RuntimeError, match=f"D0: a walk from 1/0 to {end} "
+                                               f"comes back to a vertex"):
+            find(cx, INFINITY, end)
+
+
 class TestMinimalPaths:
     def test_d1_hopf_has_two_paths(self):
         d = Diagrams(make_link(1, 2))
@@ -258,16 +279,14 @@ class TestMinimalPaths:
             assert m_form(path) == m_form_edgewise(path)
 
     def test_a_path_never_revisits_a_vertex(self):
-        # A hand-built D0 complex with a triangle 0/1 -> 1/3 -> 1/2 -> 0/1
-        # on the way from 1/0 to 1/1.  Only 0/1-1/3 and 1/2-0/1 share a
-        # cell, so either way round the triangle, once, is a chain of
-        # steps that share no cell with the one before, back at 0/1 and
-        # on to 1/1.  Those two walks revisit 0/1 and are not paths.
-        cx = hand_built_d0([INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(1, 1)],
-                           [((0, 1), (0, 0)), ((1, 2), (1, 5)), ((2, 3), (2, 2)),
-                            ((3, 1), (3, 5)), ((1, 4), (4, 4))])
-        paths = minimal_paths(cx, INFINITY, frac(1, 1))
-        assert [str(p) for p in paths] == ["1/0 [B+] 0/1 [B+] 1/1"]
+        # The two walks round the triangle of ``triangle_d0`` revisit
+        # 0/1 and are not paths.  The search keeps no record of the
+        # vertices it passed, so it finds them, with five steps among
+        # five vertices, and raises.
+        cx = triangle_d0()
+        assert [str(p) for p in reference_paths(cx, INFINITY, frac(1, 1))] == [
+            "1/0 [B+] 0/1 [B+] 1/1"]
+        assert_walks_come_back(cx, frac(1, 1))
 
     def test_a_forced_run_never_revisits_its_own_vertex(self):
         # 1/0 -> 0/1 -> 1/3 -> 1/2 -> 2/5 -> 1/3 -> 1/1, and an edge
@@ -275,16 +294,44 @@ class TestMinimalPaths:
         # 2/5-1/3, so each of the first four steps has one step that may
         # follow it: the walk through 0/1 is one forced run, round the
         # triangle 1/3, 1/2, 2/5 and back to 1/3, a vertex of its own,
-        # before it may leave for 1/1.  That walk is no path; the edge
-        # 1/0-1/1 is the only one.
+        # before it may leave for 1/1 or go round again.  That walk is
+        # no path, and the edge 1/0-1/1 is the only one; the search and
+        # ``walk_order`` raise on the walk.
         cx = hand_built_d0([INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(2, 5),
                             frac(1, 1)],
                            [((0, 1), (0, 0)), ((1, 2), (1, 6)), ((2, 3), (2, 2)),
                             ((3, 4), (3, 3)), ((4, 2), (4, 1)), ((2, 5), (5, 6)),
                             ((0, 5), (7, 7))])
-        paths = minimal_paths(cx, INFINITY, frac(1, 1))
-        assert paths == reference_paths(cx, INFINITY, frac(1, 1))
-        assert [str(p) for p in paths] == ["1/0 [B+] 1/1"]
+        assert [str(p) for p in reference_paths(cx, INFINITY, frac(1, 1))] == [
+            "1/0 [B+] 1/1"]
+        assert_walks_come_back(cx, frac(1, 1))
+
+    def test_a_walk_round_a_square_is_an_error(self):
+        # 1/0 -> 0/1, a square 0/1, 1/3, 1/2, 2/5 whose four sides lie in
+        # four cells, and 1/2 -> 1/1.  No two sides of the square share
+        # a cell, so a walk may go round it for ever; the search must
+        # raise, not hang.
+        cx = hand_built_d0([INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(2, 5),
+                            frac(1, 1)],
+                           [((0, 1), (0, 0)), ((1, 2), (1, 1)), ((2, 3), (2, 2)),
+                            ((3, 4), (3, 3)), ((4, 1), (4, 4)), ((3, 5), (5, 5))])
+        assert len(reference_paths(cx, INFINITY, frac(1, 1))) == 2
+        assert_walks_come_back(cx, frac(1, 1))
+
+    def test_a_forced_run_round_a_triangle_is_an_error(self, monkeypatch):
+        # 1/0 -> 0/1, a triangle 0/1, 1/3, 1/2 in three cells, the last
+        # side sharing one with 1/0-0/1, and 1/0 -> 1/1.  After 1/0 ->
+        # 0/1 each step has one step that may follow it, round the
+        # triangle for ever.  None of them leads on to 1/1, so none is
+        # live; with every traversal marked live, the run builder must
+        # still raise, not hang.
+        monkeypatch.setattr(diagram, "_live",
+                            lambda cx, last: bytearray([1]) * len(cx._ends))
+        cx = hand_built_d0([INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(1, 1)],
+                           [((0, 1), (0, 3)), ((1, 2), (1, 1)), ((2, 3), (2, 2)),
+                            ((3, 1), (3, 3)), ((0, 4), (4, 4))])
+        with pytest.raises(RuntimeError, match="D0: a walk from 1/0 to 1/1 comes back"):
+            minimal_paths(cx, INFINITY, frac(1, 1))
 
     def test_deterministic_order(self):
         d = Diagrams(make_link(13, 34))
@@ -315,12 +362,45 @@ class TestMinimalPaths:
 
 class TestWalkOrder:
     def test_a_cycle_leaves_no_order(self):
-        # The complex of test_a_path_never_revisits_a_vertex: a walk may
-        # go round the triangle 0/1, 1/3, 1/2 and come back to 0/1.
-        cx = hand_built_d0([INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(1, 1)],
-                           [((0, 1), (0, 0)), ((1, 2), (1, 5)), ((2, 3), (2, 2)),
-                            ((3, 1), (3, 5)), ((1, 4), (4, 4))])
-        assert walk_order(cx, INFINITY, frac(1, 1)) is None
+        # A walk of ``triangle_d0`` may go round the triangle 0/1, 1/3,
+        # 1/2 and come back to 0/1.
+        assert_walks_come_back(triangle_d0(), frac(1, 1))
+
+    def test_no_two_vertices_through_7_crossings_have_a_cycle(self):
+        # The order needs more than that no walk comes back: no cycle
+        # among the vertices of all walks together, between any two
+        # vertices of any of the three complexes.
+        pairs = 0
+        for link in enumerate_links(7):
+            d = Diagrams(link)
+            for cx in (d.dt, d.d1, d.d0):
+                for start in cx._verts:
+                    for end in cx._verts:
+                        if start != end:
+                            walk_order(cx, start, end)
+                            pairs += 1
+        assert pairs == 4628
+
+    @staticmethod
+    def check_spans(r, cx):
+        # Along every traversal of a walk from 1/0 to p/q, the chain
+        # span of the vertex never falls, and it stays equal only when
+        # both ends lie in one quadrilateral alone.
+        span = chain_spans(cx)
+        for t, _ in walk_order(cx, INFINITY, r.link.fraction()):
+            (a0, a1), (b0, b1) = span[cx._ends[t]], span[cx._heads[t]]
+            assert a0 <= b0 and a1 <= b1, (r.link, cx.kind, t)
+            assert a0 == a1 or (a0, a1) != (b0, b1), (r.link, cx.kind, t)
+
+    def test_the_chain_span_never_falls_through_12_crossings(self, paths_through_12):
+        for r in paths_through_12:
+            for cx in (r.diagrams.dt, r.diagrams.d1, r.diagrams.d0):
+                self.check_spans(r, cx)
+
+    def test_the_chain_span_never_falls_on_deep_chains(self, deep_paths):
+        for r in deep_paths:
+            for cx in (r.diagrams.dt, r.diagrams.d1, build_diagram(r.diagrams.chain, "D0")):
+                self.check_spans(r, cx)
 
     def test_walks_are_the_minimal_paths(self, paths_through_12):
         # Every traversal comes before those that may follow it; the
