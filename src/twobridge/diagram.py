@@ -73,12 +73,16 @@ edge to the target edge between its ends' images.  A path then
 collapses by reading off its traversals' images.  Only the skeleton's
 walk, Dt's numbering of its midpoints and the two ends of a search look
 a vertex up by value; ``collapse`` looks up none.
+
+``minimal_paths`` runs with the cyclic garbage collector paused
+(``_paused``), as the engine makes no reference cycles for it to free.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import repeat
 from operator import add, itemgetter, mul
 from typing import NamedTuple
@@ -104,6 +108,28 @@ Vertex = Frac | Corner
 # tuple.__new__(cls, fields); the hot constructors below call the latter
 # directly and skip that frame.
 _new = tuple.__new__
+
+
+def _paused(fn):
+    """fn, run with the cyclic garbage collector paused and its state
+    put back after, on return or raise; a call made while it is already
+    off leaves it alone.  The engine makes no reference cycles, so a
+    collection during a call could free nothing, yet would walk every
+    path and complex the call holds (tier-1 checks this:
+    ``tests/test_diagram.py::TestCollectorPause::test_the_engine_makes_no_cycles``).
+    A cycle made all the same is freed by the first collection after."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _point(num: int, den: int) -> Frac:
@@ -795,6 +821,7 @@ def walk_order(cx: DiagramComplex, start: Vertex,
     return order
 
 
+@_paused
 def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedPath]:
     """All minimal edge paths from start to end, with their sums.
 

@@ -36,7 +36,9 @@ once, by the same arithmetic as ``m_form`` and ``s_form``, and its
 longitudes.  The families and the raw forms are derived from those on
 each read; the families come in print order from one function
 (``_family_order``), as plain int tuples that the emitters read without
-building a ``SlopeFamily``.
+building a ``SlopeFamily``.  ``slope_families`` runs with the cyclic
+garbage collector paused (``diagram._paused``): it makes no reference
+cycles for it to free.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import Frac, INFINITY, TwoBridgeLink, linking_number
-from .diagram import (Diagrams, TypedPath, _new, _stepper, link_paths,
-                      not_limits, walk_order)
+from .diagram import (Diagrams, TypedPath, _new, _paused, _stepper,
+                      link_paths, not_limits, walk_order)
 
 
 class MForm(NamedTuple):
@@ -491,6 +493,7 @@ def _family_order(r: LinkSlopes):
         yield x, y, 5
 
 
+@_paused
 def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     """All boundary-slope families of a 2-bridge link.
 

@@ -16,7 +16,7 @@ from twobridge.diagram import (_BUILDERS, Corner, DiagramComplex, Diagrams,
                                build_diagram, collapse, link_paths,
                                minimal_paths, not_limits, quad_chain,
                                walk_order)
-from twobridge.slopes import m_form, m_form_edgewise
+from twobridge.slopes import m_form, m_form_edgewise, oracle_check, slope_families
 
 from oracles import (ROT, SHIFT, chain_spans, edge_cells, frac,
                      fractions_of_type, is_minimal, link_of, links,
@@ -427,6 +427,66 @@ class TestWalkOrder:
                 assert steps >= {s for p in paths for s in zip(p.trav, p.trav[1:])}
                 assert sum(count[t] for t in position
                            if cx._heads[t] == cx._ids[end]) == len(paths), (r.link, cx.kind)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for one test, and put
+    back as it was after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    # ``slope_families`` and ``minimal_paths`` run with the cyclic
+    # collector paused (``diagram._paused``).
+
+    def test_the_engine_makes_no_cycles(self):
+        # With the collector off nothing frees a cycle, so whatever the
+        # next collection finds unreachable, the engine left behind.
+        links = [*enumerate_links(8), make_link(6765, 10946), make_link(1, 400),
+                 link_of(2, 98, 2)]
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for link in links:
+                end = link.fraction()
+                slope_families(link)
+                oracle_check(link)
+                d = Diagrams(link)
+                for cx in (d.dt, d.d1, d.d0):
+                    minimal_paths(cx, INFINITY, end)
+                    walk_order(cx, INFINITY, end)
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
+
+    def test_a_call_keeps_the_callers_state(self, collector, monkeypatch):
+        # Inside, the collector is off, in ``minimal_paths`` called
+        # alone and called from ``slope_families``; after, it is as the
+        # caller left it.
+        seen = []
+        end_ids = diagram._end_ids
+        monkeypatch.setattr(diagram, "_end_ids",
+                            lambda *args: seen.append(gc.isenabled()) or end_ids(*args))
+        link = make_link(3, 8)
+        slope_families(link)
+        assert gc.isenabled() is collector
+        minimal_paths(Diagrams(link).d1, INFINITY, link.fraction())
+        assert gc.isenabled() is collector
+        assert seen == [False] * 3
+
+    def test_a_raise_keeps_the_callers_state(self, collector):
+        with pytest.raises(ValueError, match="not in normal form"):
+            slope_families(TwoBridgeLink(3, 2))
+        assert gc.isenabled() is collector
+        with pytest.raises(ValueError, match="not two vertices"):
+            minimal_paths(Diagrams(make_link(3, 8)).dt, INFINITY, frac(5, 7))
+        assert gc.isenabled() is collector
 
 
 class TestPathSums:

@@ -147,3 +147,25 @@ def test_no_engine_memo_outlives_a_call():
                   for name, line in sorted(set(container_writes(func)))
                   if name in shared]
     assert SOURCES and found == []
+
+
+def test_only_one_decorator_pauses_the_collector():
+    # ``diagram._paused`` puts the caller's collector state back on
+    # return and on raise; a ``gc.disable`` or ``gc.enable`` anywhere
+    # else in the engine could leave the collector off behind an entry
+    # point.  ``gc`` is imported under its own name, and its functions
+    # are not imported alone, so that every such call is seen here.
+    inside, outside = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        paused = {id(node) for func in functions(tree.body)
+                  if path.name == "diagram.py" and func.name == "_paused"
+                  for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in {"disable", "enable"}
+                    and getattr(node.value, "id", None) == "gc"
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc"
+                    or isinstance(node, ast.Import)
+                    and any(a.name == "gc" and a.asname for a in node.names)):
+                (inside if id(node) in paused else outside).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 2 and outside == []
