@@ -49,11 +49,17 @@ something displays them.
 
 An edge path is minimal if no two consecutive edges lie in a common
 cell; such a walk never comes back to a vertex.  Minimal paths from 1/0
-to p/q index the spanning surfaces and stay inside the chain, so a
-depth-first search over the chain complex finds them all, taking only
-the traversals that a backward pass from p/q marks as leading on to it.
-Most of its steps have no choice to make, so it moves over forced runs,
-one move per run where a plain search makes one per edge.
+to p/q index the spanning surfaces and stay inside the chain.  One
+function (``_walk_graph``) gives the walks between two vertices as
+successor lists: a backward pass from the end marks the traversals that
+lead on to it, and a pass forward from the start lists, for each
+traversal it reaches, the marked ones that may follow it.  A
+depth-first search over those lists finds every minimal path
+(``minimal_paths``), and a forward pass over the same lists, put in
+order (``walk_order``), counts or sums over the paths without listing
+them.  Most of the search's steps have no choice to make, so it moves
+over forced runs, one move per run where a plain search makes one per
+edge.
 
 The slope algorithms straighten each Dt or D1 path across its cells and
 add per-step terms: a determinant sum and signed push counts.  One
@@ -731,18 +737,38 @@ def _end_ids(cx: DiagramComplex, start: Vertex, end: Vertex) -> tuple[int, int]:
     return first, last
 
 
-def _follower(cx: DiagramComplex, live: bytearray):
-    """``follow(t)``: the live traversals that may follow t in a path,
-    those leaving t's head that share no cell with t, in ``_out``
-    order."""
-    out, c0, c1, heads = cx._out, cx._c0, cx._c1, cx._heads
+def _walk_graph(cx: DiagramComplex, first: int,
+                last: int) -> tuple[list[int], list[list[int] | None]]:
+    """The walks of cx from vertex ``first`` to vertex ``last`` as
+    successor lists, (starts, after).  ``starts`` lists the traversals
+    leaving ``first`` that ``_live`` marks as leading on to ``last``.
+    For every traversal t that a walk from ``first`` reaches,
+    ``after[t]`` lists, in ``_out`` order, the live traversals that may
+    follow t: those leaving t's head that share no cell with t, none
+    when t enters ``last``.  ``after[t]`` is None for every other
+    traversal.
 
-    def follow(t: int) -> list[int]:
+    A stack over the traversals reached builds each one's list once, so
+    the pass ends even where walks go round for ever; ``walk_order`` and
+    ``minimal_paths`` raise on those."""
+    out, heads, c0, c1 = cx._out, cx._heads, cx._c0, cx._c1
+    live = _live(cx, last)
+    starts = [u for u in out[first] if live[u]]
+    after: list[list[int] | None] = [None] * len(heads)
+    todo = starts[:]
+    while todo:
+        t = todo.pop()
+        if after[t] is not None:
+            continue
+        v = heads[t]
+        if v == last:
+            after[t] = []
+            continue
         x0, x1 = c0[t >> 1], c1[t >> 1]
-        return [w for w in out[heads[t]] if live[w]
-                and x0 != c0[w >> 1] != x1 and x0 != c1[w >> 1] != x1]
-
-    return follow
+        after[t] = nexts = [w for w in out[v] if live[w]
+                            and x0 != c0[w >> 1] != x1 and x0 != c1[w >> 1] != x1]
+        todo += nexts
+    return starts, after
 
 
 def _revisit(cx: DiagramComplex, start: Vertex, end: Vertex) -> RuntimeError:
@@ -757,11 +783,11 @@ def walk_order(cx: DiagramComplex, start: Vertex,
     all that may follow it.  A traversal into end has none after it.
 
     A walk takes traversals that ``_live`` marks as leading on to end,
-    each leaving the head of the one before and sharing no cell with it
-    (``_follower``), and stops at end.  No walk comes back to a vertex,
-    so the walks are the minimal paths from start to end: a forward pass
-    over this order that adds up integers counts them, or sums anything
-    else over them, without listing them.
+    each leaving the head of the one before and sharing no cell with it,
+    and stops at end; ``_walk_graph`` lists them.  No walk comes back to
+    a vertex, so the walks are the minimal paths from start to end: a
+    forward pass over this order that adds up integers counts them, or
+    sums anything else over them, without listing them.
 
     Were v the first vertex a walk reaches twice, it would go round a
     loop between the visits, bounding a disk R of cells (the chain's
@@ -778,39 +804,29 @@ def walk_order(cx: DiagramComplex, start: Vertex,
     in R; else, with the rectangle in R, at the midpoint of the side
     opposite s; else at the far midpoint of a triangle at an end of s.
 
-    The walks are found with a stack and put in order by repeatedly
-    taking a vertex that no traversal not yet placed enters, starting at
-    start, and placing every traversal that leaves it.  That needs no
-    cycle among the vertices of all the walks together, as the tests
-    find through 7 crossings; on one this raises (``_revisit``).
+    The successor lists of ``_walk_graph`` are put in order by
+    repeatedly taking a vertex that no traversal not yet placed enters,
+    starting at start, and placing every traversal that leaves it.  That
+    needs no cycle among the vertices of all the walks together.  No
+    order tried has met one: the tests try every pair of vertices through
+    7 crossings and the walks from 1/0 to p/q on the deep chains (every
+    fourth one), and CI's ``oracle-check`` those on every link through 16
+    crossings.  On one this raises (``_revisit``).
     """
     first, last = _end_ids(cx, start, end)
     out, heads = cx._out, cx._heads
-    live = _live(cx, last)
-    follow = _follower(cx, live)
-    # after[t] lists the traversals that may follow t, once a walk
-    # reaches t; entering[v] counts the traversals reached into v that
-    # are not yet in order.
-    after: list[list[int] | None] = [None] * len(heads)
+    after = _walk_graph(cx, first, last)[1]
+    # entering[v] counts the traversals reached into v that are not yet
+    # in order.
     entering = [0] * len(out)
-    todo = [u for u in out[first] if live[u]]
-    seen = bytearray(len(heads))
-    for u in todo:
-        seen[u] = 1
-    while todo:
-        t = todo.pop()
-        v = heads[t]
-        entering[v] += 1
-        after[t] = nexts = [] if v == last else follow(t)
-        for u in nexts:
-            if not seen[u]:
-                seen[u] = 1
-                todo.append(u)
+    for t, nexts in enumerate(after):
+        if nexts is not None:
+            entering[heads[t]] += 1
     order = []
     ready = [] if entering[first] else [first]
     while ready:
         for t in out[ready.pop()]:
-            if seen[t]:
+            if after[t] is not None:
                 order.append((t, after[t]))
                 v = heads[t]
                 entering[v] -= 1
@@ -834,12 +850,10 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     stack, and builds runs in a loop, so path length is not bounded by
     the interpreter's recursion limit.
 
-    The search takes only traversals that ``_live`` marks as leading on
-    to ``end``, every step of a path to it among them, so it loses no
-    path and keeps the order of the others.  ``nexts[t]`` lists the live
-    traversals that may follow t (``_follower``), filled the first time
-    it is needed: filling it up front would cost the square of the
-    degree at a fan vertex such as 0/1 in the chain of 1/n.
+    The search reads the successor lists of ``_walk_graph``, so it
+    takes only traversals that ``_live`` marks as leading on to
+    ``end``, every step of a path to it among them: it loses no path and
+    keeps the order of the others.
 
     Most traversals have exactly one that may follow them, so the search
     moves over forced runs, not single steps.  The run from u takes u,
@@ -861,17 +875,15 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     move: the runs not yet tried after it, the sums (k, a, b) of the
     path through it, and its run.  A move pushes a frame; a dead end
     pops one and takes its run back off the path.  A path's sums are
-    those of the last frame plus the terms of its last run.  Both tables
-    depend on ``end``, so they live for one call.
+    those of the last frame plus the terms of its last run.  The lists
+    and ``table`` depend on ``end``, so they live for one call.
     """
     first, last = _end_ids(cx, start, end)
     found: list[TypedPath] = []
-    out, heads = cx._out, cx._heads
-    live = _live(cx, last)
-    follow = _follower(cx, live)
+    heads = cx._heads
+    firsts, after = _walk_graph(cx, first, last)
     step = _stepper(cx)
-    longest = len(out) - 1          # steps of a path that revisits no vertex
-    nexts: list[list[int] | None] = [None] * len(heads)
+    longest = len(cx._out) - 1      # steps of a path that revisits no vertex
     table: list[list[tuple] | None] = [None] * len(heads)
 
     def runs(starts: list[int], pn: int, pd: int) -> list[tuple]:
@@ -881,15 +893,10 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
         for u in starts:
             k, a, b, qn, qd = step(u, pn, pd)
             run, v = [u], u
-            while heads[v] != last:
-                after = nexts[v]
-                if after is None:
-                    nexts[v] = after = follow(v)
-                if len(after) != 1:
-                    break
+            while len(nexts := after[v]) == 1:
                 if len(run) == longest:
                     raise _revisit(cx, start, end)
-                v = after[0]
+                v = nexts[0]
                 dk, da, db, qn, qd = step(v, qn, qd)
                 k += dk
                 a += da
@@ -901,7 +908,7 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
     path: list[int] = []
     pn, pd = start if isinstance(start, Frac) else (0, 0)
     # The first frame is the start's, with no run.
-    stack = [(iter(runs([u for u in out[first] if live[u]], pn, pd)), 0, 0, 0, ())]
+    stack = [(iter(runs(firsts, pn, pd)), 0, 0, 0, ())]
     while stack:
         todo, k, a, b, _ = stack[-1]
         for run, dk, da, db, t, pn, pd, done in todo:
@@ -910,11 +917,9 @@ def minimal_paths(cx: DiagramComplex, start: Vertex, end: Vertex) -> list[TypedP
             if done:
                 found.append(TypedPath(cx, (*path, *run), (k + dk, a + da, b + db)))
                 continue
-            # The run builder stopped at t short of ``end``, so it
-            # filled nexts[t].
             entries = table[t]
             if entries is None:
-                table[t] = entries = runs(nexts[t], pn, pd)
+                table[t] = entries = runs(after[t], pn, pd)
             path += run
             stack.append((iter(entries), k + dk, a + da, b + db, run))
             break

@@ -510,20 +510,21 @@ def slope_families(link: TwoBridgeLink) -> LinkSlopes:
     q = link.q
 
     # ``m_form`` and ``s_form`` read nothing but a path's sums, so the
-    # forms of all paths are the forms of their distinct sums.  Both
-    # parities are checked once per form; a form that breaks one is
-    # handed back to ``m_form`` or ``s_form`` on a path that gives it,
-    # for the error that names the path.
+    # forms of all paths are the forms of their distinct sums.  An M form
+    # has x - z = 2*n0 (``_m_coeffs``), so only x + y = 1 + q mod 2 is
+    # checked, once per form; a form that breaks it goes to
+    # ``_check_parities`` with a path that gives it, for the error that
+    # names the path.
     mraw = sorted({_m_coeffs(*s) for s in {p.sums for p in dt_paths}})
     for form in mraw:
         x, y, z = form
-        if (x - z) % 2 or (x + y - 1 - q) % 2:
-            m_form(next(p for p in dt_paths if _m_coeffs(*p.sums) == form))
+        if (x + y - 1 - q) % 2:
+            _check_parities(*form, next(p for p in dt_paths if _m_coeffs(*p.sums) == form))
     sraw = sorted({_s_coeffs(*s) for s in {p.sums for p in c_paths}})
     for form in sraw:
         x, y = form
         if (x + y - 1 - q) % 2:
-            s_form(next(p for p in c_paths if _s_coeffs(*p.sums) == form))
+            _check_parities(x, y, x, next(p for p in c_paths if _s_coeffs(*p.sums) == form))
 
     diagnostics = [f"t=1 path not a limit of any deformed minimal path: {p}"
                    for p in not_limits(dt_paths, c_paths, diagrams.d1)]

@@ -323,15 +323,15 @@ class TestMinimalPaths:
         # side sharing one with 1/0-0/1, and 1/0 -> 1/1.  After 1/0 ->
         # 0/1 each step has one step that may follow it, round the
         # triangle for ever.  None of them leads on to 1/1, so none is
-        # live; with every traversal marked live, the run builder must
-        # still raise, not hang.
+        # live; with every traversal marked live, the walk graph must
+        # still end, and the run builder and ``walk_order`` must raise,
+        # not hang.
         monkeypatch.setattr(diagram, "_live",
                             lambda cx, last: bytearray([1]) * len(cx._ends))
         cx = hand_built_d0([INFINITY, frac(0, 1), frac(1, 3), frac(1, 2), frac(1, 1)],
                            [((0, 1), (0, 3)), ((1, 2), (1, 1)), ((2, 3), (2, 2)),
                             ((3, 1), (3, 3)), ((0, 4), (4, 4))])
-        with pytest.raises(RuntimeError, match="D0: a walk from 1/0 to 1/1 comes back"):
-            minimal_paths(cx, INFINITY, frac(1, 1))
+        assert_walks_come_back(cx, frac(1, 1))
 
     def test_deterministic_order(self):
         d = Diagrams(make_link(13, 34))
@@ -402,31 +402,45 @@ class TestWalkOrder:
             for cx in (r.diagrams.dt, r.diagrams.d1, build_diagram(r.diagrams.chain, "D0")):
                 self.check_spans(r, cx)
 
-    def test_walks_are_the_minimal_paths(self, paths_through_12):
+    @staticmethod
+    def check_walks(cx, start, end, paths):
         # Every traversal comes before those that may follow it; the
         # traversals are those of the minimal paths, every step of a path
         # is a transition, and counts summed forward give the number of
         # paths.
+        case = (cx.kind, str(start), str(end))
+        order = walk_order(cx, start, end)
+        position = {t: i for i, (t, _) in enumerate(order)}
+        assert set(position) == {t for p in paths for t in p.trav}, case
+        count = {t: int(cx._ends[t] == cx._ids[start]) for t in position}
+        steps = set()
+        for t, nexts in order:
+            for u in nexts:
+                assert position[t] < position[u], case
+                assert cx._ends[u] == cx._heads[t]
+                assert edge_cells(cx, t >> 1).isdisjoint(edge_cells(cx, u >> 1))
+                count[u] += count[t]
+                steps.add((t, u))
+        assert steps >= {s for p in paths for s in zip(p.trav, p.trav[1:])}, case
+        assert sum(count[t] for t in position
+                   if cx._heads[t] == cx._ids[end]) == len(paths), case
+
+    def test_walks_are_the_minimal_paths(self, paths_through_12):
+        # From 1/0 to p/q through 12 crossings; through 10, also to an
+        # odd rational from the middle of the chain, and on Dt from the
+        # midpoint of {1/0, 0/1}.
         for r in paths_through_12:
-            end = r.link.fraction()
-            d0 = minimal_paths(r.diagrams.d0, INFINITY, end)
-            for cx, paths in ((r.diagrams.dt, r.dt), (r.diagrams.d1, r.d1),
-                              (r.diagrams.d0, d0)):
-                order = walk_order(cx, INFINITY, end)
-                position = {t: i for i, (t, _) in enumerate(order)}
-                assert set(position) == {t for p in paths for t in p.trav}
-                count = {t: int(cx._ends[t] == cx._ids[INFINITY]) for t in position}
-                steps = set()
-                for t, nexts in order:
-                    for u in nexts:
-                        assert position[t] < position[u], (r.link, cx.kind)
-                        assert cx._ends[u] == cx._heads[t]
-                        assert edge_cells(cx, t >> 1).isdisjoint(edge_cells(cx, u >> 1))
-                        count[u] += count[t]
-                        steps.add((t, u))
-                assert steps >= {s for p in paths for s in zip(p.trav, p.trav[1:])}
-                assert sum(count[t] for t in position
-                           if cx._heads[t] == cx._ids[end]) == len(paths), (r.link, cx.kind)
+            d, target = r.diagrams, r.link.fraction()
+            cases = [(d.dt, INFINITY, target, r.dt), (d.d1, INFINITY, target, r.d1),
+                     (d.d0, INFINITY, target, None)]
+            if r.crossings <= 10:
+                middle = d.chain[len(d.chain) // 2].p3
+                cases += [(cx, INFINITY, middle, None) for cx in (d.dt, d.d1, d.d0)]
+                cases.append((d.dt, on_side(INFINITY, frac(0, 1)), target, None))
+            for cx, start, end, paths in cases:
+                if paths is None:
+                    paths = minimal_paths(cx, start, end)
+                self.check_walks(cx, start, end, paths)
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])

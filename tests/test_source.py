@@ -169,3 +169,25 @@ def test_only_one_decorator_pauses_the_collector():
                     and any(a.name == "gc" and a.asname for a in node.names)):
                 (inside if id(node) in paused else outside).append(f"{path.name}:{node.lineno}")
     assert len(inside) == 2 and outside == []
+
+
+def test_only_the_walk_graph_and_live_read_the_cells():
+    # The cell test, whether two traversals share a cell, lives in
+    # ``diagram._live`` and ``diagram._walk_graph`` alone: a new walker
+    # reads the successor lists that ``_walk_graph`` builds instead of
+    # building its own.  ``_freeze`` stores the cell lists and reads none;
+    # a read outside every function is named by its line.
+    readers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        reads = {id(node): node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in {"_c0", "_c1"}
+                 and isinstance(node.ctx, ast.Load)}
+        for func in functions(tree.body):
+            inside = [id(node) for node in ast.walk(func) if id(node) in reads]
+            if inside:
+                readers.append(f"{path.name}:{func.name}")
+            for key in inside:
+                del reads[key]
+        readers += [f"{path.name}:{line}" for line in reads.values()]
+    assert sorted(readers) == ["diagram.py:_live", "diagram.py:_walk_graph"]
